@@ -8,6 +8,8 @@ action, and traces the recombined geometry after the unstable mode condenses.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .background import (
     BackgroundCommutatorReport,
     BraneBackground,
@@ -74,4 +76,8 @@ from .spectrum import (
     transverse_spectrum,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

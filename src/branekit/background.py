@@ -132,7 +132,6 @@ def check_background_commutators(
     proj = InteriorProjector(n, margin)
     checks: list[BlockConstant] = []
     squared_sum = 0.0 + 0.0j
-    max_residual = 0.0
     for i, j in ((1, 2), (1, 3), (2, 3)):
         comm = commutator(mats[i], mats[j])
         for name, sl in (("upper", slice(0, n)), ("lower", slice(n, 2 * n))):
@@ -141,12 +140,12 @@ def check_background_commutators(
             constant = complex(np.trace(interior) / proj.interior_dim)
             residual = float(np.max(np.abs(proj.apply(block - constant * np.eye(n)))))
             checks.append(BlockConstant((i, j), name, constant, residual))
-            max_residual = max(max_residual, residual)
             if name == "upper":
                 squared_sum += 2.0 * constant**2
     return BackgroundCommutatorReport(
         checks=tuple(checks),
         squared_sum=squared_sum,
-        max_residual=max_residual,
+        # np.max, unlike the builtin, keeps a NaN residual
+        max_residual=float(np.max([check.residual for check in checks])),
         margin=margin,
     )

@@ -402,10 +402,9 @@ def cmd_curve(
     curve = sample_curve(x0_min, x0_max, n_points, config.theta, config.z2)
     gap = asymmetry_gap(curve)
 
-    ok = (
-        curve.max_residual <= config.tol("hyperbola")
-        and curve.max_eigensolve_gap <= config.tol("block_eigensolve")
-    )
+    hyperbola_failed = not curve.max_residual <= config.tol("hyperbola")
+    eigensolve_failed = not curve.max_eigensolve_gap <= config.tol("block_eigensolve")
+    ok = not (hyperbola_failed or eigensolve_failed)
 
     if config.output_format == FORMAT_STRUCTURED:
         def point_entry(p):
@@ -442,7 +441,7 @@ def cmd_curve(
 
     _info(
         f"max hyperbola residual = {curve.max_residual:.3e} "
-        f"({'pass' if curve.max_residual <= config.tol('hyperbola') else 'FAIL'} "
+        f"({'FAIL' if hyperbola_failed else 'pass'} "
         f"at {config.tol('hyperbola'):.1e})",
         f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e}",
         f"asymmetry gap = {gap:.6g}",
@@ -507,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (MemoryError, OverflowError) as exc:
+        # inputs too large to allocate or to evaluate in floating point
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

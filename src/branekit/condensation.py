@@ -250,8 +250,7 @@ def sample_curve(
     grid = np.linspace(x0_min, x0_max, n_points)
 
     points: list[CurvePoint] = []
-    max_residual = 0.0
-    max_gap = 0.0
+    gaps: list[float] = []
     prev_x_vecs = None
     prev_y_vecs = None
     # Branch order tracks (minus, plus) columns of the eigenvector matrices.
@@ -282,13 +281,9 @@ def sample_curve(
             (BRANCH_PLUS, x_cols[1], y_cols[1]),
         ):
             x_closed, y_closed = closed.branch(branch)
-            gap = max(
-                abs(float(x_vals[x_col]) - x_closed),
-                abs(float(y_vals[y_col]) - y_closed),
-            )
-            max_gap = max(max_gap, gap)
+            gaps.append(abs(float(x_vals[x_col]) - x_closed))
+            gaps.append(abs(float(y_vals[y_col]) - y_closed))
             residual = hyperbola_residual(x_closed, y_closed, theta, z2, branch)
-            max_residual = max(max_residual, residual)
             points.append(
                 CurvePoint(
                     x0=float(x0), branch=branch, x_d=x_closed, y_d=y_closed, residual=residual
@@ -313,8 +308,9 @@ def sample_curve(
         z2=z2,
         points=tuple(points),
         asymptotes=asymptotes,
-        max_residual=max_residual,
-        max_eigensolve_gap=max_gap,
+        # np.max, unlike the builtin, keeps a NaN residual or gap
+        max_residual=float(np.max([p.residual for p in points])),
+        max_eigensolve_gap=float(np.max(gaps)),
     )
 
 

@@ -13,7 +13,7 @@ ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 FORMAT_DELIMITED = "delimited"
 FORMAT_STRUCTURED = "structured"
 
-#: Named thresholds used across the checks; every entry must stay positive.
+#: Named thresholds used across the checks; every entry must stay finite and positive.
 DEFAULT_TOLERANCES = {
     "route_equivalence": 1e-10,
     "eigenvalue_match": 1e-6,
@@ -46,10 +46,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         validate_angle(self.theta, DEFAULT_ANGLE_GUARD)
-        if self.z2 <= 0.0:
-            raise ValueError(f"z2 must be positive, got {self.z2!r}")
-        if self.R <= 0.0:
-            raise ValueError(f"R must be positive, got {self.R!r}")
+        for name, value in (("z2", self.z2), ("R", self.R)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.N < 4:
             raise ValueError(f"N must be >= 4, got {self.N}")
         if not 0 < self.margin_k < self.N:
@@ -60,8 +59,10 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         for name, value in self.tolerances.items():
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name} must be strictly positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"tolerance {name} must be finite and strictly positive, got {value!r}"
+                )
         if self.output_format not in (FORMAT_DELIMITED, FORMAT_STRUCTURED):
             raise ValueError(f"unknown output format {self.output_format!r}")
         return self

@@ -15,6 +15,11 @@ operator.  It is assembled three ways:
   so the trusted spectral window is widest; this is the assembly used for
   numeric spectrum verification.
 
+``numeric_spectrum`` solves each assembly per connected component of its
+nonzero pattern (1x1 and 2x2 level blocks in the number basis), not as one
+dense 3N x 3N matrix; the whole-matrix solve is kept in the tests as the
+oracle it is checked against.
+
 All eigenvalues are reported both raw (energy^2) and in units of the natural
 scale 4*pi*z2*R*cos(theta), in which the closed-form tower reads: -1 once at
 level 0; 0 and +1 at level 1; 0 once and (2n-1) twice for every level n >= 2.
@@ -23,6 +28,7 @@ level 0; 0 and +1 at level 1; 0 once and (2n-1) twice for every level n >= 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,16 +164,25 @@ def route_equivalence_residual(
 
     Conjugates the unrotated-field operator by (U x interior projector) and
     compares against the rotated-field operator masked to the same interior.
+    The rotation only mixes the three N x N field blocks, so the conjugate is
+    formed block by block on the interior: X_ad = sum_c U[a,c] M_cd, then
+    sum_d X_ad conj(U[b,d]).  That is the grouping of the dense product
+    (U x P) M (U x P)^dag, which keeps the residual identical to it.
     """
     if op_qp.n_levels != op_fock.n_levels:
         raise ValueError("operators live on different truncations")
     n = op_qp.n_levels
-    proj = InteriorProjector(n, margin).matrix()
-    u_proj = np.kron(rotation_u(), proj)
-    full_proj = np.kron(np.eye(3, dtype=complex), proj)
-    lhs = u_proj @ op_qp.matrix @ u_proj.conj().T
-    rhs = full_proj @ op_fock.matrix @ full_proj
-    return float(np.max(np.abs(lhs - rhs)) / op_fock.scale)
+    k = InteriorProjector(n, margin).interior_dim
+    u = rotation_u()
+    m = op_qp.matrix.reshape(3, n, 3, n)[:, :k, :, :k]
+    f = op_fock.matrix.reshape(3, n, 3, n)[:, :k, :, :k]
+    x = [[sum(u[a, c] * m[c, :, d, :] for c in range(3)) for d in range(3)] for a in range(3)]
+    block_residuals = [
+        np.max(np.abs(sum(x[a][d] * u[b, d].conjugate() for d in range(3)) - f[a, :, b, :]))
+        for a in range(3)
+        for b in range(3)
+    ]
+    return float(np.max(block_residuals) / op_fock.scale)
 
 
 def reduced_block(n: int, theta: float, z2: float, R: float) -> np.ndarray:
@@ -285,50 +300,59 @@ class NumericMode:
     top_mass: float
 
 
-def numeric_spectrum(
-    op: MassOperator,
-    margin: int,
-    mass_threshold: float = TRUST_MASS_THRESHOLD,
-) -> list[NumericMode]:
-    """Full eigendecomposition with per-mode trust flags.
+def _components(matrix: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern, grouped by size.
 
-    An eigenvector is trusted when at most ``mass_threshold`` of its squared
-    norm sits on the top ``margin`` levels of each field block.  Degenerate
-    eigenvalues need care: the solver returns arbitrary mixtures inside a
-    degenerate subspace, so trust is decided per cluster (eigenvalues closer
-    than 1e-10 * scale) by counting the independent interior directions of
-    the cluster, i.e. the eigenvalues of the top-mass Gram form below the
-    threshold.  For isolated eigenvalues this reduces to the plain rule.
+    Returns one (count, size) index array per component size; each row
+    lists one component's indices in ascending order.  Labels start as the
+    indices and shrink to the smallest index reachable, by neighbour minima
+    plus pointer jumping, so chains converge in about log(length) sweeps.
     """
-    matrix = op.matrix
-    n = op.n_levels
-    herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if herm > 1e-10 * max(op.scale, 1.0):
-        raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
-    if not 0 < margin < n:
-        raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
+    pattern = matrix != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    labels = np.arange(matrix.shape[0])
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, rows, labels[cols])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            break
+        labels = lowered
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(starts, append=order.size)
+    return [
+        order[starts[sizes == size][:, None] + np.arange(size)]
+        for size in sorted(set(sizes.tolist()))
+    ]
 
-    top = np.zeros(3 * n)
-    for block in range(3):
-        top[block * n + n - margin : (block + 1) * n] = 1.0
-    masses = (np.abs(eigenvectors) ** 2 * top[:, None]).sum(axis=0)
 
-    trusted = np.zeros(eigenvalues.size, dtype=bool)
-    cluster_tol = 1e-10 * max(op.scale, 1.0)
+def _cluster_trust(
+    values: np.ndarray,
+    vectors: np.ndarray,
+    top: np.ndarray,
+    masses: np.ndarray,
+    mass_threshold: float,
+    cluster_tol: float,
+) -> np.ndarray:
+    """Trust flags of one component's eigenpairs, decided per cluster.
+
+    The solver returns arbitrary mixtures inside a degenerate subspace, so a
+    cluster (eigenvalues closer than ``cluster_tol``) counts its independent
+    interior directions, the eigenvalues of the top-mass Gram form below the
+    threshold, and trusts that many of its lowest-mass members.
+    """
+    trusted = np.zeros(values.size, dtype=bool)
     start = 0
-    while start < eigenvalues.size:
+    while start < values.size:
         stop = start + 1
-        while stop < eigenvalues.size and eigenvalues[stop] - eigenvalues[stop - 1] <= cluster_tol:
+        while stop < values.size and values[stop] - values[stop - 1] <= cluster_tol:
             stop += 1
         idx = np.arange(start, stop)
         if idx.size == 1:
             trusted[idx] = masses[idx] <= mass_threshold
         else:
-            vecs = eigenvectors[:, idx]
+            vecs = vectors[:, idx]
             gram = vecs.conj().T @ (top[:, None] * vecs)
             interior_directions = int(
                 np.sum(np.linalg.eigvalsh(gram) <= mass_threshold)
@@ -336,15 +360,71 @@ def numeric_spectrum(
             order = idx[np.argsort(masses[idx], kind="stable")]
             trusted[order[:interior_directions]] = True
         start = stop
+    return trusted
 
+
+def numeric_spectrum(
+    op: MassOperator,
+    margin: int,
+    mass_threshold: float = TRUST_MASS_THRESHOLD,
+) -> list[NumericMode]:
+    """Eigendecomposition by connected component, with per-mode trust flags.
+
+    The operator is split into the connected components of its nonzero
+    pattern: 1x1 and 2x2 blocks for the number-basis assembly, four parity
+    blocks for the Fock-basis one, a single block for a dense matrix.
+    Components of equal size are solved in one stacked ``eigh`` call.
+
+    An eigenvector is trusted when at most ``mass_threshold`` of its squared
+    norm sits on the top ``margin`` levels of each field block.  Inside a
+    component, trust is decided per degenerate cluster (eigenvalues closer
+    than 1e-10 * scale) by counting the independent interior directions of
+    the cluster; for isolated eigenvalues this reduces to the plain rule.
+    Modes come back in ascending order.  Raises ``ValueError`` on a
+    non-Hermitian operator or a non-finite eigenvalue.
+    """
+    matrix = op.matrix
+    n = op.n_levels
+    herm = float(np.max(np.abs(matrix - matrix.conj().T)))
+    if not herm <= 1e-10 * max(op.scale, 1.0):
+        raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
+    if not 0 < margin < n:
+        raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
+
+    top = np.zeros(3 * n)
+    for block in range(3):
+        top[block * n + n - margin : (block + 1) * n] = 1.0
+    cluster_tol = 1e-10 * max(op.scale, 1.0)
+
+    values, masses, trusted = [], [], []
+    for idx in _components(matrix):
+        try:
+            vals, vecs = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+            raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise ValueError(f"non-finite eigenvalue in the {op.basis} operator")
+        tops = top[idx]
+        mass = (np.abs(vecs) ** 2 * tops[:, :, None]).sum(axis=1)
+        ok = mass <= mass_threshold
+        # only components holding a near-degenerate pair need the cluster rule
+        for k in np.flatnonzero((np.diff(vals, axis=1) <= cluster_tol).any(axis=1)):
+            ok[k] = _cluster_trust(
+                vals[k], vecs[k], tops[k], mass[k], mass_threshold, cluster_tol
+            )
+        values.append(vals.ravel())
+        masses.append(mass.ravel())
+        trusted.append(ok.ravel())
+
+    values, masses, trusted = (np.concatenate(a) for a in (values, masses, trusted))
     return [
         NumericMode(
-            value=float(eigenvalues[i]),
-            units=float(eigenvalues[i] / op.scale),
+            value=float(values[i]),
+            units=float(values[i] / op.scale),
             trusted=bool(trusted[i]),
             top_mass=float(masses[i]),
         )
-        for i in range(eigenvalues.size)
+        for i in np.argsort(values, kind="stable")
     ]
 
 
@@ -361,6 +441,18 @@ class TowerMatch:
         return not self.unmatched
 
 
+def _count_near(units: list[float], value: float, tol: float) -> int:
+    """Number of sorted ``units`` with abs(u - value) <= tol.
+
+    A computed gap of at most tol means an exact gap below 2 * tol, and
+    rounding is monotone, so the bisected +-2 * tol window holds every
+    match; the exact test inside it keeps values on the tolerance edge
+    counted as before.
+    """
+    window = units[bisect_left(units, value - 2.0 * tol) : bisect_right(units, value + 2.0 * tol)]
+    return sum(1 for u in window if abs(u - value) <= tol)
+
+
 def match_tower(
     modes: list[NumericMode], tol_units: float = 1e-6
 ) -> TowerMatch:
@@ -370,11 +462,10 @@ def match_tower(
     levels <= H appears among the trusted modes with at least its analytic
     multiplicity; trusted modes not near any tower value are reported as
     unmatched (the degenerate pair is compared as a multiset, unordered).
+    Raising the horizon to h adds two requirements only: h zero modes, and
+    the value 2h-1 once at h = 1 and twice beyond.
     """
     trusted_units = sorted(m.units for m in modes if m.trusted)
-
-    def count_near(value: float) -> int:
-        return sum(1 for u in trusted_units if abs(u - value) <= tol_units)
 
     def is_tower_value(u: float) -> bool:
         if abs(u + 1.0) <= tol_units or abs(u) <= tol_units:
@@ -385,15 +476,15 @@ def match_tower(
         return odd >= 1 and abs(u - (2.0 * odd - 1.0)) <= tol_units
 
     unmatched = tuple(u for u in trusted_units if not is_tower_value(u))
-    horizon = 0 if count_near(-1.0) >= 1 else -1
-    while horizon >= 0:
-        h = horizon + 1
-        needed = {0.0: h, 1.0: 1}
-        for n in range(2, h + 1):
-            needed[2.0 * n - 1.0] = 2
-        if any(count_near(v) < c for v, c in needed.items()):
-            break
-        horizon = h
+    horizon = 0 if _count_near(trusted_units, -1.0, tol_units) >= 1 else -1
+    if horizon == 0:
+        zeros = _count_near(trusted_units, 0.0, tol_units)
+        while (
+            zeros >= horizon + 1
+            and _count_near(trusted_units, 2.0 * horizon + 1.0, tol_units)
+            >= min(horizon + 1, 2)
+        ):
+            horizon += 1
     return TowerMatch(
         horizon=horizon, unmatched=unmatched, trusted_count=len(trusted_units)
     )

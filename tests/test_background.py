@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,3 +99,11 @@ def test_fluctuation_blocks_hermitian():
 def test_fluctuation_rejects_mismatched_blocks():
     with pytest.raises(ValueError):
         OffDiagonalFluctuation(np.eye(3), np.eye(3), np.eye(4))
+
+
+def test_commutator_report_keeps_nan_residual():
+    bg = build_background(0.3, 1.0, 1.0, 8)
+    x1 = bg.x1.copy()
+    x1[0, 0] = np.nan
+    report = check_background_commutators(dataclasses.replace(bg, x1=x1))
+    assert np.isnan(report.max_residual)

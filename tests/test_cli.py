@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from branekit.cli import main
+from branekit.cli import cmd_curve, main
 from branekit.config import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -199,3 +199,53 @@ def test_missing_config_file_is_invalid_input(capsys):
     code, _, err = run(capsys, "condense", "--config", "/nonexistent/path.cfg")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--R", "nan", "--N", "8"),
+        ("spectrum", "--z2", "inf", "--N", "8"),
+        ("condense", "--R", "nan"),
+        ("curve", "--z2", "inf"),
+    ],
+)
+def test_non_finite_parameters_are_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_infinite_tolerance_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("tol_route_equivalence = inf\n")
+    code, _, err = run(capsys, "spectrum", "--config", str(cfg), "--N", "8")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "route_equivalence" in err
+
+
+def test_overflowing_parameters_are_invalid_input(capsys):
+    code, out, err = run(capsys, "condense", "--z2", "1e300")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "OverflowError" in err
+
+
+def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.34 TiB for an array")
+
+    monkeypatch.setattr("branekit.cli.build_background", refuse)
+    code, out, err = run(capsys, "spectrum", "--N", "100000")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "MemoryError" in err
+
+
+def test_curve_nan_residual_fails_closed(capsys):
+    # bypasses validation to reach the verdict with non-finite numbers
+    code = cmd_curve(RunConfig(z2=math.inf), None, -3.0, 3.0, 11)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "max hyperbola residual = nan (FAIL" in err

@@ -212,3 +212,9 @@ def test_asymmetry_scales_as_root_flux():
         asymmetry_gap(sample_curve(-1.0, 1.0, 11, PI_THIRD, z2)) for z2 in (1e-2, 1e-4)
     ]
     assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=1e-6)
+
+
+def test_sample_curve_keeps_nan_in_maxima():
+    curve = sample_curve(-3.0, 3.0, 11, math.pi / 3, math.inf)
+    assert math.isnan(curve.max_residual)
+    assert math.isnan(curve.max_eigensolve_gap)

@@ -144,3 +144,13 @@ def test_interior_projector_apply_masks_rows_and_columns():
 def test_interior_projector_rejects_bad_margin(dim, margin):
     with pytest.raises(ValueError):
         InteriorProjector(dim=dim, margin=margin)
+
+
+def test_package_exports_no_submodules():
+    import types
+
+    import branekit
+
+    assert "spectrum" not in branekit.__all__
+    assert all(not isinstance(getattr(branekit, n), types.ModuleType) for n in branekit.__all__)
+    assert {"numeric_spectrum", "match_tower", "RunConfig"} <= set(branekit.__all__)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +20,20 @@ from branekit import (
     route_equivalence_residual,
     transverse_spectrum,
 )
+from branekit.cli import main
+from branekit.oscillator import InteriorProjector
 from branekit.spectrum import (
     SECTOR_MASSIVE,
     SECTOR_TACHYON,
     SECTOR_ZERO,
+    TRUST_MASS_THRESHOLD,
     MassOperator,
+    NumericMode,
+    TowerMatch,
 )
 
 PI_THIRD = math.pi / 3
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def default_background(n_levels=24, theta=PI_THIRD):
@@ -302,3 +309,194 @@ def test_fermion_table():
     at_one = sorted(r.eigenvalue_raw for r in fermion_spectrum(1, PI_THIRD) if r.n == 1)
     np.testing.assert_allclose(at_one, [1.0, 2.0], atol=1e-14)
     assert all(r.multiplicity == 4 for r in records)
+
+
+# ------------------------------------------------------- dense-path oracles
+
+
+def dense_route_equivalence_residual(op_qp, op_fock, margin):
+    """Route check on the whole 3N x 3N operators, with kron projectors."""
+    n = op_qp.n_levels
+    proj = InteriorProjector(n, margin).matrix()
+    u_proj = np.kron(rotation_u(), proj)
+    full_proj = np.kron(np.eye(3, dtype=complex), proj)
+    lhs = u_proj @ op_qp.matrix @ u_proj.conj().T
+    rhs = full_proj @ op_fock.matrix @ full_proj
+    return float(np.max(np.abs(lhs - rhs)) / op_fock.scale)
+
+
+def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
+    """Whole-matrix eigh with the per-cluster Gram trust rule."""
+    n = op.n_levels
+    eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
+    top = np.zeros(3 * n)
+    for block in range(3):
+        top[block * n + n - margin : (block + 1) * n] = 1.0
+    masses = (np.abs(eigenvectors) ** 2 * top[:, None]).sum(axis=0)
+
+    trusted = np.zeros(eigenvalues.size, dtype=bool)
+    cluster_tol = 1e-10 * max(op.scale, 1.0)
+    start = 0
+    while start < eigenvalues.size:
+        stop = start + 1
+        while stop < eigenvalues.size and eigenvalues[stop] - eigenvalues[stop - 1] <= cluster_tol:
+            stop += 1
+        idx = np.arange(start, stop)
+        if idx.size == 1:
+            trusted[idx] = masses[idx] <= mass_threshold
+        else:
+            vecs = eigenvectors[:, idx]
+            gram = vecs.conj().T @ (top[:, None] * vecs)
+            interior_directions = int(np.sum(np.linalg.eigvalsh(gram) <= mass_threshold))
+            order = idx[np.argsort(masses[idx], kind="stable")]
+            trusted[order[:interior_directions]] = True
+        start = stop
+    return [
+        NumericMode(
+            value=float(eigenvalues[i]),
+            units=float(eigenvalues[i] / op.scale),
+            trusted=bool(trusted[i]),
+            top_mass=float(masses[i]),
+        )
+        for i in range(eigenvalues.size)
+    ]
+
+
+def brute_force_match_tower(modes, tol_units=1e-6):
+    """Horizon by rescanning every trusted mode for every tower value."""
+    trusted_units = sorted(m.units for m in modes if m.trusted)
+
+    def count_near(value):
+        return sum(1 for u in trusted_units if abs(u - value) <= tol_units)
+
+    def is_tower_value(u):
+        if abs(u + 1.0) <= tol_units or abs(u) <= tol_units:
+            return True
+        if u < 0:
+            return False
+        odd = round((u + 1.0) / 2.0)
+        return odd >= 1 and abs(u - (2.0 * odd - 1.0)) <= tol_units
+
+    unmatched = tuple(u for u in trusted_units if not is_tower_value(u))
+    horizon = 0 if count_near(-1.0) >= 1 else -1
+    while horizon >= 0:
+        h = horizon + 1
+        needed = {0.0: h, 1.0: 1}
+        for n in range(2, h + 1):
+            needed[2.0 * n - 1.0] = 2
+        if any(count_near(v) < c for v, c in needed.items()):
+            break
+        horizon = h
+    return TowerMatch(horizon=horizon, unmatched=unmatched, trusted_count=len(trusted_units))
+
+
+def assert_same_spectrum(block_modes, dense_modes, scale):
+    block_values = np.array([m.value for m in block_modes])
+    dense_values = np.array([m.value for m in dense_modes])
+    assert np.max(np.abs(block_values - dense_values)) <= 1e-10 * scale
+    block, dense = match_tower(block_modes), match_tower(dense_modes)
+    assert block.horizon == dense.horizon
+    assert block.trusted_count == dense.trusted_count
+    np.testing.assert_allclose(block.unmatched, dense.unmatched, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_levels", [6, 12, 24, 40])
+@pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 6, PI_THIRD, math.pi / 2 - 0.2])
+@pytest.mark.parametrize("build", [build_mass_operator_levels, build_mass_operator_fock])
+def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
+    op = build(build_background(theta, 1.3, 0.7, n_levels))
+    margin = min(4, n_levels // 3)
+    assert_same_spectrum(
+        numeric_spectrum(op, margin), dense_numeric_spectrum(op, margin), op.scale
+    )
+
+
+def test_dense_matrix_is_one_component():
+    rng = np.random.default_rng(7)
+    n = 6
+    raw = rng.standard_normal((3 * n, 3 * n)) + 1j * rng.standard_normal((3 * n, 3 * n))
+    op = MassOperator(basis="random", matrix=raw + raw.conj().T, scale=1.0, n_levels=n)
+    block, dense = numeric_spectrum(op, 2), dense_numeric_spectrum(op, 2)
+    assert_same_spectrum(block, dense, op.scale)
+    assert [m.trusted for m in block] == [m.trusted for m in dense]
+
+
+@pytest.mark.parametrize(
+    "theta,z2,R,n_levels,margin",
+    [
+        (0.7, 1.9, 0.4, 5, 1),
+        (PI_THIRD, 1.0, 1.0, 8, 4),
+        (0.2, 0.3, 3.1, 24, 2),
+        (1.2, 2.2, 0.9, 57, 3),
+    ],
+)
+def test_route_residual_equals_dense_oracle(theta, z2, R, n_levels, margin):
+    bg = build_background(theta, z2, R, n_levels)
+    op_qp, op_fock = build_mass_operator_qp(bg), build_mass_operator_fock(bg)
+    assert route_equivalence_residual(op_qp, op_fock, margin) == (
+        dense_route_equivalence_residual(op_qp, op_fock, margin)
+    )
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.5, 1.0])
+def test_match_tower_equals_brute_force(tol):
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        modes = []
+        for _ in range(int(rng.integers(0, 40))):
+            level = int(rng.integers(0, 12))
+            value = -1.0 if level == 0 else float(rng.choice([0.0, 2.0 * level - 1.0]))
+            offset = rng.choice(["exact", "+tol", "-tol", "past+tol", "past-tol", "near", "far"])
+            if offset == "exact":
+                units = value
+            elif offset == "+tol":
+                units = value + tol
+            elif offset == "-tol":
+                units = value - tol
+            elif offset == "past+tol":
+                units = float(np.nextafter(value + tol, math.inf))
+            elif offset == "past-tol":
+                units = float(np.nextafter(value - tol, -math.inf))
+            elif offset == "near":
+                units = value + float(rng.uniform(-tol, tol))
+            else:
+                units = float(rng.uniform(-2.0, 25.0))
+            modes.append(NumericMode(units, units, bool(rng.random() < 0.9), 0.0))
+        assert match_tower(modes, tol) == brute_force_match_tower(modes, tol)
+
+
+def test_numeric_spectrum_rejects_nan_operator():
+    op = build_mass_operator_levels(default_background(8))
+    matrix = op.matrix.copy()
+    matrix[3, 3] = math.nan
+    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        numeric_spectrum(broken, 2)
+
+
+def test_numeric_spectrum_rejects_non_finite_eigenvalue():
+    # a finite Hermitian block whose eigenvalue overflows to inf
+    n = 4
+    matrix = np.diag(np.arange(3.0 * n)).astype(complex)
+    matrix[:2, :2] = 1e308
+    op = MassOperator(basis="huge", matrix=matrix, scale=1.0, n_levels=n)
+    with pytest.raises(ValueError, match="non-finite eigenvalue"):
+        numeric_spectrum(op, 1)
+
+
+# ---------------------------------------------------------- golden reports
+
+GOLDEN_RUNS = {
+    "spectrum_default": [],
+    "spectrum_n8": ["--N", "8"],
+    "spectrum_n200": ["--N", "200", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
+}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_spectrum_report_matches_golden(name, fmt, suffix, capsys):
+    code = main(["spectrum", *GOLDEN_RUNS[name], "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
