@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,20 @@ from branekit.config import (
     build_config,
     read_config_file,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Reports captured before the report pipeline was unified; ``<name>.err``
+#: holds the stderr text, which does not depend on the format.
+GOLDEN_RUNS = {
+    "spectrum_default": ["spectrum"],
+    "spectrum_n8": ["spectrum", "--N", "8"],
+    "spectrum_n200": ["spectrum", "--N", "200", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
+    "identities_default": ["identities"],
+    "identities_seed42": ["identities", "--seed", "42"],
+    "condense_default": ["condense"],
+    "curve_default": ["curve"],
+}
 
 
 def run(capsys, *argv):
@@ -249,3 +264,12 @@ def test_curve_nan_residual_fails_closed(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "max hyperbola residual = nan (FAIL" in err
+
+
+@pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_report_matches_golden(name, fmt, suffix, capsys):
+    code, out, err = run(capsys, *GOLDEN_RUNS[name], "--format", fmt)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
+    assert err.encode("utf-8") == (GOLDEN / f"{name}.err").read_bytes()

@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from branekit import (
     route_equivalence_residual,
     transverse_spectrum,
 )
-from branekit.cli import main
 from branekit.oscillator import InteriorProjector
 from branekit.spectrum import (
     SECTOR_MASSIVE,
@@ -33,7 +31,6 @@ from branekit.spectrum import (
 )
 
 PI_THIRD = math.pi / 3
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def default_background(n_levels=24, theta=PI_THIRD):
@@ -482,21 +479,3 @@ def test_numeric_spectrum_rejects_non_finite_eigenvalue():
     op = MassOperator(basis="huge", matrix=matrix, scale=1.0, n_levels=n)
     with pytest.raises(ValueError, match="non-finite eigenvalue"):
         numeric_spectrum(op, 1)
-
-
-# ---------------------------------------------------------- golden reports
-
-GOLDEN_RUNS = {
-    "spectrum_default": [],
-    "spectrum_n8": ["--N", "8"],
-    "spectrum_n200": ["--N", "200", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
-}
-
-
-@pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_spectrum_report_matches_golden(name, fmt, suffix, capsys):
-    code = main(["spectrum", *GOLDEN_RUNS[name], "--format", fmt])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
