@@ -17,8 +17,6 @@ FORMAT_STRUCTURED = "structured"
 DEFAULT_TOLERANCES = {
     "route_equivalence": 1e-10,
     "eigenvalue_match": 1e-6,
-    "identity_exact": 1e-13,
-    "identity_pass": 1e-10,
     "trust_mass": 1e-6,
     "minimizer": 1e-8,
     "stationarity": 1e-12,

@@ -192,6 +192,34 @@ def test_config_rejects_unknown_key(tmp_path):
         build_config(read_config_file(str(cfg)))
 
 
+def test_every_named_tolerance_is_read(capsys, monkeypatch):
+    asked = set()
+    original = RunConfig.tol
+
+    def recording_tol(self, name):
+        asked.add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(RunConfig, "tol", recording_tol)
+    for argv in (
+        ("spectrum", "--N", "8"),
+        ("identities", "--N", "8"),
+        ("condense",),
+        ("curve", "--points", "11"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert asked == set(DEFAULT_TOLERANCES)
+
+
+def test_identity_tolerances_are_not_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "identity.cfg"
+    cfg.write_text("tol_identity_pass = 1e-300\n")
+    code, out, err = run(capsys, "identities", "--config", str(cfg), "--N", "8")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "identity_pass" in err
+
+
 def test_config_rejects_zero_tolerance():
     with pytest.raises(ValueError):
         build_config({"tol_minimizer": "0"})
