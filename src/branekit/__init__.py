@@ -73,6 +73,7 @@ from .spectrum import (
     reduced_block,
     rotation_u,
     route_equivalence_residual,
+    transverse_interior_gap,
     transverse_spectrum,
 )
 

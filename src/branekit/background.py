@@ -13,6 +13,7 @@ from .oscillator import (
     commutator,
     make_qp,
     validate_angle,
+    validate_positive,
 )
 
 
@@ -55,8 +56,7 @@ def build_background(
     algebra stays closed under commutators.
     """
     validate_angle(theta, angle_guard)
-    if R <= 0.0:
-        raise ValueError(f"tension scale R must be positive, got {R!r}")
+    validate_positive("tension scale R", R)
     if n_levels < 4:
         raise ValueError(f"truncation size must be >= 4, got {n_levels}")
     q, p = make_qp(n_levels, z2)

@@ -1,9 +1,9 @@
 """Command-line front end: spectrum, identities, condense, curve.
 
-Machine-readable reports go to --out (or stdout); diagnostics and pass/fail
-lines go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid input.  Identical configuration (including the seed) produces
-byte-identical reports.
+Each command returns a :class:`Report`; ``main`` renders it once, in the
+configured format, to --out (or stdout) and writes its notes to stderr.
+Exit codes: 0 success, 1 verification failure, 2 invalid input.  Identical
+configuration (including the seed) produces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +45,17 @@ from .identities import (
     random_fluctuation,
     random_hermitian,
 )
-from .oscillator import make_ladder
 from .spectrum import (
-    ModeRecord,
     analytic_spectrum,
     build_mass_operator_fock,
     build_mass_operator_levels,
     build_mass_operator_qp,
     fermion_spectrum,
+    mass_scale,
     match_tower,
     numeric_spectrum,
     route_equivalence_residual,
+    transverse_interior_gap,
     transverse_spectrum,
 )
 
@@ -61,88 +63,86 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 
-
-def _fmt(value: float) -> str:
-    return f"{value:.15g}"
-
-
-def _round15(value: float) -> float:
-    return float(_fmt(value))
+#: A summary field holding every row of the report, written as records.
+RECORDS = slice(None)
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+@dataclass(frozen=True, eq=False)
+class Report:
+    """What one command found, before it is written in either format.
+
+    ``rows`` hold raw values, one per column; a row may carry one more
+    value, ``(name, value)`` extras that only the structured format writes.
+    ``fields`` are the ordered summary entries of the structured document,
+    where a ``slice`` stands for those rows written as records; the fields
+    named in ``headers`` also head the delimited table as ``# name: value``.
+    ``notes`` are the stderr lines.
+    """
+
+    kind: str
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    fields: tuple[tuple[str, object], ...]
+    passed: bool
+    notes: tuple[str, ...]
+    headers: tuple[str, ...] = ()
 
 
-def _param_header(config: RunConfig) -> str:
-    return f"# theta={_fmt(config.theta)} z2={_fmt(config.z2)} R={_fmt(config.R)}"
+def _text(value) -> str:
+    """One value as the delimited format writes it."""
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _plain(value):
+    """One value as the structured format writes it: floats to 15 digits."""
+    return float(f"{value:.15g}") if isinstance(value, float) else value
 
 
-def _info(*lines: str) -> None:
-    for line in lines:
-        print(line, file=sys.stderr)
+def _delimited(report: Report, config: RunConfig) -> str:
+    fields = dict(report.fields)
+    width = len(report.columns)
+    lines = [
+        f"# theta={_text(config.theta)} z2={_text(config.z2)} R={_text(config.R)}",
+        f"# columns: {','.join(report.columns)}",
+    ]
+    lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
+    lines.extend(",".join([_text(v) for v in row[:width]]) for row in report.rows)
+    return "\n".join(lines) + "\n"
 
 
-def _structured_doc(kind: str, config: RunConfig, body: dict) -> str:
+def _record(columns: tuple[str, ...], row: tuple) -> dict:
+    entry = {name: _plain(value) for name, value in zip(columns, row)}
+    if len(row) > len(columns) and row[-1]:
+        entry["extra"] = {name: _plain(value) for name, value in row[-1]}
+    return entry
+
+
+def _structured(report: Report, config: RunConfig) -> str:
+    params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
-        "report": kind,
-        "params": {
-            "theta": _round15(config.theta),
-            "z2": _round15(config.z2),
-            "R": _round15(config.R),
-            "N": config.N,
-            "margin_k": config.margin_k,
-            "n_max": config.n_max,
-            "seed": config.seed,
-        },
-        "tolerances": {k: _round15(v) for k, v in sorted(config.tolerances.items())},
+        "report": report.kind,
+        "params": {name: _plain(getattr(config, name)) for name in params},
+        "tolerances": {k: _plain(v) for k, v in sorted(config.tolerances.items())},
     }
-    doc.update(body)
+    for name, value in report.fields:
+        if isinstance(value, slice):
+            value = [_record(report.columns, row) for row in report.rows[value]]
+        doc[name] = _plain(value)
+    doc["passed"] = report.passed
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _delimited_doc(config: RunConfig, columns: str, rows: list[str]) -> str:
-    lines = [_param_header(config), f"# columns: {columns}"]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+RENDERERS = {FORMAT_DELIMITED: _delimited, FORMAT_STRUCTURED: _structured}
 
 
 # ---------------------------------------------------------------- spectrum
 
 
-def _mode_row(record: ModeRecord, trusted: bool) -> str:
-    return ",".join(
-        (
-            record.sector,
-            str(record.n),
-            _fmt(record.eigenvalue_units),
-            _fmt(record.eigenvalue_raw),
-            str(record.multiplicity),
-            _bool(trusted),
-        )
-    )
-
-
-def _mode_entry(record: ModeRecord, trusted: bool) -> dict:
-    return {
-        "sector": record.sector,
-        "n": record.n,
-        "eigenvalue_units": _round15(record.eigenvalue_units),
-        "eigenvalue_raw": _round15(record.eigenvalue_raw),
-        "multiplicity": record.multiplicity,
-        "trusted": trusted,
-    }
-
-
-def cmd_spectrum(config: RunConfig, out_path: str | None) -> int:
+def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     bg = build_background(config.theta, config.z2, config.R, config.N)
     op_qp = build_mass_operator_qp(bg)
     op_fock = build_mass_operator_fock(bg)
@@ -152,116 +152,60 @@ def cmd_spectrum(config: RunConfig, out_path: str | None) -> int:
     modes = numeric_spectrum(
         op_levels, config.margin_k, mass_threshold=config.tol("trust_mass")
     )
-    match = match_tower(modes, tol_units=config.tol("eigenvalue_match"))
+    match_tol = config.tol("eigenvalue_match")
+    match = match_tower(modes, tol_units=match_tol)
 
-    trusted_negative = [m for m in modes if m.trusted and m.units < -config.tol("eigenvalue_match")]
+    trusted_negative = [m for m in modes if m.trusted and m.units < -match_tol]
     tachyon_ok = (
-        len(trusted_negative) == 1
-        and abs(trusted_negative[0].units + 1.0) <= config.tol("eigenvalue_match")
+        len(trusted_negative) == 1 and abs(trusted_negative[0].units + 1.0) <= match_tol
     )
 
-    # Transverse block is diagonal in the number basis; compare eigensolve
-    # output against (2n+1)cos(theta) on the interior.
-    ladder, ladder_dag = make_ladder(config.N)
-    transverse_op = math.cos(config.theta) * (
-        2.0 * ladder_dag @ ladder + np.eye(config.N, dtype=complex)
-    )
-    transverse_vals = np.linalg.eigvalsh(transverse_op)
     transverse_horizon = config.N - 1 - config.margin_k
-    transverse_gap = max(
-        abs(float(transverse_vals[n]) - (2.0 * n + 1.0) * math.cos(config.theta))
-        for n in range(transverse_horizon + 1)
-    )
+    transverse_gap = transverse_interior_gap(config.N, config.margin_k, config.theta)
     transverse_ok = transverse_gap <= 1e-10 * max(1.0, math.cos(config.theta) * config.N)
 
-    rows: list[str] = []
-    entries: list[dict] = []
-    for record in analytic_spectrum(config.n_max, config.theta, config.z2, config.R):
-        trusted = record.n <= match.horizon
-        rows.append(_mode_row(record, trusted))
-        entries.append(_mode_entry(record, trusted))
-    for record in transverse_spectrum(config.n_max, config.theta):
-        trusted = record.n <= transverse_horizon and transverse_ok
-        rows.append(_mode_row(record, trusted))
-        entries.append(_mode_entry(record, trusted))
-    for record in fermion_spectrum(config.n_max, config.theta):
-        rows.append(_mode_row(record, False))
-        entries.append(_mode_entry(record, False))
+    # a line is trusted up to its horizon; the fermion table is analytic only
+    tables = (
+        (analytic_spectrum(config.n_max, config.theta, config.z2, config.R), match.horizon),
+        (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse_ok else -1),
+        (fermion_spectrum(config.n_max, config.theta), -1),
+    )
+    rows = [
+        (r.sector, r.n, r.eigenvalue_units, r.eigenvalue_raw, r.multiplicity, r.n <= horizon)
+        for records, horizon in tables
+        for r in records
+    ]
 
     route_ok = route_residual <= config.tol("route_equivalence")
-    ok = match.all_matched and tachyon_ok and route_ok and transverse_ok
-
-    if config.output_format == FORMAT_STRUCTURED:
-        text = _structured_doc(
-            "spectrum",
-            config,
-            {
-                "scale": _round15(op_levels.scale),
-                "route_equivalence_residual": _round15(route_residual),
-                "trust_horizon": match.horizon,
-                "trusted_count": match.trusted_count,
-                "records": entries,
-                "passed": ok,
-            },
-        )
-    else:
-        rows = [
-            f"# scale: {_fmt(op_levels.scale)}",
-            f"# route_equivalence_residual: {_fmt(route_residual)}",
-            f"# trust_horizon: {match.horizon}",
-        ] + rows
-        text = _delimited_doc(
-            config,
-            "sector,n,eigenvalue_units,eigenvalue_raw,multiplicity,trusted",
-            rows,
-        )
-    _emit(text, out_path)
-
-    _info(
-        f"scale 4*pi*z2*R*cos(theta) = {op_levels.scale:.6g}",
-        f"route equivalence residual = {route_residual:.3e} "
-        f"({'pass' if route_ok else 'FAIL'} at {config.tol('route_equivalence'):.1e})",
-        f"trust horizon n <= {match.horizon} with {match.trusted_count} trusted eigenvalues"
-        f" ({'all matched' if match.all_matched else 'UNMATCHED PRESENT'})",
-        f"tachyon line: {'unique trusted negative at -scale' if tachyon_ok else 'MISSING OR NOT UNIQUE'}",
-        f"transverse interior gap = {transverse_gap:.3e} ({'pass' if transverse_ok else 'FAIL'})",
+    return Report(
+        kind="spectrum",
+        columns=("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity", "trusted"),
+        rows=rows,
+        fields=(
+            ("scale", op_levels.scale),
+            ("route_equivalence_residual", route_residual),
+            ("trust_horizon", match.horizon),
+            ("trusted_count", match.trusted_count),
+            ("records", RECORDS),
+        ),
+        headers=("scale", "route_equivalence_residual", "trust_horizon"),
+        passed=match.all_matched and tachyon_ok and route_ok and transverse_ok,
+        notes=(
+            f"scale 4*pi*z2*R*cos(theta) = {op_levels.scale:.6g}",
+            f"route equivalence residual = {route_residual:.3e} "
+            f"({'pass' if route_ok else 'FAIL'} at {config.tol('route_equivalence'):.1e})",
+            f"trust horizon n <= {match.horizon} with {match.trusted_count} trusted eigenvalues"
+            f" ({'all matched' if match.all_matched else 'UNMATCHED PRESENT'})",
+            f"tachyon line: {'unique trusted negative at -scale' if tachyon_ok else 'MISSING OR NOT UNIQUE'}",
+            f"transverse interior gap = {transverse_gap:.3e} ({'pass' if transverse_ok else 'FAIL'})",
+        ),
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 # -------------------------------------------------------------- identities
 
 
-def _identity_row(report) -> str:
-    return ",".join(
-        (
-            report.identity,
-            "" if report.seed is None else str(report.seed),
-            str(report.dim),
-            _fmt(report.lhs),
-            _fmt(report.rhs),
-            _fmt(report.residual),
-            report.verdict,
-        )
-    )
-
-
-def _identity_entry(report) -> dict:
-    entry = {
-        "identity": report.identity,
-        "seed": report.seed,
-        "dim": report.dim,
-        "lhs": _round15(report.lhs),
-        "rhs": _round15(report.rhs),
-        "residual": _round15(report.residual),
-        "verdict": report.verdict,
-    }
-    if report.extra:
-        entry["extra"] = {k: _round15(v) for k, v in report.extra}
-    return entry
-
-
-def cmd_identities(config: RunConfig, out_path: str | None) -> int:
+def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     reports = []
     n_trials = 100
     for trial in range(n_trials):
@@ -303,150 +247,94 @@ def cmd_identities(config: RunConfig, out_path: str | None) -> int:
     reports.append(check_quartic_ttilde(zero, zero.copy(), zero.copy(), seed=config.seed))
 
     violated = [r for r in reports if r.verdict == VERDICT_VIOLATED]
-    if config.output_format == FORMAT_STRUCTURED:
-        text = _structured_doc(
-            "identities",
-            config,
-            {
-                "trials": n_trials,
-                "records": [_identity_entry(r) for r in reports],
-                "violations": len(violated),
-                "passed": not violated,
-            },
-        )
-    else:
-        text = _delimited_doc(
-            config,
-            "identity,seed,dim,lhs,rhs,residual,verdict",
-            [_identity_row(r) for r in reports],
-        )
-    _emit(text, out_path)
-
-    by_verdict: dict[str, int] = {}
-    for report in reports:
-        by_verdict[report.verdict] = by_verdict.get(report.verdict, 0) + 1
-    _info(
+    by_verdict = Counter(r.verdict for r in reports)
+    notes = (
         f"{len(reports)} identity evaluations: "
         + ", ".join(f"{k}={v}" for k, v in sorted(by_verdict.items())),
         "quartic closed forms are recorded against the block-trace oracle; "
         "see the 'matched' extras for which convention holds on which inputs",
     )
     if violated:
-        _info(f"FAIL: {len(violated)} exact/pass identities violated")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        notes += (f"FAIL: {len(violated)} exact/pass identities violated",)
+    return Report(
+        kind="identities",
+        columns=("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict"),
+        rows=[
+            (r.identity, r.seed, r.dim, r.lhs, r.rhs, r.residual, r.verdict, r.extra)
+            for r in reports
+        ],
+        fields=(("trials", n_trials), ("records", RECORDS), ("violations", len(violated))),
+        passed=not violated,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------- condense
 
 
-def cmd_condense(config: RunConfig, out_path: str | None) -> int:
+def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
     pot = tachyon_potential(config.theta, config.z2, config.R)
     tmin_numeric = numeric_minimum(
         config.theta, config.z2, config.R, tol=config.tol("minimizer")
     )
     stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
-    stationarity_scale = 8.0 * math.pi * config.z2 * config.R * math.cos(config.theta) * pot.tmin
+    stationarity_scale = 2.0 * mass_scale(config.theta, config.z2, config.R) * pot.tmin
     minimizer_gap = abs(tmin_numeric - pot.tmin)
 
     ok = (
         minimizer_gap <= config.tol("minimizer")
         and stationarity <= config.tol("stationarity") * max(1.0, stationarity_scale)
     )
-
-    if config.output_format == FORMAT_STRUCTURED:
-        text = _structured_doc(
-            "condense",
-            config,
-            {
-                "quad": _round15(pot.quad),
-                "quart": _round15(pot.quart),
-                "tmin_analytic": _round15(pot.tmin),
-                "tmin_numeric": _round15(tmin_numeric),
-                "vmin": _round15(pot.vmin),
-                "stationarity_residual": _round15(stationarity),
-                "passed": ok,
-            },
-        )
-    else:
-        row = ",".join(
-            _fmt(v)
-            for v in (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
-        )
-        text = _delimited_doc(
-            config,
-            "quad,quart,tmin_analytic,tmin_numeric,vmin,stationarity_residual",
-            [row],
-        )
-    _emit(text, out_path)
-
-    _info(
-        f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g} "
-        f"(gap {minimizer_gap:.3e}, tol {config.tol('minimizer'):.1e})",
-        f"vmin = {pot.vmin:.6g}, stationarity residual {stationarity:.3e}",
-        "pass" if ok else "FAIL: analytic/numeric minimizer disagreement",
+    columns = ("quad", "quart", "tmin_analytic", "tmin_numeric", "vmin", "stationarity_residual")
+    row = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
+    return Report(
+        kind="condense",
+        columns=columns,
+        rows=[row],
+        fields=tuple(zip(columns, row)),
+        passed=ok,
+        notes=(
+            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g} "
+            f"(gap {minimizer_gap:.3e}, tol {config.tol('minimizer'):.1e})",
+            f"vmin = {pot.vmin:.6g}, stationarity residual {stationarity:.3e}",
+            "pass" if ok else "FAIL: analytic/numeric minimizer disagreement",
+        ),
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 # ------------------------------------------------------------------- curve
 
 
-def cmd_curve(
-    config: RunConfig,
-    out_path: str | None,
-    x0_min: float,
-    x0_max: float,
-    n_points: int,
-) -> int:
-    curve = sample_curve(x0_min, x0_max, n_points, config.theta, config.z2)
+def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
+    curve = sample_curve(args.x0_min, args.x0_max, args.points, config.theta, config.z2)
     gap = asymmetry_gap(curve)
 
     hyperbola_failed = not curve.max_residual <= config.tol("hyperbola")
     eigensolve_failed = not curve.max_eigensolve_gap <= config.tol("block_eigensolve")
-    ok = not (hyperbola_failed or eigensolve_failed)
-
-    if config.output_format == FORMAT_STRUCTURED:
-        def point_entry(p):
-            return {
-                "x0": _round15(p.x0),
-                "branch": p.branch,
-                "x_d": _round15(p.x_d),
-                "y_d": _round15(p.y_d),
-                "residual": _round15(p.residual),
-            }
-
-        text = _structured_doc(
-            "curve",
-            config,
-            {
-                "x0_min": _round15(x0_min),
-                "x0_max": _round15(x0_max),
-                "n_points": n_points,
-                "max_residual": _round15(curve.max_residual),
-                "max_eigensolve_gap": _round15(curve.max_eigensolve_gap),
-                "asymmetry_gap": _round15(gap),
-                "points": [point_entry(p) for p in curve.points],
-                "asymptotes": [point_entry(p) for p in curve.asymptotes],
-                "passed": ok,
-            },
-        )
-    else:
-        rows = [
-            ",".join((_fmt(p.x0), p.branch, _fmt(p.x_d), _fmt(p.y_d), _fmt(p.residual)))
-            for p in list(curve.points) + list(curve.asymptotes)
-        ]
-        text = _delimited_doc(config, "x0,branch,x_d,y_d,residual", rows)
-    _emit(text, out_path)
-
-    _info(
-        f"max hyperbola residual = {curve.max_residual:.3e} "
-        f"({'FAIL' if hyperbola_failed else 'pass'} "
-        f"at {config.tol('hyperbola'):.1e})",
-        f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e}",
-        f"asymmetry gap = {gap:.6g}",
+    split = len(curve.points)
+    return Report(
+        kind="curve",
+        columns=("x0", "branch", "x_d", "y_d", "residual"),
+        rows=[(p.x0, p.branch, p.x_d, p.y_d, p.residual) for p in curve.points + curve.asymptotes],
+        fields=(
+            ("x0_min", args.x0_min),
+            ("x0_max", args.x0_max),
+            ("n_points", args.points),
+            ("max_residual", curve.max_residual),
+            ("max_eigensolve_gap", curve.max_eigensolve_gap),
+            ("asymmetry_gap", gap),
+            ("points", slice(0, split)),
+            ("asymptotes", slice(split, None)),
+        ),
+        passed=not (hyperbola_failed or eigensolve_failed),
+        notes=(
+            f"max hyperbola residual = {curve.max_residual:.3e} "
+            f"({'FAIL' if hyperbola_failed else 'pass'} "
+            f"at {config.tol('hyperbola'):.1e})",
+            f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e}",
+            f"asymmetry gap = {gap:.6g}",
+        ),
     )
-    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 # -------------------------------------------------------------------- main
@@ -471,10 +359,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=(FORMAT_DELIMITED, FORMAT_STRUCTURED), help="report format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="mode table and route equivalence")
-    sub.add_parser("identities", parents=[common], help="trace identity suite")
-    sub.add_parser("condense", parents=[common], help="potential minimum report")
-    curve = sub.add_parser("curve", parents=[common], help="recombination curve data")
+    for name, run, text in (
+        ("spectrum", cmd_spectrum, "mode table and route equivalence"),
+        ("identities", cmd_identities, "trace identity suite"),
+        ("condense", cmd_condense, "potential minimum report"),
+        ("curve", cmd_curve, "recombination curve data"),
+    ):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(run=run)
+    curve = sub.choices["curve"]
     curve.add_argument("--x0-min", type=float, default=-3.0)
     curve.add_argument("--x0-max", type=float, default=3.0)
     curve.add_argument("--points", type=int, default=101)
@@ -495,15 +387,16 @@ def main(argv: list[str] | None = None) -> int:
             "output_format": args.format,
         }
         config = build_config(file_values, overrides)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.out)
-        if args.command == "identities":
-            return cmd_identities(config, args.out)
-        if args.command == "condense":
-            return cmd_condense(config, args.out)
-        if args.command == "curve":
-            return cmd_curve(config, args.out, args.x0_min, args.x0_max, args.points)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        report = args.run(config, args)
+        text = RENDERERS[config.output_format](report, config)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        for note in report.notes:
+            print(note, file=sys.stderr)
+        return EXIT_OK if report.passed else EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

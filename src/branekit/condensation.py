@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle
+from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle, validate_positive
+from .spectrum import mass_scale
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -23,10 +24,14 @@ BRANCH_PLUS = "plus"
 
 def _validate_params(theta: float, z2: float, R: float | None = None) -> None:
     validate_angle(theta, DEFAULT_ANGLE_GUARD)
-    if z2 <= 0.0:
-        raise ValueError(f"flux density z2 must be positive, got {z2!r}")
-    if R is not None and R <= 0.0:
-        raise ValueError(f"tension scale R must be positive, got {R!r}")
+    validate_positive("flux density z2", z2)
+    if R is not None:
+        validate_positive("tension scale R", R)
+
+
+def _potential(t: float, scale: float, R: float) -> float:
+    """-scale t^2 + R t^4, with scale = mass_scale(theta, z2, R)."""
+    return -scale * t**2 + R * t**4
 
 
 def potential_value(t: float, theta: float, z2: float, R: float) -> float:
@@ -34,12 +39,12 @@ def potential_value(t: float, theta: float, z2: float, R: float) -> float:
     if t < 0.0:
         raise ValueError(f"mode amplitude must be nonnegative, got {t!r}")
     _validate_params(theta, z2, R)
-    return -4.0 * math.pi * z2 * R * math.cos(theta) * t**2 + R * t**4
+    return _potential(t, mass_scale(theta, z2, R), R)
 
 
 def potential_derivative(t: float, theta: float, z2: float, R: float) -> float:
     """Exact first derivative -8*pi*z2*R*cos(theta) t + 4 R t^3."""
-    return -8.0 * math.pi * z2 * R * math.cos(theta) * t + 4.0 * R * t**3
+    return -2.0 * mass_scale(theta, z2, R) * t + 4.0 * R * t**3
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,8 @@ class TachyonPotential:
 
 
 def tachyon_potential(theta: float, z2: float, R: float) -> TachyonPotential:
-    _validate_params(theta, z2, R)
-    quad = -4.0 * math.pi * z2 * R * math.cos(theta)
     tmin, vmin = analytic_minimum(theta, z2, R)
-    return TachyonPotential(quad=quad, quart=R, tmin=tmin, vmin=vmin)
+    return TachyonPotential(quad=-mass_scale(theta, z2, R), quart=R, tmin=tmin, vmin=vmin)
 
 
 def analytic_minimum(theta: float, z2: float, R: float) -> tuple[float, float]:
@@ -67,11 +70,17 @@ def analytic_minimum(theta: float, z2: float, R: float) -> tuple[float, float]:
 
 
 def golden_section_minimize(f, a: float, b: float, tol: float) -> float:
-    """Golden-section search on [a, b], reusing one evaluation per step."""
+    """Golden-section search on [a, b], reusing one evaluation per step.
+
+    Stops once the bracket is no wider than ``tol``, or once a step no
+    longer narrows it: a ``tol`` below the float spacing is never reached.
+    """
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -96,15 +105,15 @@ def numeric_minimum(
     then a single Newton step off the exact derivative.  Raises if the
     bracket does not contain an interior minimum.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    validate_positive("tolerance", tol)
     _validate_params(theta, z2, R)
     lo, hi = bracket if bracket is not None else (0.0, 4.0 * math.sqrt(2.0 * math.pi * z2))
     if not lo < hi:
         raise ValueError(f"degenerate bracket [{lo!r}, {hi!r}]")
+    scale = mass_scale(theta, z2, R)
 
     def f(t: float) -> float:
-        return -4.0 * math.pi * z2 * R * math.cos(theta) * t**2 + R * t**4
+        return _potential(t, scale, R)
 
     # Linear probes plus a geometric ladder toward the lower end: the dip can
     # sit arbitrarily close to the left endpoint when the angle nears the guard.
@@ -116,7 +125,7 @@ def numeric_minimum(
     # bring the bracket down far enough that one Newton step lands within tol
     golden_tol = min((hi - lo) * 1e-7, math.sqrt(tol) * 1e-2)
     coarse = golden_section_minimize(f, lo, hi, tol=golden_tol)
-    curvature = -8.0 * math.pi * z2 * R * math.cos(theta) + 12.0 * R * coarse**2
+    curvature = -2.0 * scale + 12.0 * R * coarse**2
     return coarse - potential_derivative(coarse, theta, z2, R) / curvature
 
 
@@ -171,7 +180,6 @@ def recombined_eigenvalues(x0: float, theta: float, z2: float) -> RecombinedEige
     The minus branch pairs the lowered x_d with the negative y_d root; only
     this matched pairing turns the hyperbola relation into an identity.
     """
-    _validate_params(theta, z2)
     t = condensate_amplitude(theta, z2)
     base = x0 * math.sin(theta)
     y = math.sqrt(x0**2 * math.cos(theta) ** 2 + t**2)
@@ -190,7 +198,6 @@ def hyperbola_residual(
     x0^2 sin^2(theta) when the branches are paired as constructed, so a
     mismatched pairing shows up as a nonzero residual.
     """
-    _validate_params(theta, z2)
     t = condensate_amplitude(theta, z2)
     if branch == BRANCH_MINUS:
         lhs = (x_d + t) ** 2

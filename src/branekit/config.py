@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
-from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle
+from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle, validate_positive
 
 ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 
@@ -44,9 +44,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         validate_angle(self.theta, DEFAULT_ANGLE_GUARD)
-        for name, value in (("z2", self.z2), ("R", self.R)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        validate_positive("z2", self.z2)
+        validate_positive("R", self.R)
         if self.N < 4:
             raise ValueError(f"N must be >= 4, got {self.N}")
         if not 0 < self.margin_k < self.N:
@@ -57,10 +56,7 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         for name, value in self.tolerances.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"tolerance {name} must be finite and strictly positive, got {value!r}"
-                )
+            validate_positive(f"tolerance {name}", value)
         if self.output_format not in (FORMAT_DELIMITED, FORMAT_STRUCTURED):
             raise ValueError(f"unknown output format {self.output_format!r}")
         return self

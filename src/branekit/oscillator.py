@@ -27,6 +27,12 @@ def validate_angle(theta: float, angle_guard: float = DEFAULT_ANGLE_GUARD) -> No
         )
 
 
+def validate_positive(name: str, value: float) -> None:
+    """Reject a parameter that is not finite and strictly positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def make_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation/creation pair on a ``dim``-level truncation.
 
@@ -45,8 +51,7 @@ def make_qp(dim: int, z2: float) -> tuple[np.ndarray, np.ndarray]:
     Q = sqrt(pi z2) (a + a^dag), P = -i sqrt(pi z2) (a - a^dag); both exactly
     Hermitian by construction.  z2 is the flux density (length^2).
     """
-    if z2 <= 0.0:
-        raise ValueError(f"flux density z2 must be positive, got {z2!r}")
+    validate_positive("flux density z2", z2)
     a, a_dag = make_ladder(dim)
     root = math.sqrt(math.pi * z2)
     q = root * (a + a_dag)

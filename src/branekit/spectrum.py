@@ -272,6 +272,20 @@ def transverse_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     ]
 
 
+def transverse_interior_gap(n_levels: int, margin: int, theta: float) -> float:
+    """Worst interior gap of the truncated transverse operator to (2n+1)cos(theta).
+
+    The operator cos(theta)(2 a^dag a + 1) is diagonal in the number basis,
+    so its eigenvalues are read off the diagonal, with a^dag a formed as
+    sqrt(n)^2 the way the ladder product forms it; levels 0..n_levels-1-margin
+    are compared.
+    """
+    cos_t = math.cos(theta)
+    levels = np.arange(n_levels - margin, dtype=float)
+    diagonal = cos_t * (2.0 * np.sqrt(levels) ** 2 + 1.0)
+    return float(np.max(np.abs(diagonal - (2.0 * levels + 1.0) * cos_t)))
+
+
 def fermion_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     """Fermionic eigenvalue table: (2n+2)cos(theta) x4 and 2n cos(theta) x4.
 

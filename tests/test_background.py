@@ -51,6 +51,10 @@ def test_relative_pair_commutator():
         (0.3, 0.0, 1.0, 8),
         (0.3, 1.0, 0.0, 8),
         (0.3, 1.0, 1.0, 3),
+        (0.5, math.nan, 1.0, 6),
+        (0.5, math.inf, 1.0, 6),
+        (0.5, 1.0, math.nan, 6),
+        (0.5, 1.0, math.inf, 6),
     ],
 )
 def test_guards_propagate(theta, z2, R, n):

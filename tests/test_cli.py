@@ -1,10 +1,16 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from branekit.cli import cmd_curve, main
+import branekit
+from branekit.cli import main
+from branekit.condensation import sample_curve
 from branekit.config import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -220,6 +226,28 @@ def test_identity_tolerances_are_not_config_keys(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "identity_pass" in err
 
 
+@pytest.mark.parametrize(
+    "settings",
+    ["tol_minimizer = 1e-300\n", "tol_minimizer = 1e-27\ntheta = 0.7\nz2 = 1.3\nR = 0.6\n"],
+    ids=["defaults", "theta-0.7"],
+)
+def test_tolerance_below_float_spacing_terminates(tmp_path, settings):
+    # the golden-section bracket cannot shrink below the float spacing
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(settings)
+    src = str(Path(branekit.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("BRANEKIT_CONFIG", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "branekit.cli", "condense", "--config", str(cfg)],
+        capture_output=True,
+        env=env,
+        timeout=30,
+    )
+    assert done.returncode in (0, 1)
+
+
 def test_config_rejects_zero_tolerance():
     with pytest.raises(ValueError):
         build_config({"tol_minimizer": "0"})
@@ -286,10 +314,13 @@ def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "MemoryError" in err
 
 
-def test_curve_nan_residual_fails_closed(capsys):
-    # bypasses validation to reach the verdict with non-finite numbers
-    code = cmd_curve(RunConfig(z2=math.inf), None, -3.0, 3.0, 11)
-    err = capsys.readouterr().err
+def test_curve_nan_residual_fails_closed(capsys, monkeypatch):
+    # a NaN residual must reach the verdict as a failure, never as a pass
+    def nan_curve(*args):
+        return dataclasses.replace(sample_curve(*args), max_residual=math.nan)
+
+    monkeypatch.setattr("branekit.cli.sample_curve", nan_curve)
+    code, _, err = run(capsys, "curve", "--points", "11")
     assert code == 1
     assert "max hyperbola residual = nan (FAIL" in err
 

@@ -17,6 +17,7 @@ from branekit import (
     sample_curve,
     tachyon_potential,
 )
+from branekit.condensation import RecombinedEigenvalues
 
 PI_THIRD = math.pi / 3
 
@@ -214,7 +215,44 @@ def test_asymmetry_scales_as_root_flux():
     assert gaps[0] / gaps[1] == pytest.approx(10.0, rel=1e-6)
 
 
-def test_sample_curve_keeps_nan_in_maxima():
-    curve = sample_curve(-3.0, 3.0, 11, math.pi / 3, math.inf)
+def test_sample_curve_keeps_nan_in_maxima(monkeypatch):
+    nan = RecombinedEigenvalues(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(
+        "branekit.condensation.recombined_eigenvalues", lambda *args: nan
+    )
+    curve = sample_curve(-3.0, 3.0, 11, math.pi / 3, 1.0)
     assert math.isnan(curve.max_residual)
     assert math.isnan(curve.max_eigensolve_gap)
+
+
+WITH_R = {
+    "tachyon_potential": lambda z2, R: tachyon_potential(0.5, z2, R),
+    "analytic_minimum": lambda z2, R: analytic_minimum(0.5, z2, R),
+    "numeric_minimum": lambda z2, R: numeric_minimum(0.5, z2, R),
+    "potential_value": lambda z2, R: potential_value(1.0, 0.5, z2, R),
+}
+FLUX_ONLY = {
+    "condensate_amplitude": lambda z2: condensate_amplitude(0.5, z2),
+    "recombined_eigenvalues": lambda z2: recombined_eigenvalues(1.0, 0.5, z2),
+    "sample_curve": lambda z2: sample_curve(-1.0, 1.0, 3, 0.5, z2),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(WITH_R))
+def test_non_finite_flux_or_tension_is_rejected(name, value):
+    for z2, R in ((value, 1.0), (1.0, value)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WITH_R[name](z2, R)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(FLUX_ONLY))
+def test_non_finite_flux_is_rejected(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        FLUX_ONLY[name](value)
+
+
+def test_numeric_minimum_rejects_nan_tolerance():
+    with pytest.raises(ValueError):
+        numeric_minimum(PI_THIRD, 1.0, 1.0, tol=math.nan)

@@ -58,7 +58,7 @@ def test_qp_two_level_truncation_corner():
     )
 
 
-@pytest.mark.parametrize("z2", [0.0, -1.0])
+@pytest.mark.parametrize("z2", [0.0, -1.0, math.nan, math.inf])
 def test_qp_rejects_degenerate_flux(z2):
     with pytest.raises(ValueError):
         make_qp(4, z2)

@@ -17,6 +17,7 @@ from branekit import (
     reduced_block,
     rotation_u,
     route_equivalence_residual,
+    transverse_interior_gap,
     transverse_spectrum,
 )
 from branekit.oscillator import InteriorProjector
@@ -297,6 +298,25 @@ def test_transverse_matches_interior_eigensolve():
     values = np.linalg.eigvalsh(op)
     expected = np.array([(2.0 * m + 1.0) * math.cos(theta) for m in range(n)])
     assert np.max(np.abs(values[: n - 2] - expected[: n - 2])) <= 1e-10
+
+
+def dense_transverse_interior_gap(n_levels, margin, theta):
+    """The gap from a dense eigensolve of cos(theta)(2 a^dag a + 1)."""
+    a, a_dag = make_ladder(n_levels)
+    op = math.cos(theta) * (2.0 * a_dag @ a + np.eye(n_levels, dtype=complex))
+    values = np.linalg.eigvalsh(op)
+    return max(
+        abs(float(values[m]) - (2.0 * m + 1.0) * math.cos(theta))
+        for m in range(n_levels - margin)
+    )
+
+
+@pytest.mark.parametrize("n_levels", [8, 24, 200])
+@pytest.mark.parametrize("theta", [0.0, 0.3, PI_THIRD, 1.4])
+def test_transverse_gap_matches_dense_eigensolve(n_levels, theta):
+    assert transverse_interior_gap(n_levels, 4, theta) == dense_transverse_interior_gap(
+        n_levels, 4, theta
+    )
 
 
 def test_fermion_table():
