@@ -77,6 +77,8 @@ def test_numeric_minimum_guards():
     with pytest.raises(ValueError):
         numeric_minimum(PI_THIRD, 1.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
+        numeric_minimum(PI_THIRD, 1.0, 1.0, tol=math.nan)
+    with pytest.raises(ValueError):
         numeric_minimum(PI_THIRD, 1.0, 1.0, bracket=(5.0, 9.0))  # no interior minimum
     with pytest.raises(ValueError):
         numeric_minimum(PI_THIRD, 1.0, 1.0, bracket=(2.0, 2.0))
@@ -251,8 +253,3 @@ def test_non_finite_flux_or_tension_is_rejected(name, value):
 def test_non_finite_flux_is_rejected(name, value):
     with pytest.raises(ValueError, match="finite and positive"):
         FLUX_ONLY[name](value)
-
-
-def test_numeric_minimum_rejects_nan_tolerance():
-    with pytest.raises(ValueError):
-        numeric_minimum(PI_THIRD, 1.0, 1.0, tol=math.nan)
