@@ -331,7 +331,9 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
             f"max hyperbola residual = {curve.max_residual:.3e} "
             f"({'FAIL' if hyperbola_failed else 'pass'} "
             f"at {config.tol('hyperbola'):.1e})",
-            f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e}",
+            f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e} "
+            f"({'FAIL' if eigensolve_failed else 'pass'} "
+            f"at {config.tol('block_eigensolve'):.1e})",
             f"asymmetry gap = {gap:.6g}",
         ),
     )

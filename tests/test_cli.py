@@ -325,6 +325,15 @@ def test_curve_nan_residual_fails_closed(capsys, monkeypatch):
     assert "max hyperbola residual = nan (FAIL" in err
 
 
+def test_failing_eigensolve_gate_is_named(tmp_path, capsys):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("tol_block_eigensolve = 1e-300\n")
+    code, _, err = run(capsys, "curve", "--config", str(cfg))
+    assert code == 1
+    (line,) = [line for line in err.splitlines() if "eigensolve gap" in line]
+    assert line.endswith("(FAIL at 1.0e-300)")
+
+
 @pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_report_matches_golden(name, fmt, suffix, capsys):
