@@ -27,7 +27,6 @@ from .condensation import (
     asymmetry_gap,
     condensate_amplitude,
     condensed_blocks,
-    eigensolve_blocks,
     hyperbola_residual,
     numeric_minimum,
     potential_derivative,

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class Report:
 
     kind: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: Sequence[tuple]
     fields: tuple[tuple[str, object], ...]
     passed: bool
     notes: tuple[str, ...]
@@ -315,7 +316,7 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
     return Report(
         kind="curve",
         columns=("x0", "branch", "x_d", "y_d", "residual"),
-        rows=[(p.x0, p.branch, p.x_d, p.y_d, p.residual) for p in curve.points + curve.asymptotes],
+        rows=curve.points + curve.asymptotes,
         fields=(
             ("x0_min", args.x0_min),
             ("x0_max", args.x0_max),
@@ -389,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
             "output_format": args.format,
         }
         config = build_config(file_values, overrides)
-        report = args.run(config, args)
+        with np.errstate(over="raise", invalid="raise"):
+            report = args.run(config, args)
         text = RENDERERS[config.output_format](report, config)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -402,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (MemoryError, OverflowError) as exc:
+    except (MemoryError, OverflowError, FloatingPointError) as exc:
         # inputs too large to allocate or to evaluate in floating point
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID

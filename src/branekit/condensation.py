@@ -3,13 +3,16 @@
 After the unstable mode rolls to the potential minimum, the off-diagonal
 condensate joins the diagonal backgrounds into two 2x2 blocks whose
 eigenvalues trace the recombined branes: an asymmetric hyperbola with the
-original branes as asymptotes.
+original branes as asymptotes.  The curve is sampled as arrays over the x0
+grid; its numeric route is one stacked 2x2 eigensolve per block kind, read
+in ascending order as the (minus, plus) branches, whose gaps are >= 2t > 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +23,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRANCH_MINUS = "minus"
 BRANCH_PLUS = "plus"
+BRANCHES = (BRANCH_MINUS, BRANCH_PLUS)
+ASYMPTOTES = ("asym-minus", "asym-plus")
 
 
 def _validate_params(theta: float, z2: float, R: float | None = None) -> None:
@@ -134,10 +139,11 @@ class CondensedBlocks:
     """Post-condensation 2x2 blocks at brane coordinate x0.
 
     m1 is real symmetric, m2 Hermitian with purely imaginary off-diagonal;
-    both off-diagonal magnitudes square to pi*z2*cos(theta).
+    both off-diagonal magnitudes square to pi*z2*cos(theta).  An array of
+    x0 gives blocks stacked along its shape: x0.shape + (2, 2).
     """
 
-    x0: float
+    x0: float | np.ndarray
     m1: np.ndarray
     m2: np.ndarray
 
@@ -148,12 +154,16 @@ def condensate_amplitude(theta: float, z2: float) -> float:
     return math.sqrt(math.pi * z2 * math.cos(theta))
 
 
-def condensed_blocks(x0: float, theta: float, z2: float) -> CondensedBlocks:
+def condensed_blocks(x0: float | np.ndarray, theta: float, z2: float) -> CondensedBlocks:
     t = condensate_amplitude(theta, z2)
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    m1 = np.array([[x0 * sin_t, t], [t, x0 * sin_t]], dtype=complex)
-    m2 = np.array([[x0 * cos_t, 1j * t], [-1j * t, -x0 * cos_t]], dtype=complex)
+    x_diag = np.multiply(x0, math.sin(theta))
+    y_diag = np.multiply(x0, math.cos(theta))
+    m1 = np.empty(x_diag.shape + (2, 2), dtype=complex)
+    m2 = np.empty_like(m1)
+    m1[..., 0, 0] = m1[..., 1, 1] = x_diag
+    m1[..., 0, 1] = m1[..., 1, 0] = t
+    m2[..., 0, 0], m2[..., 1, 1] = y_diag, -y_diag
+    m2[..., 0, 1], m2[..., 1, 0] = 1j * t, -1j * t
     return CondensedBlocks(x0=x0, m1=m1, m2=m2)
 
 
@@ -161,37 +171,32 @@ def condensed_blocks(x0: float, theta: float, z2: float) -> CondensedBlocks:
 class RecombinedEigenvalues:
     """Closed-form branch eigenvalues of the condensed blocks."""
 
-    x_minus: float
-    x_plus: float
-    y_minus: float
-    y_plus: float
-
-    def branch(self, branch: str) -> tuple[float, float]:
-        if branch == BRANCH_MINUS:
-            return self.x_minus, self.y_minus
-        if branch == BRANCH_PLUS:
-            return self.x_plus, self.y_plus
-        raise ValueError(f"unknown branch {branch!r}")
+    x_minus: float | np.ndarray
+    x_plus: float | np.ndarray
+    y_minus: float | np.ndarray
+    y_plus: float | np.ndarray
 
 
-def recombined_eigenvalues(x0: float, theta: float, z2: float) -> RecombinedEigenvalues:
+def recombined_eigenvalues(
+    x0: float | np.ndarray, theta: float, z2: float
+) -> RecombinedEigenvalues:
     """x_d = x0 sin(theta) -/+ t and y_d = -/+ sqrt(x0^2 cos^2(theta) + t^2).
 
     The minus branch pairs the lowered x_d with the negative y_d root; only
     this matched pairing turns the hyperbola relation into an identity.
+    Elementwise in x0.  Squares use ``np.float_power`` (libm ``pow``, as the
+    scalar ``x**2``): numpy's ``x**2`` is ``x*x``, which can differ in the last bit.
     """
     t = condensate_amplitude(theta, z2)
-    base = x0 * math.sin(theta)
-    y = math.sqrt(x0**2 * math.cos(theta) ** 2 + t**2)
-    return RecombinedEigenvalues(
-        x_minus=base - t, x_plus=base + t, y_minus=-y, y_plus=y
-    )
+    base = np.multiply(x0, math.sin(theta))
+    y = np.sqrt(np.float_power(x0, 2.0) * math.cos(theta) ** 2 + t**2)
+    return RecombinedEigenvalues(x_minus=base - t, x_plus=base + t, y_minus=-y, y_plus=y)
 
 
 def hyperbola_residual(
-    x_d: float, y_d: float, theta: float, z2: float, branch: str
-) -> float:
-    """Gap in the recombination relation for one branch point.
+    x_d: float | np.ndarray, y_d: float | np.ndarray, theta: float, z2: float, branch: str
+) -> float | np.ndarray:
+    """Gap in the recombination relation for one branch, elementwise.
 
     (x_d + t)^2 = tan^2(theta) (y_d^2 - t^2) on the minus branch, with the
     sign of the shift flipped on the plus branch; both sides reduce to
@@ -199,27 +204,14 @@ def hyperbola_residual(
     mismatched pairing shows up as a nonzero residual.
     """
     t = condensate_amplitude(theta, z2)
-    if branch == BRANCH_MINUS:
-        lhs = (x_d + t) ** 2
-    elif branch == BRANCH_PLUS:
-        lhs = (x_d - t) ** 2
-    else:
+    if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}")
-    rhs = math.tan(theta) ** 2 * (y_d**2 - t**2)
-    return abs(lhs - rhs)
+    lhs = np.float_power(x_d + (t if branch == BRANCH_MINUS else -t), 2.0)
+    rhs = math.tan(theta) ** 2 * (np.float_power(y_d, 2.0) - t**2)
+    return np.abs(lhs - rhs)
 
 
-def eigensolve_blocks(
-    blocks: CondensedBlocks,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Numeric route: eigenvalues and eigenvectors of both 2x2 blocks."""
-    x_vals, x_vecs = np.linalg.eigh(blocks.m1)
-    y_vals, y_vecs = np.linalg.eigh(blocks.m2)
-    return x_vals, x_vecs, y_vals, y_vecs
-
-
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     x0: float
     branch: str
     x_d: float
@@ -239,85 +231,53 @@ class RecombinationCurve:
     max_eigensolve_gap: float
 
 
+def _branch_columns(eigs: RecombinedEigenvalues) -> tuple[np.ndarray, np.ndarray]:
+    """x_d and y_d as (P, 2) arrays with columns in BRANCHES order."""
+    return np.stack([eigs.x_minus, eigs.x_plus], 1), np.stack([eigs.y_minus, eigs.y_plus], 1)
+
+
+def _curve_points(grid, branches, x_d, y_d, residual) -> tuple[CurvePoint, ...]:
+    """One Python-float point per grid value and branch, from (P, 2) columns."""
+    columns = (np.repeat(grid, 2), x_d, y_d, residual)
+    x0, x_d, y_d, residual = (np.ravel(column).tolist() for column in columns)
+    return tuple(map(CurvePoint._make, zip(x0, branches * len(grid), x_d, y_d, residual)))
+
+
 def sample_curve(
     x0_min: float, x0_max: float, n_points: int, theta: float, z2: float
 ) -> RecombinationCurve:
     """Evaluate both branches over an x0 grid with per-point residuals.
 
-    Branch assignment for the numeric eigensolve route follows eigenvector
-    continuity along the grid (overlap with the previous point's vectors),
-    not eigenvalue sorting; the closed forms are attached per point and the
-    worst gap between the two routes is reported.
+    The closed forms are evaluated over the whole grid at once.  The numeric
+    route is one stacked 2x2 eigensolve per block kind, and its ascending
+    eigenvalues are read as the (minus, plus) branches: the closed-form
+    branches never cross, since x_+ - x_- = 2t and y_+ - y_- >= 2t with
+    t > 0.  The worst gap between the two routes is reported.
     """
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
+    if not (math.isfinite(x0_min) and math.isfinite(x0_max)):
+        raise ValueError(f"grid bounds must be finite, got [{x0_min!r}, {x0_max!r}]")
     if not x0_min < x0_max:
         raise ValueError(f"degenerate grid [{x0_min!r}, {x0_max!r}]")
-    _validate_params(theta, z2)
     grid = np.linspace(x0_min, x0_max, n_points)
-
-    points: list[CurvePoint] = []
-    gaps: list[float] = []
-    prev_x_vecs = None
-    prev_y_vecs = None
-    # Branch order tracks (minus, plus) columns of the eigenvector matrices.
-    for x0 in grid:
-        closed = recombined_eigenvalues(float(x0), theta, z2)
-        x_vals, x_vecs, y_vals, y_vecs = eigensolve_blocks(
-            condensed_blocks(float(x0), theta, z2)
-        )
-        if prev_x_vecs is None:
-            x_order = np.argsort(
-                [abs(v - closed.x_minus) for v in x_vals]
-            )  # seed: match closed forms
-            y_order = np.argsort([abs(v - closed.y_minus) for v in y_vals])
-            x_cols = (int(x_order[0]), int(1 - x_order[0]))
-            y_cols = (int(y_order[0]), int(1 - y_order[0]))
-        else:
-            overlap_x = np.abs(x_vecs.conj().T @ prev_x_vecs)
-            x_first = int(np.argmax(overlap_x[:, 0]))
-            x_cols = (x_first, 1 - x_first)
-            overlap_y = np.abs(y_vecs.conj().T @ prev_y_vecs)
-            y_first = int(np.argmax(overlap_y[:, 0]))
-            y_cols = (y_first, 1 - y_first)
-        prev_x_vecs = x_vecs[:, list(x_cols)]
-        prev_y_vecs = y_vecs[:, list(y_cols)]
-
-        for branch, x_col, y_col in (
-            (BRANCH_MINUS, x_cols[0], y_cols[0]),
-            (BRANCH_PLUS, x_cols[1], y_cols[1]),
-        ):
-            x_closed, y_closed = closed.branch(branch)
-            gaps.append(abs(float(x_vals[x_col]) - x_closed))
-            gaps.append(abs(float(y_vals[y_col]) - y_closed))
-            residual = hyperbola_residual(x_closed, y_closed, theta, z2, branch)
-            points.append(
-                CurvePoint(
-                    x0=float(x0), branch=branch, x_d=x_closed, y_d=y_closed, residual=residual
-                )
-            )
-
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    asymptotes = tuple(
-        CurvePoint(
-            x0=float(x0),
-            branch=f"asym-{name}",
-            x_d=float(x0) * sin_t,
-            y_d=sign * float(x0) * cos_t,
-            residual=0.0,
-        )
-        for x0 in grid
-        for name, sign in (("minus", -1.0), ("plus", 1.0))
+    x_d, y_d = _branch_columns(recombined_eigenvalues(grid, theta, z2))
+    residual = np.stack(
+        [hyperbola_residual(x_d[:, i], y_d[:, i], theta, z2, b) for i, b in enumerate(BRANCHES)], 1
     )
+    blocks = condensed_blocks(grid, theta, z2)
+    x_vals = np.linalg.eigh(blocks.m1).eigenvalues
+    y_vals = np.linalg.eigh(blocks.m2).eigenvalues
+    asym_x = np.repeat(grid * math.sin(theta), 2)
+    asym_y = np.multiply.outer(grid, (-1.0, 1.0)) * math.cos(theta)
     return RecombinationCurve(
         theta=theta,
         z2=z2,
-        points=tuple(points),
-        asymptotes=asymptotes,
+        points=_curve_points(grid, BRANCHES, x_d, y_d, residual),
+        asymptotes=_curve_points(grid, ASYMPTOTES, asym_x, asym_y, np.zeros_like(asym_y)),
         # np.max, unlike the builtin, keeps a NaN residual or gap
-        max_residual=float(np.max([p.residual for p in points])),
-        max_eigensolve_gap=float(np.max(gaps)),
+        max_residual=float(np.max(residual)),
+        max_eigensolve_gap=float(np.max(np.abs([x_vals - x_d, y_vals - y_d]))),
     )
 
 
@@ -330,13 +290,10 @@ def asymmetry_gap(curve: RecombinationCurve) -> float:
     collapses to zero with it, where the branches degenerate to the
     symmetric asymptote pair.
     """
-    theta, z2 = curve.theta, curve.z2
-    gap = math.inf
-    for point in curve.points:
-        mirrored = recombined_eigenvalues(-point.x0, theta, z2)
-        reflected = (-mirrored.branch(point.branch)[0], mirrored.branch(point.branch)[1])
-        here = recombined_eigenvalues(point.x0, theta, z2)
-        for branch in (BRANCH_MINUS, BRANCH_PLUS):
-            x_d, y_d = here.branch(branch)
-            gap = min(gap, max(abs(reflected[0] - x_d), abs(reflected[1] - y_d)))
-    return gap
+    x0, _, x_d, y_d, _ = zip(*curve.points)
+    mirrored = recombined_eigenvalues(-np.array(x0[::2]), curve.theta, curve.z2)
+    # axes: grid point, reflected branch, compared branch
+    mirrored_x, mirrored_y = (column[:, :, None] for column in _branch_columns(mirrored))
+    here_x, here_y = np.reshape(x_d, (-1, 1, 2)), np.reshape(y_d, (-1, 1, 2))
+    distance = np.maximum(np.abs(-mirrored_x - here_x), np.abs(mirrored_y - here_y))
+    return float(np.min(distance))

@@ -279,6 +279,8 @@ def test_missing_config_file_is_invalid_input(capsys):
         ("spectrum", "--z2", "inf", "--N", "8"),
         ("condense", "--R", "nan"),
         ("curve", "--z2", "inf"),
+        ("curve", "--x0-max", "inf"),
+        ("curve", "--x0-min=-inf"),
     ],
 )
 def test_non_finite_parameters_are_invalid_input(capsys, argv):
@@ -296,11 +298,15 @@ def test_infinite_tolerance_is_invalid_input(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "route_equivalence" in err
 
 
-def test_overflowing_parameters_are_invalid_input(capsys):
-    code, out, err = run(capsys, "condense", "--z2", "1e300")
+@pytest.mark.parametrize(
+    "command,error",
+    [("condense", "OverflowError"), ("identities", "FloatingPointError")],
+)
+def test_overflowing_parameters_are_invalid_input(capsys, command, error):
+    code, out, err = run(capsys, command, "--z2", "1e300")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "OverflowError" in err
+    assert len(err.splitlines()) == 1 and error in err
 
 
 def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
@@ -323,6 +329,13 @@ def test_curve_nan_residual_fails_closed(capsys, monkeypatch):
     code, _, err = run(capsys, "curve", "--points", "11")
     assert code == 1
     assert "max hyperbola residual = nan (FAIL" in err
+
+
+def test_two_point_curve_passes(capsys):
+    # a single grid step, from x0 = -3 across 0 to 3
+    code, out, _ = run(capsys, "curve", "--points", "2", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["max_eigensolve_gap"] <= DEFAULT_TOLERANCES["block_eigensolve"]
 
 
 def test_failing_eigensolve_gate_is_named(tmp_path, capsys):

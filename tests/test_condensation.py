@@ -8,7 +8,6 @@ from branekit import (
     asymmetry_gap,
     condensate_amplitude,
     condensed_blocks,
-    eigensolve_blocks,
     hyperbola_residual,
     numeric_minimum,
     potential_derivative,
@@ -133,7 +132,9 @@ def test_tiny_flux_recovers_intersecting_lines():
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 0.7, 3.0])
 def test_eigensolve_agrees_with_closed_forms(x0):
     closed = recombined_eigenvalues(x0, PI_THIRD, 1.0)
-    x_vals, _, y_vals, _ = eigensolve_blocks(condensed_blocks(x0, PI_THIRD, 1.0))
+    blocks = condensed_blocks(x0, PI_THIRD, 1.0)
+    x_vals = np.linalg.eigh(blocks.m1).eigenvalues
+    y_vals = np.linalg.eigh(blocks.m2).eigenvalues
     np.testing.assert_allclose(
         sorted([closed.x_minus, closed.x_plus]), x_vals, atol=1e-12
     )
@@ -218,10 +219,10 @@ def test_asymmetry_scales_as_root_flux():
 
 
 def test_sample_curve_keeps_nan_in_maxima(monkeypatch):
-    nan = RecombinedEigenvalues(math.nan, math.nan, math.nan, math.nan)
-    monkeypatch.setattr(
-        "branekit.condensation.recombined_eigenvalues", lambda *args: nan
-    )
+    def nan_eigenvalues(x0, *args):
+        return RecombinedEigenvalues(*[np.full_like(x0, math.nan)] * 4)
+
+    monkeypatch.setattr("branekit.condensation.recombined_eigenvalues", nan_eigenvalues)
     curve = sample_curve(-3.0, 3.0, 11, math.pi / 3, 1.0)
     assert math.isnan(curve.max_residual)
     assert math.isnan(curve.max_eigensolve_gap)
@@ -253,3 +254,82 @@ def test_non_finite_flux_or_tension_is_rejected(name, value):
 def test_non_finite_flux_is_rejected(name, value):
     with pytest.raises(ValueError, match="finite and positive"):
         FLUX_ONLY[name](value)
+
+
+# --------------------------------------------------- per-point curve oracle
+
+
+def _scalar_branches(x0, theta, t):
+    """Closed-form (x_d, y_d) per branch at one x0, in math-module floats."""
+    base = x0 * math.sin(theta)
+    y = math.sqrt(x0**2 * math.cos(theta) ** 2 + t**2)
+    return {"minus": (base - t, -y), "plus": (base + t, y)}
+
+
+def _scalar_residual(x_d, y_d, theta, t, branch):
+    lhs = (x_d + t) ** 2 if branch == "minus" else (x_d - t) ** 2
+    return abs(lhs - math.tan(theta) ** 2 * (y_d**2 - t**2))
+
+
+def scalar_curve(x0_min, x0_max, n_points, theta, z2):
+    """The curve evaluated one grid point at a time.
+
+    Each point gets its own closed forms (Python ``**``), its own two 2x2
+    blocks and one ``eigh`` per block; the ascending eigenvalues are taken
+    as the (minus, plus) branches.  Returns the rows, both maxima and the
+    asymmetry gap, the latter from a double loop over points and branches.
+    """
+    t = math.sqrt(math.pi * z2 * math.cos(theta))
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    points, asymptotes, gaps = [], [], []
+    for x0 in np.linspace(x0_min, x0_max, n_points).tolist():
+        m1 = np.array([[x0 * sin_t, t], [t, x0 * sin_t]], dtype=complex)
+        m2 = np.array([[x0 * cos_t, 1j * t], [-1j * t, -x0 * cos_t]], dtype=complex)
+        x_vals = np.linalg.eigh(m1).eigenvalues.tolist()
+        y_vals = np.linalg.eigh(m2).eigenvalues.tolist()
+        for i, (branch, (x_d, y_d)) in enumerate(_scalar_branches(x0, theta, t).items()):
+            gaps += [abs(x_vals[i] - x_d), abs(y_vals[i] - y_d)]
+            points.append((x0, branch, x_d, y_d, _scalar_residual(x_d, y_d, theta, t, branch)))
+        for name, sign in (("minus", -1.0), ("plus", 1.0)):
+            asymptotes.append((x0, f"asym-{name}", x0 * sin_t, sign * x0 * cos_t, 0.0))
+
+    asymmetry = math.inf
+    for x0, branch, *_ in points:
+        mirrored = _scalar_branches(-x0, theta, t)[branch]
+        reflected = (-mirrored[0], mirrored[1])
+        for x_d, y_d in _scalar_branches(x0, theta, t).values():
+            asymmetry = min(
+                asymmetry, max(abs(reflected[0] - x_d), abs(reflected[1] - y_d))
+            )
+    max_residual = max(point[4] for point in points)
+    return points + asymptotes, max_residual, max(gaps), asymmetry
+
+
+def _bits(rows):
+    """Rows with every float spelled out bit for bit (keeps the sign of zero)."""
+    return [
+        tuple((type(v), v.hex()) if isinstance(v, float) else v for v in row) for row in rows
+    ]
+
+
+def _oracle_grids():
+    rng = np.random.default_rng(20031005)
+    grids = [(-3.0, 3.0, 101, PI_THIRD, 1.0), (-3.0, 3.0, 2, PI_THIRD, 1.0)]
+    for i in range(50):
+        lo = float(rng.uniform(-8.0, 4.0))
+        hi = lo + float(rng.uniform(0.01, 10.0))
+        theta = (0.05, 1.45, float(rng.uniform(0.0, 1.5)))[i % 3]
+        z2 = 1e-12 if i % 4 == 0 else float(rng.uniform(0.25, 4.0))
+        grids.append((lo, hi, (2, 3, 11, 101, 1001)[i % 5], theta, z2))
+    return grids
+
+
+@pytest.mark.parametrize("grid", _oracle_grids())
+def test_sample_curve_matches_per_point_oracle_bitwise(grid):
+    rows, max_residual, max_gap, asymmetry = scalar_curve(*grid)
+    curve = sample_curve(*grid)
+    assert len(curve.points) == 2 * grid[2]
+    assert _bits(curve.points + curve.asymptotes) == _bits(rows)
+    assert curve.max_residual == max_residual
+    assert curve.max_eigensolve_gap == max_gap
+    assert asymmetry_gap(curve) == asymmetry
