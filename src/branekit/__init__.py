@@ -21,7 +21,6 @@ from .condensation import (
     CondensedBlocks,
     CurvePoint,
     RecombinationCurve,
-    RecombinedEigenvalues,
     TachyonPotential,
     analytic_minimum,
     asymmetry_gap,

@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import (
-    DEFAULT_ANGLE_GUARD,
-    InteriorProjector,
-    commutator,
-    make_qp,
-    validate_angle,
-    validate_positive,
-)
+from .oscillator import InteriorProjector, commutator, make_qp, validate_angle, validate_positive
 
 
 def _block_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -43,19 +36,13 @@ class BraneBackground:
     p_rel: np.ndarray
 
 
-def build_background(
-    theta: float,
-    z2: float,
-    R: float,
-    n_levels: int,
-    angle_guard: float = DEFAULT_ANGLE_GUARD,
-) -> BraneBackground:
+def build_background(theta: float, z2: float, R: float, n_levels: int) -> BraneBackground:
     """Assemble the background from one shared coordinate pair.
 
     Both diagonal blocks use the same N-level representation, so the block
     algebra stays closed under commutators.
     """
-    validate_angle(theta, angle_guard)
+    validate_angle(theta)
     validate_positive("tension scale R", R)
     if n_levels < 4:
         raise ValueError(f"truncation size must be >= 4, got {n_levels}")
@@ -120,16 +107,13 @@ class BackgroundCommutatorReport:
     checks: tuple[BlockConstant, ...]
     squared_sum: complex
     max_residual: float
-    margin: int
 
 
-def check_background_commutators(
-    bg: BraneBackground, margin: int = 1
-) -> BackgroundCommutatorReport:
-    """Verify each [X_i, X_j] block is proportional to the interior identity."""
+def check_background_commutators(bg: BraneBackground) -> BackgroundCommutatorReport:
+    """Verify each [X_i, X_j] block is proportional to the identity below the top level."""
     mats = {1: bg.x1, 2: bg.x2, 3: bg.x3}
     n = bg.n_levels
-    proj = InteriorProjector(n, margin)
+    proj = InteriorProjector(n, 1)
     checks: list[BlockConstant] = []
     squared_sum = 0.0 + 0.0j
     for i, j in ((1, 2), (1, 3), (2, 3)):
@@ -147,5 +131,4 @@ def check_background_commutators(
         squared_sum=squared_sum,
         # np.max, unlike the builtin, keeps a NaN residual
         max_residual=float(np.max([check.residual for check in checks])),
-        margin=margin,
     )

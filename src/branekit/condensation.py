@@ -16,19 +16,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle, validate_positive
+from .oscillator import validate_angle, validate_positive
 from .spectrum import mass_scale
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-BRANCH_MINUS = "minus"
-BRANCH_PLUS = "plus"
-BRANCHES = (BRANCH_MINUS, BRANCH_PLUS)
+BRANCHES = ("minus", "plus")
 ASYMPTOTES = ("asym-minus", "asym-plus")
 
 
 def _validate_params(theta: float, z2: float, R: float | None = None) -> None:
-    validate_angle(theta, DEFAULT_ANGLE_GUARD)
+    validate_angle(theta)
     validate_positive("flux density z2", z2)
     if R is not None:
         validate_positive("tension scale R", R)
@@ -97,39 +95,32 @@ def golden_section_minimize(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def numeric_minimum(
-    theta: float,
-    z2: float,
-    R: float,
-    tol: float = 1e-8,
-    bracket: tuple[float, float] | None = None,
-) -> float:
+def numeric_minimum(theta: float, z2: float, R: float, tol: float = 1e-8) -> float:
     """Independent one-dimensional minimizer of the tachyon potential.
 
-    Golden-section search on the bracket (default [0, 4*sqrt(2*pi*z2)]),
-    then a single Newton step off the exact derivative.  Raises if the
-    bracket does not contain an interior minimum.
+    Golden-section search on [0, 4*sqrt(2*pi*z2)], then a single Newton step
+    off the exact derivative.  In exact arithmetic that interval holds the
+    minimum sqrt(2*pi*z2*cos(theta)) for every valid input; raises if the
+    potential underflows, so that no probe resolves the dip below V(0) = 0.
     """
     validate_positive("tolerance", tol)
     _validate_params(theta, z2, R)
-    lo, hi = bracket if bracket is not None else (0.0, 4.0 * math.sqrt(2.0 * math.pi * z2))
-    if not lo < hi:
-        raise ValueError(f"degenerate bracket [{lo!r}, {hi!r}]")
+    hi = 4.0 * math.sqrt(2.0 * math.pi * z2)
     scale = mass_scale(theta, z2, R)
 
     def f(t: float) -> float:
         return _potential(t, scale, R)
 
-    # Linear probes plus a geometric ladder toward the lower end: the dip can
-    # sit arbitrarily close to the left endpoint when the angle nears the guard.
-    probes = [lo + frac * (hi - lo) for frac in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    probes += [lo + (hi - lo) * 2.0**-k for k in range(2, 50)]
-    if min(f(p) for p in probes) >= min(f(lo), f(hi)):
-        raise ValueError(f"bracket [{lo:g}, {hi:g}] does not contain an interior minimum")
+    # Linear probes plus a geometric ladder toward 0: the dip can sit
+    # arbitrarily close to 0 when the angle nears the guard.
+    probes = [frac * hi for frac in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    probes += [hi * 2.0**-k for k in range(2, 50)]
+    if min(f(p) for p in probes) >= min(f(0.0), f(hi)):
+        raise ValueError(f"tachyon potential underflows at z2={z2!r}: its minimum is not resolved")
 
     # bring the bracket down far enough that one Newton step lands within tol
-    golden_tol = min((hi - lo) * 1e-7, math.sqrt(tol) * 1e-2)
-    coarse = golden_section_minimize(f, lo, hi, tol=golden_tol)
+    golden_tol = min(hi * 1e-7, math.sqrt(tol) * 1e-2)
+    coarse = golden_section_minimize(f, 0.0, hi, tol=golden_tol)
     curvature = -2.0 * scale + 12.0 * R * coarse**2
     return coarse - potential_derivative(coarse, theta, z2, R) / curvature
 
@@ -143,7 +134,6 @@ class CondensedBlocks:
     x0 gives blocks stacked along its shape: x0.shape + (2, 2).
     """
 
-    x0: float | np.ndarray
     m1: np.ndarray
     m2: np.ndarray
 
@@ -164,49 +154,38 @@ def condensed_blocks(x0: float | np.ndarray, theta: float, z2: float) -> Condens
     m1[..., 0, 1] = m1[..., 1, 0] = t
     m2[..., 0, 0], m2[..., 1, 1] = y_diag, -y_diag
     m2[..., 0, 1], m2[..., 1, 0] = 1j * t, -1j * t
-    return CondensedBlocks(x0=x0, m1=m1, m2=m2)
-
-
-@dataclass(frozen=True)
-class RecombinedEigenvalues:
-    """Closed-form branch eigenvalues of the condensed blocks."""
-
-    x_minus: float | np.ndarray
-    x_plus: float | np.ndarray
-    y_minus: float | np.ndarray
-    y_plus: float | np.ndarray
+    return CondensedBlocks(m1=m1, m2=m2)
 
 
 def recombined_eigenvalues(
     x0: float | np.ndarray, theta: float, z2: float
-) -> RecombinedEigenvalues:
+) -> tuple[np.ndarray, np.ndarray]:
     """x_d = x0 sin(theta) -/+ t and y_d = -/+ sqrt(x0^2 cos^2(theta) + t^2).
 
-    The minus branch pairs the lowered x_d with the negative y_d root; only
-    this matched pairing turns the hyperbola relation into an identity.
-    Elementwise in x0.  Squares use ``np.float_power`` (libm ``pow``, as the
-    scalar ``x**2``): numpy's ``x**2`` is ``x*x``, which can differ in the last bit.
+    Returns (x_d, y_d), each shaped x0.shape + (2,) with the branches on the
+    last axis in BRANCHES order.  The minus branch pairs the lowered x_d with
+    the negative y_d root; only this matched pairing turns the hyperbola
+    relation into an identity.  Squares use ``np.float_power`` (libm ``pow``,
+    as the scalar ``x**2``): numpy's ``x**2`` is ``x*x``, which can differ in
+    the last bit.
     """
     t = condensate_amplitude(theta, z2)
     base = np.multiply(x0, math.sin(theta))
     y = np.sqrt(np.float_power(x0, 2.0) * math.cos(theta) ** 2 + t**2)
-    return RecombinedEigenvalues(x_minus=base - t, x_plus=base + t, y_minus=-y, y_plus=y)
+    return np.add.outer(base, (-t, t)), np.multiply.outer(y, (-1.0, 1.0))
 
 
-def hyperbola_residual(
-    x_d: float | np.ndarray, y_d: float | np.ndarray, theta: float, z2: float, branch: str
-) -> float | np.ndarray:
-    """Gap in the recombination relation for one branch, elementwise.
+def hyperbola_residual(x_d: np.ndarray, y_d: np.ndarray, theta: float, z2: float) -> np.ndarray:
+    """Gap in the recombination relation, elementwise, branches on the last axis.
 
     (x_d + t)^2 = tan^2(theta) (y_d^2 - t^2) on the minus branch, with the
-    sign of the shift flipped on the plus branch; both sides reduce to
+    sign of the shift flipped on the plus branch: the shift (t, -t) applies
+    along the last axis, in BRANCHES order.  Both sides reduce to
     x0^2 sin^2(theta) when the branches are paired as constructed, so a
     mismatched pairing shows up as a nonzero residual.
     """
     t = condensate_amplitude(theta, z2)
-    if branch not in BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}")
-    lhs = np.float_power(x_d + (t if branch == BRANCH_MINUS else -t), 2.0)
+    lhs = np.float_power(np.add(x_d, (t, -t)), 2.0)
     rhs = math.tan(theta) ** 2 * (np.float_power(y_d, 2.0) - t**2)
     return np.abs(lhs - rhs)
 
@@ -229,11 +208,6 @@ class RecombinationCurve:
     asymptotes: tuple[CurvePoint, ...]
     max_residual: float
     max_eigensolve_gap: float
-
-
-def _branch_columns(eigs: RecombinedEigenvalues) -> tuple[np.ndarray, np.ndarray]:
-    """x_d and y_d as (P, 2) arrays with columns in BRANCHES order."""
-    return np.stack([eigs.x_minus, eigs.x_plus], 1), np.stack([eigs.y_minus, eigs.y_plus], 1)
 
 
 def _curve_points(grid, branches, x_d, y_d, residual) -> tuple[CurvePoint, ...]:
@@ -261,10 +235,8 @@ def sample_curve(
     if not x0_min < x0_max:
         raise ValueError(f"degenerate grid [{x0_min!r}, {x0_max!r}]")
     grid = np.linspace(x0_min, x0_max, n_points)
-    x_d, y_d = _branch_columns(recombined_eigenvalues(grid, theta, z2))
-    residual = np.stack(
-        [hyperbola_residual(x_d[:, i], y_d[:, i], theta, z2, b) for i, b in enumerate(BRANCHES)], 1
-    )
+    x_d, y_d = recombined_eigenvalues(grid, theta, z2)
+    residual = hyperbola_residual(x_d, y_d, theta, z2)
     blocks = condensed_blocks(grid, theta, z2)
     x_vals = np.linalg.eigh(blocks.m1).eigenvalues
     y_vals = np.linalg.eigh(blocks.m2).eigenvalues
@@ -293,7 +265,7 @@ def asymmetry_gap(curve: RecombinationCurve) -> float:
     x0, _, x_d, y_d, _ = zip(*curve.points)
     mirrored = recombined_eigenvalues(-np.array(x0[::2]), curve.theta, curve.z2)
     # axes: grid point, reflected branch, compared branch
-    mirrored_x, mirrored_y = (column[:, :, None] for column in _branch_columns(mirrored))
+    mirrored_x, mirrored_y = (column[:, :, None] for column in mirrored)
     here_x, here_y = np.reshape(x_d, (-1, 1, 2)), np.reshape(y_d, (-1, 1, 2))
     distance = np.maximum(np.abs(-mirrored_x - here_x), np.abs(mirrored_y - here_y))
     return float(np.min(distance))

@@ -6,7 +6,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
-from .oscillator import DEFAULT_ANGLE_GUARD, validate_angle, validate_positive
+from .oscillator import validate_angle, validate_positive
 
 ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 
@@ -43,7 +43,7 @@ class RunConfig:
     output_format: str = FORMAT_DELIMITED
 
     def validate(self) -> "RunConfig":
-        validate_angle(self.theta, DEFAULT_ANGLE_GUARD)
+        validate_angle(self.theta)
         validate_positive("z2", self.z2)
         validate_positive("R", self.R)
         if self.N < 4:

@@ -39,10 +39,6 @@ class IdentityReport:
     verdict: str
     extra: tuple[tuple[str, float], ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != VERDICT_VIOLATED
-
 
 def _tr(x: np.ndarray) -> complex:
     return complex(np.trace(x))
@@ -69,15 +65,15 @@ def random_fluctuation(rng: np.random.Generator, n: int) -> OffDiagonalFluctuati
 
 
 def momentum_polynomial_fluctuation(
-    bg: BraneBackground, rng: np.random.Generator, degree: int = 3
+    bg: BraneBackground, rng: np.random.Generator
 ) -> OffDiagonalFluctuation:
-    """Fluctuation whose blocks are complex polynomials of the relative P."""
+    """Fluctuation whose blocks are complex cubic polynomials of the relative P."""
     powers = [np.eye(bg.n_levels, dtype=complex)]
-    for _ in range(degree):
+    for _ in range(3):
         powers.append(powers[-1] @ bg.p_rel)
     blocks = []
     for _ in range(3):
-        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         blocks.append(sum(c * p for c, p in zip(coeffs, powers)))
     return OffDiagonalFluctuation(*blocks)
 

@@ -19,11 +19,11 @@ import numpy as np
 DEFAULT_ANGLE_GUARD = 1e-3
 
 
-def validate_angle(theta: float, angle_guard: float = DEFAULT_ANGLE_GUARD) -> None:
-    """Reject intersection angles outside [0, pi/2 - angle_guard]."""
-    if not 0.0 <= theta <= math.pi / 2 - angle_guard:
+def validate_angle(theta: float) -> None:
+    """Reject intersection angles outside [0, pi/2 - DEFAULT_ANGLE_GUARD]."""
+    if not 0.0 <= theta <= math.pi / 2 - DEFAULT_ANGLE_GUARD:
         raise ValueError(
-            f"intersection angle {theta!r} outside [0, pi/2 - {angle_guard:g}]"
+            f"intersection angle {theta!r} outside [0, pi/2 - {DEFAULT_ANGLE_GUARD:g}]"
         )
 
 
@@ -59,9 +59,7 @@ def make_qp(dim: int, z2: float) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def bogoliubov_coefficients(
-    theta: float, angle_guard: float = DEFAULT_ANGLE_GUARD
-) -> tuple[float, float]:
+def bogoliubov_coefficients(theta: float) -> tuple[float, float]:
     """Mixing coefficients (c_minus, c_plus) of the angled-mode oscillator.
 
     c_minus = (1 - cos t)/sqrt(4 cos t) multiplies the creation operator,
@@ -69,21 +67,19 @@ def bogoliubov_coefficients(
     on the unit hyperbola c_plus**2 - c_minus**2 = 1, which is what keeps
     the transformed mode canonical.
     """
-    validate_angle(theta, angle_guard)
+    validate_angle(theta)
     cos_t = math.cos(theta)
     denom = math.sqrt(4.0 * cos_t)
     return (1.0 - cos_t) / denom, (1.0 + cos_t) / denom
 
 
-def bogoliubov(
-    dim: int, theta: float, angle_guard: float = DEFAULT_ANGLE_GUARD
-) -> np.ndarray:
+def bogoliubov(dim: int, theta: float) -> np.ndarray:
     """Bogoliubov-rotated annihilation operator A = c_minus a^dag + c_plus a.
 
     [A, A^dag] = 1 on the interior (margin 2: A mixes neighbouring levels).
     At theta = 0 this is the plain ladder operator.
     """
-    c_minus, c_plus = bogoliubov_coefficients(theta, angle_guard)
+    c_minus, c_plus = bogoliubov_coefficients(theta)
     a, a_dag = make_ladder(dim)
     return c_minus * a_dag + c_plus * a
 

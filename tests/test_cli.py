@@ -309,6 +309,14 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert len(err.splitlines()) == 1 and error in err
 
 
+def test_underflowing_potential_is_invalid_input(capsys):
+    code, out, err = run(capsys, "condense", "--z2", "1e-200")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "underflows" in err
+    assert "bracket" not in err
+
+
 def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.34 TiB for an array")

@@ -16,7 +16,6 @@ from branekit import (
     sample_curve,
     tachyon_potential,
 )
-from branekit.condensation import RecombinedEigenvalues
 
 PI_THIRD = math.pi / 3
 
@@ -77,10 +76,13 @@ def test_numeric_minimum_guards():
         numeric_minimum(PI_THIRD, 1.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         numeric_minimum(PI_THIRD, 1.0, 1.0, tol=math.nan)
-    with pytest.raises(ValueError):
-        numeric_minimum(PI_THIRD, 1.0, 1.0, bracket=(5.0, 9.0))  # no interior minimum
-    with pytest.raises(ValueError):
-        numeric_minimum(PI_THIRD, 1.0, 1.0, bracket=(2.0, 2.0))
+
+
+def test_numeric_minimum_names_an_underflowing_potential():
+    # V at the minimum, -R (2 pi z2 cos theta)^2, is below the smallest float
+    with pytest.raises(ValueError, match="underflows") as info:
+        numeric_minimum(PI_THIRD, 1e-200, 1.0)
+    assert "bracket" not in str(info.value)
 
 
 def test_condensed_blocks_structure():
@@ -103,63 +105,57 @@ def test_condensate_vanishes_with_flux():
 
 
 def test_recombined_eigenvalues_frozen_point():
-    eigs = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
     t = math.sqrt(math.pi / 2.0)
-    assert eigs.x_minus == pytest.approx(math.sqrt(3.0) / 2.0 - t, abs=1e-14)
-    assert eigs.x_plus == pytest.approx(math.sqrt(3.0) / 2.0 + t, abs=1e-14)
+    assert x_d[..., 0] == pytest.approx(math.sqrt(3.0) / 2.0 - t, abs=1e-14)
+    assert x_d[..., 1] == pytest.approx(math.sqrt(3.0) / 2.0 + t, abs=1e-14)
     y = math.sqrt(0.25 + math.pi / 2.0)
-    assert eigs.y_minus == pytest.approx(-y, abs=1e-14)
-    assert eigs.y_plus == pytest.approx(y, abs=1e-14)
+    assert y_d[..., 0] == pytest.approx(-y, abs=1e-14)
+    assert y_d[..., 1] == pytest.approx(y, abs=1e-14)
     # the 5-digit values: 0.86603 -/+ 1.25331 and -/+ 1.34937
-    assert eigs.x_minus == pytest.approx(0.86603 - 1.25331, abs=1e-5)
-    assert eigs.y_plus == pytest.approx(1.34937, abs=1e-5)
+    assert x_d[..., 0] == pytest.approx(0.86603 - 1.25331, abs=1e-5)
+    assert y_d[..., 1] == pytest.approx(1.34937, abs=1e-5)
 
 
 def test_recombined_branes_separate_at_origin():
-    eigs = recombined_eigenvalues(0.0, PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(0.0, PI_THIRD, 1.0)
     t = condensate_amplitude(PI_THIRD, 1.0)
-    assert eigs.x_minus == pytest.approx(-t) and eigs.x_plus == pytest.approx(t)
-    assert eigs.y_minus == pytest.approx(-t) and eigs.y_plus == pytest.approx(t)
+    assert x_d[..., 0] == pytest.approx(-t) and x_d[..., 1] == pytest.approx(t)
+    assert y_d[..., 0] == pytest.approx(-t) and y_d[..., 1] == pytest.approx(t)
 
 
 def test_tiny_flux_recovers_intersecting_lines():
-    eigs = recombined_eigenvalues(2.0, PI_THIRD, 1e-16)
-    assert eigs.x_minus == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
-    assert eigs.x_plus == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
-    assert eigs.y_plus == pytest.approx(2.0 * math.cos(PI_THIRD), abs=1e-7)
+    x_d, y_d = recombined_eigenvalues(2.0, PI_THIRD, 1e-16)
+    assert x_d[..., 0] == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
+    assert x_d[..., 1] == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
+    assert y_d[..., 1] == pytest.approx(2.0 * math.cos(PI_THIRD), abs=1e-7)
 
 
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 0.7, 3.0])
 def test_eigensolve_agrees_with_closed_forms(x0):
-    closed = recombined_eigenvalues(x0, PI_THIRD, 1.0)
+    closed_x, closed_y = recombined_eigenvalues(x0, PI_THIRD, 1.0)
     blocks = condensed_blocks(x0, PI_THIRD, 1.0)
     x_vals = np.linalg.eigh(blocks.m1).eigenvalues
     y_vals = np.linalg.eigh(blocks.m2).eigenvalues
-    np.testing.assert_allclose(
-        sorted([closed.x_minus, closed.x_plus]), x_vals, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        sorted([closed.y_minus, closed.y_plus]), y_vals, atol=1e-12
-    )
+    np.testing.assert_allclose(sorted(closed_x), x_vals, atol=1e-12)
+    np.testing.assert_allclose(sorted(closed_y), y_vals, atol=1e-12)
 
 
 def test_hyperbola_identity_both_sides():
-    eigs = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
     t = condensate_amplitude(PI_THIRD, 1.0)
-    lhs = (eigs.x_minus + t) ** 2
+    lhs = (x_d[..., 0] + t) ** 2
     assert lhs == pytest.approx(0.75, abs=1e-13)  # x0^2 sin^2 theta
-    assert hyperbola_residual(eigs.x_minus, eigs.y_minus, PI_THIRD, 1.0, "minus") <= 1e-12
-    assert hyperbola_residual(eigs.x_plus, eigs.y_plus, PI_THIRD, 1.0, "plus") <= 1e-12
+    residual = hyperbola_residual(x_d, y_d, PI_THIRD, 1.0)
+    assert residual[..., 0] <= 1e-12
+    assert residual[..., 1] <= 1e-12
 
 
 def test_hyperbola_mismatched_branch_flags():
-    eigs = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
-    assert hyperbola_residual(eigs.x_minus, eigs.y_minus, PI_THIRD, 1.0, "plus") > 0.1
-
-
-def test_hyperbola_rejects_unknown_branch():
-    with pytest.raises(ValueError):
-        hyperbola_residual(0.0, 0.0, PI_THIRD, 1.0, "upper")
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
+    # swapped x_d columns: the minus branch's x_d under the plus shift
+    residual = hyperbola_residual(x_d[..., ::-1], y_d, PI_THIRD, 1.0)
+    assert residual[..., 1] > 0.1
 
 
 def test_sample_curve_residuals_and_routes():
@@ -191,11 +187,11 @@ def test_tiny_flux_curve_coincides_with_asymptotes():
 def test_large_x0_asymptotics():
     # constant x_d offset from the same-parameter asymptote point, slope -> tan(theta)
     t = condensate_amplitude(PI_THIRD, 1.0)
-    big = recombined_eigenvalues(1e3, PI_THIRD, 1.0)
-    assert big.x_minus - 1e3 * math.sin(PI_THIRD) == pytest.approx(-t, abs=1e-12)
-    assert big.x_plus - 1e3 * math.sin(PI_THIRD) == pytest.approx(t, abs=1e-12)
-    step = recombined_eigenvalues(1e3 + 1e-3, PI_THIRD, 1.0)
-    slope = (step.x_minus - big.x_minus) / (step.y_minus - big.y_minus)
+    big_x, big_y = recombined_eigenvalues(1e3, PI_THIRD, 1.0)
+    assert big_x[..., 0] - 1e3 * math.sin(PI_THIRD) == pytest.approx(-t, abs=1e-12)
+    assert big_x[..., 1] - 1e3 * math.sin(PI_THIRD) == pytest.approx(t, abs=1e-12)
+    step_x, step_y = recombined_eigenvalues(1e3 + 1e-3, PI_THIRD, 1.0)
+    slope = (step_x[..., 0] - big_x[..., 0]) / (step_y[..., 0] - big_y[..., 0])
     assert abs(slope) == pytest.approx(math.tan(PI_THIRD), rel=1e-5)
 
 
@@ -220,7 +216,8 @@ def test_asymmetry_scales_as_root_flux():
 
 def test_sample_curve_keeps_nan_in_maxima(monkeypatch):
     def nan_eigenvalues(x0, *args):
-        return RecombinedEigenvalues(*[np.full_like(x0, math.nan)] * 4)
+        nan = np.full(np.shape(x0) + (2,), math.nan)
+        return nan, nan
 
     monkeypatch.setattr("branekit.condensation.recombined_eigenvalues", nan_eigenvalues)
     curve = sample_curve(-3.0, 3.0, 11, math.pi / 3, 1.0)

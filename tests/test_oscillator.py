@@ -92,17 +92,12 @@ def test_bogoliubov_interior_commutator(theta):
     assert max_interior_residual(comm, 1.0, margin=2) <= 1e-12
 
 
-@pytest.mark.parametrize("theta", [-0.1, math.pi / 2, math.pi / 2 - 1e-4, 2.0])
+@pytest.mark.parametrize(
+    "theta", [-0.1, math.pi / 2, math.pi / 2 - 1e-4, math.pi / 2 - 5e-4, 2.0]
+)
 def test_bogoliubov_rejects_bad_angles(theta):
     with pytest.raises(ValueError):
         bogoliubov(8, theta)
-
-
-def test_bogoliubov_custom_angle_guard():
-    theta = math.pi / 2 - 5e-4
-    with pytest.raises(ValueError):
-        bogoliubov(8, theta)
-    bogoliubov(8, theta, angle_guard=1e-4)
 
 
 def test_self_commutator_vanishes():
