@@ -163,7 +163,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
 
     transverse_horizon = config.N - 1 - config.margin_k
     transverse_gap = transverse_interior_gap(config.N, config.margin_k, config.theta)
-    transverse_ok = transverse_gap <= 1e-10 * max(1.0, math.cos(config.theta) * config.N)
+    transverse_tol = 1e-10 * max(1.0, math.cos(config.theta) * config.N)
+    transverse_ok = transverse_gap <= transverse_tol
 
     # a line is trusted up to its horizon; the fermion table is analytic only
     tables = (
@@ -198,7 +199,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
             f"trust horizon n <= {match.horizon} with {match.trusted_count} trusted eigenvalues"
             f" ({'all matched' if match.all_matched else 'UNMATCHED PRESENT'})",
             f"tachyon line: {'unique trusted negative at -scale' if tachyon_ok else 'MISSING OR NOT UNIQUE'}",
-            f"transverse interior gap = {transverse_gap:.3e} ({'pass' if transverse_ok else 'FAIL'})",
+            f"transverse interior gap = {transverse_gap:.3e} "
+            f"({'pass' if transverse_ok else 'FAIL'} at {transverse_tol:.1e})",
         ),
     )
 
@@ -280,12 +282,19 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
     )
     stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
     stationarity_scale = 2.0 * mass_scale(config.theta, config.z2, config.R) * pot.tmin
+    stationarity_tol = config.tol("stationarity") * max(1.0, stationarity_scale)
     minimizer_gap = abs(tmin_numeric - pot.tmin)
 
-    ok = (
-        minimizer_gap <= config.tol("minimizer")
-        and stationarity <= config.tol("stationarity") * max(1.0, stationarity_scale)
-    )
+    gap_failed = not minimizer_gap <= config.tol("minimizer")
+    stationarity_failed = not stationarity <= stationarity_tol
+    failed = [
+        gate
+        for gate, bad in (
+            ("analytic/numeric minimizer disagreement", gap_failed),
+            ("stationarity residual at the analytic minimum", stationarity_failed),
+        )
+        if bad
+    ]
     columns = ("quad", "quart", "tmin_analytic", "tmin_numeric", "vmin", "stationarity_residual")
     row = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
     return Report(
@@ -293,12 +302,14 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
         columns=columns,
         rows=[row],
         fields=tuple(zip(columns, row)),
-        passed=ok,
+        passed=not failed,
         notes=(
-            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g} "
-            f"(gap {minimizer_gap:.3e}, tol {config.tol('minimizer'):.1e})",
-            f"vmin = {pot.vmin:.6g}, stationarity residual {stationarity:.3e}",
-            "pass" if ok else "FAIL: analytic/numeric minimizer disagreement",
+            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g}, "
+            f"gap {minimizer_gap:.3e} "
+            f"({'FAIL' if gap_failed else 'pass'} at {config.tol('minimizer'):.1e})",
+            f"vmin = {pot.vmin:.6g}, stationarity residual {stationarity:.3e} "
+            f"({'FAIL' if stationarity_failed else 'pass'} at {stationarity_tol:.1e})",
+            f"FAIL: {'; '.join(failed)}" if failed else "pass",
         ),
     )
 

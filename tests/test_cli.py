@@ -355,6 +355,30 @@ def test_failing_eigensolve_gate_is_named(tmp_path, capsys):
     assert line.endswith("(FAIL at 1.0e-300)")
 
 
+def test_failing_stationarity_gate_is_named(tmp_path, capsys):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("tol_stationarity = 1e-300\n")
+    code, _, err = run(
+        capsys, "condense", "--config", str(cfg), "--theta", "0.3", "--z2", "2.5", "--R", "3"
+    )
+    assert code == 1
+    gap_line, stationarity_line, verdict = err.splitlines()
+    assert gap_line.endswith("(pass at 1.0e-08)")
+    # the bound is tol * max(1, scale), about 7e-298 here
+    assert "(FAIL at 7.0e-298)" in stationarity_line
+    assert verdict == "FAIL: stationarity residual at the analytic minimum"
+
+
+def test_nan_minimizer_gap_fails_closed(capsys, monkeypatch):
+    monkeypatch.setattr("branekit.cli.numeric_minimum", lambda *args, **kwargs: math.nan)
+    code, _, err = run(capsys, "condense")
+    assert code == 1
+    gap_line, stationarity_line, verdict = err.splitlines()
+    assert gap_line.endswith("gap nan (FAIL at 1.0e-08)")
+    assert "(pass at " in stationarity_line
+    assert verdict == "FAIL: analytic/numeric minimizer disagreement"
+
+
 @pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_report_matches_golden(name, fmt, suffix, capsys):
