@@ -68,7 +68,6 @@ from .spectrum import (
     mass_scale,
     match_tower,
     numeric_spectrum,
-    reduced_block,
     rotation_u,
     route_equivalence_residual,
     transverse_interior_gap,

@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import InteriorProjector, commutator, make_qp, validate_angle, validate_positive
+from .oscillator import InteriorProjector, commutator, make_qp
+from .oscillator import validate_angle, validate_levels, validate_positive
+
+#: Largest truncation of the dense 2N x 2N background; ``identities`` builds
+#: one at N // 4 and peaks at about 0.7 GB at this bound.
+MAX_DENSE_LEVELS = 1000
 
 
 def _block_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -44,8 +49,7 @@ def build_background(theta: float, z2: float, R: float, n_levels: int) -> BraneB
     """
     validate_angle(theta)
     validate_positive("tension scale R", R)
-    if n_levels < 4:
-        raise ValueError(f"truncation size must be >= 4, got {n_levels}")
+    validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
     q, p = make_qp(n_levels, z2)
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)

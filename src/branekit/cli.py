@@ -144,10 +144,10 @@ RENDERERS = {FORMAT_DELIMITED: _delimited, FORMAT_STRUCTURED: _structured}
 
 
 def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
-    bg = build_background(config.theta, config.z2, config.R, config.N)
-    op_qp = build_mass_operator_qp(bg)
-    op_fock = build_mass_operator_fock(bg)
-    op_levels = build_mass_operator_levels(bg)
+    params = (config.theta, config.z2, config.R, config.N)
+    op_qp = build_mass_operator_qp(*params)
+    op_fock = build_mass_operator_fock(*params)
+    op_levels = build_mass_operator_levels(*params)
 
     route_residual = route_equivalence_residual(op_qp, op_fock, config.margin_k)
     modes = numeric_spectrum(
@@ -209,6 +209,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
 
 
 def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
+    # built first, so a size past the dense bound fails before any trial runs
+    config_bg = build_background(config.theta, config.z2, config.R, max(config.N // 4, 4))
     reports = []
     n_trials = 100
     for trial in range(n_trials):
@@ -240,8 +242,7 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         for _ in range(3)
     ]
     reports.append(check_quartic_t(*rank_one, seed=config.seed))
-    bg = build_background(config.theta, config.z2, config.R, max(config.N // 4, 4))
-    momentum = momentum_polynomial_fluctuation(bg, rng)
+    momentum = momentum_polynomial_fluctuation(config_bg, rng)
     reports.append(check_quartic_t(momentum.t1, momentum.t2, momentum.t3, seed=config.seed))
     generic = [random_complex(rng, dim) for _ in range(3)]
     reports.append(check_quartic_t(*generic, seed=config.seed))
@@ -416,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (MemoryError, OverflowError, FloatingPointError) as exc:
-        # inputs too large to allocate or to evaluate in floating point
+        # overflowing inputs, and sizes with no bound of their own that
+        # cannot be allocated: `curve --points`, or `n_max` in a config file
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

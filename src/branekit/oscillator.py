@@ -1,10 +1,11 @@
 """Truncated harmonic-oscillator algebra and noncommutative coordinate operators.
 
 Operators are dense complex numpy arrays over the lowest ``dim`` number
-states.  A hard cutoff corrupts the ladder algebra only near the top of the
-truncation, so every canonical relation is stated on the *interior*: the
-levels that remain after masking the top few with an
-:class:`InteriorProjector`.
+states; the mass operators of :mod:`branekit.spectrum` are banded and are
+built from the ladder entries alone (:func:`ladder_entries`).  A hard cutoff
+corrupts the ladder algebra only near the top of the truncation, so every
+canonical relation is stated on the *interior*: the levels that remain after
+masking the top few with an :class:`InteriorProjector`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ def validate_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def validate_levels(what: str, n_levels: int, bound: int) -> None:
+    """Reject a truncation size below 4, or above the ``bound`` of the ``what`` it sizes."""
+    if n_levels < 4:
+        raise ValueError(f"truncation size must be >= 4, got {n_levels}")
+    if n_levels > bound:
+        raise ValueError(f"{what} truncation size {n_levels} exceeds its bound {bound}")
+
+
+def ladder_entries(dim: int) -> np.ndarray:
+    """The nonzero entries sqrt(m), m = 1..dim-1, of the annihilation operator."""
+    return np.sqrt(np.arange(1, dim, dtype=float))
+
+
 def make_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation/creation pair on a ``dim``-level truncation.
 
@@ -41,7 +55,7 @@ def make_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if dim < 2:
         raise ValueError(f"truncation size must be >= 2, got {dim}")
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+    a = np.diag(ladder_entries(dim), 1).astype(complex)
     return a, a.conj().T
 
 
@@ -119,9 +133,6 @@ class InteriorProjector:
         if self.margin:
             m[self.dim - self.margin :] = 0.0
         return m
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.mask()).astype(complex)
 
     def apply(self, op: np.ndarray) -> np.ndarray:
         """Interior part P op P (entrywise masking, no basis change)."""

@@ -1,7 +1,11 @@
-"""Quadratic fluctuation operator, its two assemblies, and the mode spectrum.
+"""Quadratic fluctuation operator, its three assemblies, and the mode spectrum.
 
 The off-diagonal fluctuation between the branes has a 3N x 3N Hermitian mass
-operator.  It is assembled three ways:
+operator made of nine N x N field blocks.  Each block is a product of two of
+the ladder-like operators a, a^dag, Q, P and A, which are tridiagonal with a
+zero diagonal, so it has entries only on the diagonals at offsets -2, 0 and 2.
+A :class:`MassOperator` stores just those diagonals, 27 numbers per level.
+It is assembled three ways:
 
 * ``build_mass_operator_qp`` writes it in the unrotated fields from the
   relative coordinates Q, P ("T" basis).
@@ -15,10 +19,10 @@ operator.  It is assembled three ways:
   so the trusted spectral window is widest; this is the assembly used for
   numeric spectrum verification.
 
-``numeric_spectrum`` solves each assembly per connected component of its
-nonzero pattern (1x1 and 2x2 level blocks in the number basis), not as one
-dense 3N x 3N matrix; the whole-matrix solve is kept in the tests as the
-oracle it is checked against.
+In the number basis the operator is a direct sum of 1x1 and 2x2 level
+blocks; ``numeric_spectrum`` reads them off the diagonals and solves them in
+stacked ``eigh`` calls.  The dense assemblies, route check and whole-matrix
+solve are kept in the tests as the oracles all of this is checked against.
 
 All eigenvalues are reported both raw (energy^2) and in units of the natural
 scale 4*pi*z2*R*cos(theta), in which the closed-form tower reads: -1 once at
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BraneBackground
-from .oscillator import InteriorProjector, bogoliubov, make_ladder
+from .oscillator import InteriorProjector, bogoliubov_coefficients, ladder_entries
+from .oscillator import validate_angle, validate_levels, validate_positive
 
 SECTOR_TACHYON = "offdiag-tachyon"
 SECTOR_ZERO = "offdiag-zero"
@@ -50,6 +54,16 @@ BASIS_LEVELS = "Ttilde-number"
 #: eigenvector is considered contaminated by the cutoff.
 TRUST_MASS_THRESHOLD = 1e-6
 
+#: Largest truncation the mass-operator builders accept.  Storage is linear
+#: in N; a whole ``spectrum`` run at this size peaks well under 1 GB.
+MAX_BAND_LEVELS = 100_000
+
+#: Diagonal offsets held by the band storage of a :class:`MassOperator`.
+OFFSETS = (-2, 0, 2)
+
+#: The identity in band storage, broadcast over the levels.
+_EYE = np.array([[0.0], [1.0], [0.0]])
+
 
 def rotation_u() -> np.ndarray:
     """Unitary 3x3 rotation from the unrotated to the rotated fields.
@@ -64,7 +78,12 @@ def rotation_u() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MassOperator:
-    """Hermitian 3N x 3N fluctuation operator with its natural energy^2 unit."""
+    """Hermitian 3N x 3N fluctuation operator with its natural energy^2 unit.
+
+    ``matrix`` is band storage, not a dense matrix: an array of shape
+    (3, 3, 3, N) whose entry [a, b, k, i] is entry (i, i + OFFSETS[k]) of
+    the field block M_ab.  Positions past the edge of a block hold zero.
+    """
 
     basis: str
     matrix: np.ndarray
@@ -72,18 +91,44 @@ class MassOperator:
     n_levels: int
 
 
-def _assemble(b11, b12, b21, b22, b33) -> np.ndarray:
-    n = b11.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    return np.block([[b11, b12, zero], [b21, b22, zero], [zero, zero, b33]])
-
-
 def mass_scale(theta: float, z2: float, R: float) -> float:
     """Natural unit of the fluctuation operator: 4*pi*z2*R*cos(theta)."""
     return 4.0 * math.pi * z2 * R * math.cos(theta)
 
 
-def build_mass_operator_qp(bg: BraneBackground) -> MassOperator:
+def _checked_scale(theta: float, z2: float, R: float, n_levels: int) -> float:
+    """The mass scale, once every builder's checks pass, before it allocates."""
+    validate_angle(theta)
+    validate_positive("tension scale R", R)
+    validate_levels("mass operator", n_levels, MAX_BAND_LEVELS)
+    validate_positive("flux density z2", z2)
+    return mass_scale(theta, z2, R)
+
+
+def _product(x: tuple, y: tuple) -> np.ndarray:
+    """Diagonals (offsets -2, 0, 2) of XY, for tridiagonal X and Y with zero diagonal.
+
+    An operand is the pair (lower, upper) with X[i+1, i] = lower[i] and
+    X[i, i+1] = upper[i].  Each entry of XY is a sum of at most two
+    products, the same ones the dense matrix product adds.
+    """
+    (x_lower, x_upper), (y_lower, y_upper) = x, y
+    out = np.zeros((3, x_lower.size + 1), dtype=complex)
+    out[0, 2:] = x_lower[1:] * y_lower[:-1]
+    out[1, 1:] = x_lower * y_upper
+    out[1, :-1] += x_upper * y_lower
+    out[2, :-2] = x_upper[:-1] * y_upper[1:]
+    return out
+
+
+def _field_blocks(b11, b12, b21, b22, b33) -> np.ndarray:
+    """Band storage of [[b11, b12, 0], [b21, b22, 0], [0, 0, b33]]."""
+    band = np.zeros((3, 3) + b11.shape, dtype=complex)
+    band[0, 0], band[0, 1], band[1, 0], band[1, 1], band[2, 2] = b11, b12, b21, b22, b33
+    return band
+
+
+def build_mass_operator_qp(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
     """Mass operator in the unrotated fields, from the relative coordinates.
 
     The relative pair is the difference of two independent canonical pairs
@@ -94,52 +139,44 @@ def build_mass_operator_qp(bg: BraneBackground) -> MassOperator:
     operator on the interior, and the lowest interior eigenvalue is
     -4*pi*z2*R*cos(theta).
     """
-    cos_t = math.cos(bg.theta)
-    q = math.sqrt(2.0) * bg.q_rel
-    p = math.sqrt(2.0) * bg.p_rel
-    sigma = 4.0 * math.pi * bg.z2
-    eye = np.eye(bg.n_levels, dtype=complex)
-    b11 = cos_t**2 * (p @ p)
-    b12 = -cos_t * (p @ q - 1j * sigma * eye)
-    b21 = -cos_t * (q @ p + 1j * sigma * eye)
-    b22 = q @ q
-    b33 = cos_t**2 * (p @ p) + q @ q
-    matrix = bg.R * _assemble(b11, b12, b21, b22, b33)
-    return MassOperator(
-        basis=BASIS_QP,
-        matrix=matrix,
-        scale=mass_scale(bg.theta, bg.z2, bg.R),
-        n_levels=bg.n_levels,
+    scale = _checked_scale(theta, z2, R, n_levels)
+    cos_t = math.cos(theta)
+    # Q = g (a + a^dag) and P = -i g (a - a^dag), g = sqrt(2 pi z2) sqrt(m)
+    g = (math.sqrt(2.0) * (math.sqrt(math.pi * z2) * ladder_entries(n_levels))).astype(complex)
+    q = (g, g)
+    p = (1j * g, -1j * g)
+    sigma = 4.0 * math.pi * z2
+    pp, qq = _product(p, p), _product(q, q)
+    b11 = cos_t**2 * pp
+    b12 = -cos_t * (_product(p, q) - 1j * sigma * _EYE)
+    b21 = -cos_t * (_product(q, p) + 1j * sigma * _EYE)
+    b33 = cos_t**2 * pp + qq
+    return MassOperator(BASIS_QP, R * _field_blocks(b11, b12, b21, qq, b33), scale, n_levels)
+
+
+def _rotated_blocks(c_minus: float, c_plus: float, n_levels: int, scale: float) -> np.ndarray:
+    """Band storage of the rotated-field operator for the mode c_minus a^dag + c_plus a."""
+    root = ladder_entries(n_levels).astype(complex)
+    mode = (c_minus * root, c_plus * root)
+    mode_dag = (mode[1].conj(), mode[0].conj())
+    number = _product(mode_dag, mode)
+    return scale * _field_blocks(
+        number - _EYE,
+        _product(mode_dag, mode_dag),
+        _product(mode, mode),
+        number + 2.0 * _EYE,
+        2.0 * number + _EYE,
     )
 
 
-def _fock_blocks(mode: np.ndarray, scale: float) -> np.ndarray:
-    n = mode.shape[0]
-    eye = np.eye(n, dtype=complex)
-    mode_dag = mode.conj().T
-    number = mode_dag @ mode
-    return scale * _assemble(
-        number - eye,
-        mode_dag @ mode_dag,
-        mode @ mode,
-        number + 2.0 * eye,
-        2.0 * number + eye,
-    )
-
-
-def build_mass_operator_fock(bg: BraneBackground) -> MassOperator:
+def build_mass_operator_fock(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
     """Mass operator in the rotated fields, same Fock basis as Q and P."""
-    scale = mass_scale(bg.theta, bg.z2, bg.R)
-    mode = bogoliubov(bg.n_levels, bg.theta)
-    return MassOperator(
-        basis=BASIS_FOCK,
-        matrix=_fock_blocks(mode, scale),
-        scale=scale,
-        n_levels=bg.n_levels,
-    )
+    scale = _checked_scale(theta, z2, R, n_levels)
+    band = _rotated_blocks(*bogoliubov_coefficients(theta), n_levels, scale)
+    return MassOperator(BASIS_FOCK, band, scale, n_levels)
 
 
-def build_mass_operator_levels(bg: BraneBackground) -> MassOperator:
+def build_mass_operator_levels(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
     """Rotated-field mass operator in its own oscillator's number basis.
 
     The rotated mode acts as the plain ladder on its eigenfunctions, so the
@@ -147,14 +184,8 @@ def build_mass_operator_levels(bg: BraneBackground) -> MassOperator:
     Cutoff artifacts are confined to the top two levels per block here,
     which makes this the assembly of choice for spectrum verification.
     """
-    scale = mass_scale(bg.theta, bg.z2, bg.R)
-    ladder, _ = make_ladder(bg.n_levels)
-    return MassOperator(
-        basis=BASIS_LEVELS,
-        matrix=_fock_blocks(ladder, scale),
-        scale=scale,
-        n_levels=bg.n_levels,
-    )
+    scale = _checked_scale(theta, z2, R, n_levels)
+    return MassOperator(BASIS_LEVELS, _rotated_blocks(0.0, 1.0, n_levels, scale), scale, n_levels)
 
 
 def route_equivalence_residual(
@@ -164,8 +195,8 @@ def route_equivalence_residual(
 
     Conjugates the unrotated-field operator by (U x interior projector) and
     compares against the rotated-field operator masked to the same interior.
-    The rotation only mixes the three N x N field blocks, so the conjugate is
-    formed block by block on the interior: X_ad = sum_c U[a,c] M_cd, then
+    The rotation only mixes the nine field blocks, so the conjugate is formed
+    on their masked diagonals: X_ad = sum_c U[a,c] M_cd, then
     sum_d X_ad conj(U[b,d]).  That is the grouping of the dense product
     (U x P) M (U x P)^dag, which keeps the residual identical to it.
     """
@@ -173,36 +204,19 @@ def route_equivalence_residual(
         raise ValueError("operators live on different truncations")
     n = op_qp.n_levels
     k = InteriorProjector(n, margin).interior_dim
+    levels = np.arange(n)
+    columns = levels + np.array(OFFSETS)[:, None]
+    interior = (levels < k) & (columns >= 0) & (columns < k)
+    m = np.where(interior, op_qp.matrix, 0.0)
+    f = np.where(interior, op_fock.matrix, 0.0)
     u = rotation_u()
-    m = op_qp.matrix.reshape(3, n, 3, n)[:, :k, :, :k]
-    f = op_fock.matrix.reshape(3, n, 3, n)[:, :k, :, :k]
-    x = [[sum(u[a, c] * m[c, :, d, :] for c in range(3)) for d in range(3)] for a in range(3)]
+    x = [[sum(u[a, c] * m[c, d] for c in range(3)) for d in range(3)] for a in range(3)]
     block_residuals = [
-        np.max(np.abs(sum(x[a][d] * u[b, d].conjugate() for d in range(3)) - f[a, :, b, :]))
+        np.max(np.abs(sum(x[a][d] * u[b, d].conjugate() for d in range(3)) - f[a, b]))
         for a in range(3)
         for b in range(3)
     ]
     return float(np.max(block_residuals) / op_fock.scale)
-
-
-def reduced_block(n: int, theta: float, z2: float, R: float) -> np.ndarray:
-    """Per-level block of the rotated-field operator.
-
-    Acts on the coefficient triple of (level n, level n-2, level n-1); rows
-    and columns referencing nonexistent levels are removed, so the block is
-    1x1 at n=0 and 2x2 at n=1.  Entries carry the full energy^2 scale.
-    """
-    if n < 0:
-        raise ValueError(f"level index must be nonnegative, got {n}")
-    scale = mass_scale(theta, z2, R)
-    if n == 0:
-        return scale * np.array([[-1.0]])
-    if n == 1:
-        return scale * np.array([[0.0, 0.0], [0.0, 1.0]])
-    off = math.sqrt(n * (n - 1.0))
-    return scale * np.array(
-        [[n - 1.0, off, 0.0], [off, float(n), 0.0], [0.0, 0.0, 2.0 * n - 1.0]]
-    )
 
 
 @dataclass(frozen=True)
@@ -314,67 +328,16 @@ class NumericMode:
     top_mass: float
 
 
-def _components(matrix: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern, grouped by size.
+def _hermiticity_residual(band: np.ndarray) -> float:
+    """Largest entry of |M - M^dag|, from band storage.
 
-    Returns one (count, size) index array per component size; each row
-    lists one component's indices in ascending order.  Labels start as the
-    indices and shrink to the smallest index reachable, by neighbour minima
-    plus pointer jumping, so chains converge in about log(length) sweeps.
+    The partner of entry (i, i + OFFSETS[k]) of block (a, b) is held in band
+    (b, a, 2 - k) at level i + OFFSETS[k]; past the block edge it is zero.
     """
-    pattern = matrix != 0
-    rows, cols = np.nonzero(pattern | pattern.T)
-    labels = np.arange(matrix.shape[0])
-    while True:
-        lowered = labels.copy()
-        np.minimum.at(lowered, rows, labels[cols])
-        lowered = lowered[lowered]
-        if np.array_equal(lowered, labels):
-            break
-        labels = lowered
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    sizes = np.diff(starts, append=order.size)
-    return [
-        order[starts[sizes == size][:, None] + np.arange(size)]
-        for size in sorted(set(sizes.tolist()))
-    ]
-
-
-def _cluster_trust(
-    values: np.ndarray,
-    vectors: np.ndarray,
-    top: np.ndarray,
-    masses: np.ndarray,
-    mass_threshold: float,
-    cluster_tol: float,
-) -> np.ndarray:
-    """Trust flags of one component's eigenpairs, decided per cluster.
-
-    The solver returns arbitrary mixtures inside a degenerate subspace, so a
-    cluster (eigenvalues closer than ``cluster_tol``) counts its independent
-    interior directions, the eigenvalues of the top-mass Gram form below the
-    threshold, and trusts that many of its lowest-mass members.
-    """
-    trusted = np.zeros(values.size, dtype=bool)
-    start = 0
-    while start < values.size:
-        stop = start + 1
-        while stop < values.size and values[stop] - values[stop - 1] <= cluster_tol:
-            stop += 1
-        idx = np.arange(start, stop)
-        if idx.size == 1:
-            trusted[idx] = masses[idx] <= mass_threshold
-        else:
-            vecs = vectors[:, idx]
-            gram = vecs.conj().T @ (top[:, None] * vecs)
-            interior_directions = int(
-                np.sum(np.linalg.eigvalsh(gram) <= mass_threshold)
-            )
-            order = idx[np.argsort(masses[idx], kind="stable")]
-            trusted[order[:interior_directions]] = True
-        start = stop
-    return trusted
+    n = band.shape[-1]
+    mirrored = np.pad(band, [(0, 0)] * 3 + [(2, 2)]).transpose(1, 0, 2, 3)[:, :, ::-1].conj()
+    partner = [mirrored[:, :, k, 2 + off : 2 + off + n] for k, off in enumerate(OFFSETS)]
+    return float(np.max(np.abs(band - np.stack(partner, axis=2))))
 
 
 def numeric_spectrum(
@@ -382,38 +345,49 @@ def numeric_spectrum(
     margin: int,
     mass_threshold: float = TRUST_MASS_THRESHOLD,
 ) -> list[NumericMode]:
-    """Eigendecomposition by connected component, with per-mode trust flags.
+    """Eigendecomposition of a number-basis operator by level block, with trust flags.
 
-    The operator is split into the connected components of its nonzero
-    pattern: 1x1 and 2x2 blocks for the number-basis assembly, four parity
-    blocks for the Fock-basis one, a single block for a dense matrix.
-    Components of equal size are solved in one stacked ``eigh`` call.
+    The 1x1 and 2x2 level blocks are read off the band storage, and blocks
+    of equal size are solved in one stacked ``eigh`` call.
 
     An eigenvector is trusted when at most ``mass_threshold`` of its squared
     norm sits on the top ``margin`` levels of each field block.  Inside a
-    component, trust is decided per degenerate cluster (eigenvalues closer
-    than 1e-10 * scale) by counting the independent interior directions of
-    the cluster; for isolated eigenvalues this reduces to the plain rule.
-    Modes come back in ascending order.  Raises ``ValueError`` on a
-    non-Hermitian operator or a non-finite eigenvalue.
+    block, trust is decided per degenerate cluster (eigenvalues closer than
+    1e-10 * scale) by counting the independent interior directions of the
+    cluster; for isolated eigenvalues this reduces to the plain rule.
+    Modes come back in ascending order.  Raises ``ValueError`` on another
+    basis, a non-Hermitian operator, an entry outside the level blocks or a
+    non-finite eigenvalue.
     """
-    matrix = op.matrix
+    if op.basis != BASIS_LEVELS:
+        raise ValueError(f"numeric spectrum needs the {BASIS_LEVELS} basis, got {op.basis}")
+    band = op.matrix
     n = op.n_levels
-    herm = float(np.max(np.abs(matrix - matrix.conj().T)))
+    herm = _hermiticity_residual(band)
     if not herm <= 1e-10 * max(op.scale, 1.0):
         raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
+    # only the field diagonals and the field 1 to field 2 coupling may be nonzero
+    rest = band.copy()
+    rest[0, 0, 1] = rest[1, 1, 1] = rest[2, 2, 1] = rest[0, 1, 0] = rest[1, 0, 2] = 0.0
+    if np.any(rest):
+        raise ValueError(f"the {op.basis} operator couples levels outside its level blocks")
     if not 0 < margin < n:
         raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
 
-    top = np.zeros(3 * n)
-    for block in range(3):
-        top[block * n + n - margin : (block + 1) * n] = 1.0
+    top = (np.arange(3 * n) % n >= n - margin).astype(float)
     cluster_tol = 1e-10 * max(op.scale, 1.0)
 
+    # indices (field * n + level) of the level blocks: field 1 at level m
+    # couples to field 2 at level m - 2; field 1 at levels 0 and 1, field 2
+    # at the top two levels and all of field 3 stand alone
+    singles = np.concatenate([[0, 1, 2 * n - 2, 2 * n - 1], np.arange(2 * n, 3 * n)])
+    pairs = np.stack([np.arange(2, n), np.arange(n, 2 * n - 2)], axis=1)
     values, masses, trusted = [], [], []
-    for idx in _components(matrix):
+    for idx in (singles[:, None], pairs):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        blocks = band[rows // n, cols // n, (cols % n - rows % n) // 2 + 1, rows % n]
         try:
-            vals, vecs = np.linalg.eigh(matrix[idx[:, :, None], idx[:, None, :]])
+            vals, vecs = np.linalg.eigh(blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
             raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
         if not np.isfinite(vals).all():
@@ -421,11 +395,14 @@ def numeric_spectrum(
         tops = top[idx]
         mass = (np.abs(vecs) ** 2 * tops[:, :, None]).sum(axis=1)
         ok = mass <= mass_threshold
-        # only components holding a near-degenerate pair need the cluster rule
+        # a near-degenerate pair is one cluster, returned as any mixture: it
+        # trusts as many of its lowest-mass members as the Gram form of its
+        # top mass has interior directions
         for k in np.flatnonzero((np.diff(vals, axis=1) <= cluster_tol).any(axis=1)):
-            ok[k] = _cluster_trust(
-                vals[k], vecs[k], tops[k], mass[k], mass_threshold, cluster_tol
-            )
+            gram = vecs[k].conj().T @ (tops[k][:, None] * vecs[k])
+            interior_directions = int(np.sum(np.linalg.eigvalsh(gram) <= mass_threshold))
+            ok[k] = False
+            ok[k, np.argsort(mass[k], kind="stable")[:interior_directions]] = True
         values.append(vals.ravel())
         masses.append(mass.ravel())
         trusted.append(ok.ravel())

@@ -42,10 +42,9 @@ def report(label, ok, detail=""):
 
 
 def trusted_modes(theta, n_levels=N, margin=MARGIN):
-    bg = build_background(theta, Z2, R, n_levels)
     return [
         m
-        for m in numeric_spectrum(build_mass_operator_levels(bg), margin)
+        for m in numeric_spectrum(build_mass_operator_levels(theta, Z2, R, n_levels), margin)
         if m.trusted
     ]
 
@@ -66,8 +65,7 @@ def test_criterion_01_tachyon_line():
 
 
 def test_criterion_02_mass_tower():
-    bg = build_background(math.pi / 3, Z2, R, N)
-    modes = numeric_spectrum(build_mass_operator_levels(bg), MARGIN)
+    modes = numeric_spectrum(build_mass_operator_levels(math.pi / 3, Z2, R, N), MARGIN)
     match = match_tower(modes, tol_units=1e-6)
     ok = match.horizon >= 8 and match.all_matched
     # multiplicities counted, not just bounded, within the horizon
@@ -88,9 +86,9 @@ def test_criterion_02_mass_tower():
 def test_criterion_03_route_equivalence():
     worst = 0.0
     for theta in np.linspace(0.0, math.pi / 2 - 0.2, 10):
-        bg = build_background(float(theta), Z2, R, N)
+        params = (float(theta), Z2, R, N)
         residual = route_equivalence_residual(
-            build_mass_operator_qp(bg), build_mass_operator_fock(bg), MARGIN
+            build_mass_operator_qp(*params), build_mass_operator_fock(*params), MARGIN
         )
         worst = max(worst, residual)
     report(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import branekit
+from branekit.background import MAX_DENSE_LEVELS
 from branekit.cli import main
 from branekit.condensation import sample_curve
 from branekit.config import (
@@ -17,6 +18,7 @@ from branekit.config import (
     build_config,
     read_config_file,
 )
+from branekit.spectrum import MAX_BAND_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -318,14 +320,30 @@ def test_underflowing_potential_is_invalid_input(capsys):
 
 
 def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
+    # a curve grid has no bound of its own; numpy's MemoryError is the guard
     def refuse(*args, **kwargs):
-        raise MemoryError("Unable to allocate 1.34 TiB for an array")
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-    monkeypatch.setattr("branekit.cli.build_background", refuse)
-    code, out, err = run(capsys, "spectrum", "--N", "100000")
+    monkeypatch.setattr("branekit.cli.sample_curve", refuse)
+    code, out, err = run(capsys, "curve", "--points", str(10**12))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "MemoryError" in err
+
+
+@pytest.mark.parametrize(
+    "command,n_levels,site,bound",
+    [
+        ("spectrum", MAX_BAND_LEVELS + 1, "mass operator", MAX_BAND_LEVELS),
+        # identities builds its dense background at N // 4
+        ("identities", 4 * (MAX_DENSE_LEVELS + 1), "dense background", MAX_DENSE_LEVELS),
+    ],
+)
+def test_size_past_the_bound_is_invalid_input(capsys, command, n_levels, site, bound):
+    code, out, err = run(capsys, command, "--N", str(n_levels))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {site} truncation size {bound + 1} exceeds its bound {bound}\n"
 
 
 def test_curve_nan_residual_fails_closed(capsys, monkeypatch):

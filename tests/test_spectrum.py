@@ -9,12 +9,12 @@ from branekit import (
     build_mass_operator_levels,
     build_mass_operator_qp,
     analytic_spectrum,
+    bogoliubov,
     fermion_spectrum,
     make_ladder,
     mass_scale,
     match_tower,
     numeric_spectrum,
-    reduced_block,
     rotation_u,
     route_equivalence_residual,
     transverse_interior_gap,
@@ -22,6 +22,9 @@ from branekit import (
 )
 from branekit.oscillator import InteriorProjector
 from branekit.spectrum import (
+    BASIS_LEVELS,
+    MAX_BAND_LEVELS,
+    OFFSETS,
     SECTOR_MASSIVE,
     SECTOR_TACHYON,
     SECTOR_ZERO,
@@ -29,13 +32,150 @@ from branekit.spectrum import (
     MassOperator,
     NumericMode,
     TowerMatch,
+    _hermiticity_residual,
 )
 
 PI_THIRD = math.pi / 3
 
 
-def default_background(n_levels=24, theta=PI_THIRD):
-    return build_background(theta, 1.0, 1.0, n_levels)
+def default_params(n_levels=24, theta=PI_THIRD):
+    return theta, 1.0, 1.0, n_levels
+
+
+# ------------------------------------------------ dense assembly oracles
+
+
+def to_dense(op):
+    """The 3N x 3N matrix held in an operator's band storage."""
+    n = op.n_levels
+    matrix = np.zeros((3 * n, 3 * n), dtype=complex)
+    levels = np.arange(n)
+    for k, offset in enumerate(OFFSETS):
+        i = levels[(levels + offset >= 0) & (levels + offset < n)]
+        for a in range(3):
+            for b in range(3):
+                matrix[a * n + i, b * n + i + offset] = op.matrix[a, b, k, i]
+    return matrix
+
+
+def dense_assemble(b11, b12, b21, b22, b33):
+    n = b11.shape[0]
+    zero = np.zeros((n, n), dtype=complex)
+    return np.block([[b11, b12, zero], [b21, b22, zero], [zero, zero, b33]])
+
+
+def dense_operator_qp(bg):
+    """Unrotated-field operator from dense matrix products of Q and P."""
+    cos_t = math.cos(bg.theta)
+    q = math.sqrt(2.0) * bg.q_rel
+    p = math.sqrt(2.0) * bg.p_rel
+    sigma = 4.0 * math.pi * bg.z2
+    eye = np.eye(bg.n_levels, dtype=complex)
+    b11 = cos_t**2 * (p @ p)
+    b12 = -cos_t * (p @ q - 1j * sigma * eye)
+    b21 = -cos_t * (q @ p + 1j * sigma * eye)
+    b22 = q @ q
+    b33 = cos_t**2 * (p @ p) + q @ q
+    return bg.R * dense_assemble(b11, b12, b21, b22, b33)
+
+
+def dense_rotated_blocks(mode, scale):
+    n = mode.shape[0]
+    eye = np.eye(n, dtype=complex)
+    mode_dag = mode.conj().T
+    number = mode_dag @ mode
+    return scale * dense_assemble(
+        number - eye,
+        mode_dag @ mode_dag,
+        mode @ mode,
+        number + 2.0 * eye,
+        2.0 * number + eye,
+    )
+
+
+def dense_operator_fock(bg):
+    """Rotated-field operator from dense products of the Bogoliubov mode."""
+    scale = mass_scale(bg.theta, bg.z2, bg.R)
+    return dense_rotated_blocks(bogoliubov(bg.n_levels, bg.theta), scale)
+
+
+def dense_operator_levels(bg):
+    """Rotated-field operator in the number basis, from the dense ladder."""
+    scale = mass_scale(bg.theta, bg.z2, bg.R)
+    return dense_rotated_blocks(make_ladder(bg.n_levels)[0], scale)
+
+
+ASSEMBLIES = {
+    "qp": (build_mass_operator_qp, dense_operator_qp),
+    "fock": (build_mass_operator_fock, dense_operator_fock),
+    "levels": (build_mass_operator_levels, dense_operator_levels),
+}
+
+
+@pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
+def test_band_assembly_matches_dense_builder(assembly):
+    # the number-basis entries are single ladder products, so they match bit
+    # for bit; qp and fock entries on the diagonal add two products, and the
+    # dense matrix product may fuse them (BLAS FMA), so those may differ in
+    # the last bit: at most 4 ulp of the largest entry in the row
+    build, dense_build = ASSEMBLIES[assembly]
+    rng = np.random.default_rng(2024)
+    eps = np.finfo(float).eps
+    for _ in range(12):
+        theta = float(rng.uniform(0.0, math.pi / 2 - 0.2))
+        z2, R = (float(v) for v in rng.uniform(0.25, 4.0, size=2))
+        n_levels = int(rng.integers(5, 301))
+        band = to_dense(build(theta, z2, R, n_levels))
+        dense = dense_build(build_background(theta, z2, R, n_levels))
+        if assembly == "levels":
+            assert np.array_equal(band, dense)
+        else:
+            row_max = np.max(np.abs(dense), axis=1, keepdims=True)
+            assert np.all(np.abs(band - dense) <= 4.0 * eps * row_max)
+
+
+@pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
+def test_band_storage_is_linear_in_n(assembly):
+    op = ASSEMBLIES[assembly][0](PI_THIRD, 1.0, 1.0, MAX_BAND_LEVELS)
+    assert op.matrix.shape == (3, 3, len(OFFSETS), MAX_BAND_LEVELS)
+    assert op.matrix.nbytes / MAX_BAND_LEVELS <= 1024
+
+
+@pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
+def test_builders_reject_sizes_past_the_bound(assembly):
+    with pytest.raises(ValueError, match="exceeds its bound"):
+        ASSEMBLIES[assembly][0](PI_THIRD, 1.0, 1.0, MAX_BAND_LEVELS + 1)
+
+
+@pytest.mark.parametrize(
+    "theta,z2,R,n_levels",
+    [(math.pi / 2, 1.0, 1.0, 8), (0.3, 0.0, 1.0, 8), (0.3, 1.0, math.nan, 8), (0.3, 1.0, 1.0, 3)],
+)
+@pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
+def test_builders_validate_parameters(assembly, theta, z2, R, n_levels):
+    with pytest.raises(ValueError):
+        ASSEMBLIES[assembly][0](theta, z2, R, n_levels)
+
+
+def test_hermiticity_residual_equals_dense_scan():
+    rng = np.random.default_rng(3)
+    for n_levels in (4, 5, 9):
+        shape = (3, 3, len(OFFSETS), n_levels)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        op = MassOperator("random", band, 1.0, n_levels)
+        dense = to_dense(op)
+        # entries past a block edge have no partner, so they count in full
+        levels = np.arange(n_levels)
+        past_edge = [
+            np.abs(band[:, :, k, (levels + off < 0) | (levels + off >= n_levels)])
+            for k, off in enumerate(OFFSETS)
+        ]
+        expected = max(
+            np.max(np.abs(dense - dense.conj().T)), max(np.max(e, initial=0.0) for e in past_edge)
+        )
+        assert _hermiticity_residual(band) == expected
+    hermitian = build_mass_operator_fock(0.4, 1.3, 0.7, 9).matrix
+    assert _hermiticity_residual(hermitian) == 0.0
 
 
 # ------------------------------------------------------------ field rotation
@@ -60,6 +200,37 @@ def test_rotation_leaves_third_field_alone():
 
 
 # ----------------------------------------------------------- per-level block
+
+
+def reduced_block(n, theta, z2, R):
+    """Closed-form per-level block of the rotated-field operator.
+
+    Acts on the coefficient triple of (level n, level n-2, level n-1); rows
+    and columns referencing nonexistent levels are removed, so the block is
+    1x1 at n=0 and 2x2 at n=1.  Entries carry the full energy^2 scale.
+    """
+    if n < 0:
+        raise ValueError(f"level index must be nonnegative, got {n}")
+    scale = mass_scale(theta, z2, R)
+    if n == 0:
+        return scale * np.array([[-1.0]])
+    if n == 1:
+        return scale * np.array([[0.0, 0.0], [0.0, 1.0]])
+    off = math.sqrt(n * (n - 1.0))
+    return scale * np.array(
+        [[n - 1.0, off, 0.0], [off, float(n), 0.0], [0.0, 0.0, 2.0 * n - 1.0]]
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_reduced_block_matches_number_basis_operator(n):
+    # the (level n, level n-2, level n-1) rows of fields 1, 2, 3
+    n_levels = 12
+    dense = to_dense(build_mass_operator_levels(0.8, 1.3, 0.7, n_levels))
+    idx = [n, n_levels + n - 2, 2 * n_levels + n - 1]
+    np.testing.assert_allclose(
+        dense[np.ix_(idx, idx)], reduced_block(n, 0.8, 1.3, 0.7), rtol=1e-14, atol=0.0
+    )
 
 
 def test_reduced_block_tachyon_level():
@@ -132,57 +303,57 @@ def test_analytic_spectrum_rejects_negative_horizon():
 
 
 def test_qp_operator_exactly_hermitian():
-    op = build_mass_operator_qp(default_background(12))
-    assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-12 * op.scale
+    op = build_mass_operator_qp(*default_params(12))
+    matrix = to_dense(op)
+    assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-12 * op.scale
 
 
 def test_qp_operator_zero_angle_blocks():
     bg = build_background(0.0, 1.0, 1.0, 8)
-    op = build_mass_operator_qp(bg)
+    matrix = to_dense(build_mass_operator_qp(0.0, 1.0, 1.0, 8))
     n = 8
     p2 = 2.0 * bg.p_rel @ bg.p_rel
     q2 = 2.0 * bg.q_rel @ bg.q_rel
-    np.testing.assert_allclose(op.matrix[:n, :n], p2, atol=1e-12)
-    np.testing.assert_allclose(op.matrix[n : 2 * n, n : 2 * n], q2, atol=1e-12)
-    np.testing.assert_allclose(op.matrix[2 * n :, 2 * n :], p2 + q2, atol=1e-12)
+    np.testing.assert_allclose(matrix[:n, :n], p2, atol=1e-12)
+    np.testing.assert_allclose(matrix[n : 2 * n, n : 2 * n], q2, atol=1e-12)
+    np.testing.assert_allclose(matrix[2 * n :, 2 * n :], p2 + q2, atol=1e-12)
 
 
 def test_qp_operator_tachyon_at_n16():
-    op = build_mass_operator_qp(build_background(PI_THIRD, 1.0, 1.0, 16))
-    modes = numeric_spectrum(op, 4)
+    op = build_mass_operator_qp(PI_THIRD, 1.0, 1.0, 16)
+    modes = dense_numeric_spectrum(op, 4)
     lowest = min(m.value for m in modes if m.trusted)
     assert lowest == pytest.approx(-2.0 * math.pi, abs=1e-6)
 
 
 def test_fock_operator_zero_angle_block_and_scale():
-    bg = build_background(0.0, 1.0, 1.0, 10)
-    op = build_mass_operator_fock(bg)
+    op = build_mass_operator_fock(0.0, 1.0, 1.0, 10)
     a, a_dag = make_ladder(10)
     expected = 4.0 * math.pi * (a_dag @ a - np.eye(10))
-    np.testing.assert_allclose(op.matrix[:10, :10], expected, atol=1e-12)
+    np.testing.assert_allclose(to_dense(op)[:10, :10], expected, atol=1e-12)
     assert op.scale == pytest.approx(4.0 * math.pi, abs=1e-13)
 
 
 def test_fock_scale_at_pi_third():
-    op = build_mass_operator_fock(default_background(8))
+    op = build_mass_operator_fock(*default_params(8))
     assert op.scale == pytest.approx(2.0 * math.pi, abs=1e-13)
 
 
 @pytest.mark.parametrize("theta", np.linspace(0.0, math.pi / 2 - 0.2, 10))
 def test_route_equivalence(theta):
-    bg = build_background(float(theta), 1.0, 1.0, 20)
+    params = (float(theta), 1.0, 1.0, 20)
     residual = route_equivalence_residual(
-        build_mass_operator_qp(bg), build_mass_operator_fock(bg), margin=4
+        build_mass_operator_qp(*params), build_mass_operator_fock(*params), margin=4
     )
     assert residual <= 1e-10
 
 
 def test_route_equivalence_rejects_mixed_truncations():
-    bg1 = default_background(8)
-    bg2 = default_background(10)
     with pytest.raises(ValueError):
         route_equivalence_residual(
-            build_mass_operator_qp(bg1), build_mass_operator_fock(bg2), margin=2
+            build_mass_operator_qp(*default_params(8)),
+            build_mass_operator_fock(*default_params(10)),
+            margin=2,
         )
 
 
@@ -190,7 +361,7 @@ def test_route_equivalence_rejects_mixed_truncations():
 
 
 def test_levels_route_reaches_deep_horizon():
-    op = build_mass_operator_levels(default_background(24))
+    op = build_mass_operator_levels(*default_params(24))
     match = match_tower(numeric_spectrum(op, 4))
     assert match.horizon >= 8
     assert match.all_matched
@@ -199,7 +370,7 @@ def test_levels_route_reaches_deep_horizon():
 def test_levels_route_degenerate_zero_count():
     # zero modes across levels are exactly degenerate; the cluster-aware
     # trust count must equal the horizon, not collapse to one survivor
-    op = build_mass_operator_levels(default_background(24))
+    op = build_mass_operator_levels(*default_params(24))
     modes = numeric_spectrum(op, 4)
     match = match_tower(modes)
     zeros = [m for m in modes if m.trusted and abs(m.units) <= 1e-6]
@@ -210,7 +381,7 @@ def test_levels_route_collision_cluster():
     # at N=24 the leftover second-component mode of the cut family n=25 sits
     # at 25 units, exactly degenerate with the genuine n=13 pair; the pair
     # must still be counted twice
-    op = build_mass_operator_levels(default_background(24))
+    op = build_mass_operator_levels(*default_params(24))
     modes = numeric_spectrum(op, 4)
     at_25 = [m for m in modes if abs(m.units - 25.0) <= 1e-6]
     assert len(at_25) == 3
@@ -219,16 +390,16 @@ def test_levels_route_collision_cluster():
 
 def test_fock_route_trusted_tachyon():
     for theta in (0.0, math.pi / 6, PI_THIRD):
-        op = build_mass_operator_fock(build_background(theta, 1.0, 1.0, 24))
-        modes = numeric_spectrum(op, 4)
+        op = build_mass_operator_fock(theta, 1.0, 1.0, 24)
+        modes = dense_numeric_spectrum(op, 4)
         negatives = [m for m in modes if m.trusted and m.units < -1e-6]
         assert len(negatives) == 1
         assert negatives[0].units == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_fock_route_trusted_subset_of_tower():
-    op = build_mass_operator_fock(default_background(24))
-    match = match_tower(numeric_spectrum(op, 4))
+    op = build_mass_operator_fock(*default_params(24))
+    match = match_tower(dense_numeric_spectrum(op, 4))
     assert match.all_matched
     assert match.horizon >= 1
 
@@ -237,8 +408,8 @@ def test_fock_route_exactly_degenerate_zeros():
     # at pi/6 the zero modes of different levels are degenerate to rounding,
     # so the solver hands back heavily mixed vectors; the subspace count
     # must still recover the interior zero modes
-    op = build_mass_operator_fock(build_background(math.pi / 6, 1.0, 1.0, 24))
-    modes = numeric_spectrum(op, 4)
+    op = build_mass_operator_fock(math.pi / 6, 1.0, 1.0, 24)
+    modes = dense_numeric_spectrum(op, 4)
     match = match_tower(modes)
     zeros = [m for m in modes if m.trusted and abs(m.units) <= 1e-6]
     assert match.all_matched
@@ -255,10 +426,12 @@ def test_tachyon_sector_only_at_level_zero(theta, z2, R):
 
 
 def test_numeric_spectrum_rejects_non_hermitian():
-    op = build_mass_operator_levels(default_background(8))
+    op = build_mass_operator_levels(*default_params(8))
+    upper = np.zeros_like(op.matrix)
+    upper[:, :, 2] = 1e-3
     broken = MassOperator(
         basis=op.basis,
-        matrix=op.matrix + 1e-3 * np.triu(np.ones_like(op.matrix), 1),
+        matrix=op.matrix + upper,
         scale=op.scale,
         n_levels=op.n_levels,
     )
@@ -266,15 +439,31 @@ def test_numeric_spectrum_rejects_non_hermitian():
         numeric_spectrum(broken, 2)
 
 
+@pytest.mark.parametrize("build", [build_mass_operator_qp, build_mass_operator_fock])
+def test_numeric_spectrum_rejects_other_bases(build):
+    with pytest.raises(ValueError, match="basis"):
+        numeric_spectrum(build(*default_params(8)), 2)
+
+
+def test_numeric_spectrum_rejects_couplings_outside_level_blocks():
+    # a Hermitian coupling of field 3 to field 1 that no level block holds
+    op = build_mass_operator_levels(*default_params(8))
+    matrix = op.matrix.copy()
+    matrix[0, 2, 1, 3] = matrix[2, 0, 1, 3] = 0.5
+    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
+    with pytest.raises(ValueError, match="outside its level blocks"):
+        numeric_spectrum(broken, 2)
+
+
 @pytest.mark.parametrize("margin", [0, 8])
 def test_numeric_spectrum_rejects_bad_margin(margin):
-    op = build_mass_operator_levels(default_background(8))
+    op = build_mass_operator_levels(*default_params(8))
     with pytest.raises(ValueError):
         numeric_spectrum(op, margin)
 
 
 def test_match_tower_without_tachyon():
-    op = build_mass_operator_levels(default_background(12))
+    op = build_mass_operator_levels(*default_params(12))
     modes = [m for m in numeric_spectrum(op, 3) if m.units > -0.5]
     assert match_tower(modes).horizon == -1
 
@@ -334,18 +523,18 @@ def test_fermion_table():
 def dense_route_equivalence_residual(op_qp, op_fock, margin):
     """Route check on the whole 3N x 3N operators, with kron projectors."""
     n = op_qp.n_levels
-    proj = InteriorProjector(n, margin).matrix()
+    proj = np.diag(InteriorProjector(n, margin).mask()).astype(complex)
     u_proj = np.kron(rotation_u(), proj)
     full_proj = np.kron(np.eye(3, dtype=complex), proj)
-    lhs = u_proj @ op_qp.matrix @ u_proj.conj().T
-    rhs = full_proj @ op_fock.matrix @ full_proj
+    lhs = u_proj @ to_dense(op_qp) @ u_proj.conj().T
+    rhs = full_proj @ to_dense(op_fock) @ full_proj
     return float(np.max(np.abs(lhs - rhs)) / op_fock.scale)
 
 
 def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
-    """Whole-matrix eigh with the per-cluster Gram trust rule."""
+    """Whole-matrix eigh of any basis, with the per-cluster Gram trust rule."""
     n = op.n_levels
-    eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh(to_dense(op))
     top = np.zeros(3 * n)
     for block in range(3):
         top[block * n + n - margin : (block + 1) * n] = 1.0
@@ -417,25 +606,14 @@ def assert_same_spectrum(block_modes, dense_modes, scale):
     np.testing.assert_allclose(block.unmatched, dense.unmatched, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("n_levels", [6, 12, 24, 40])
+@pytest.mark.parametrize("n_levels", [4, 5, 6, 12, 24, 40])
 @pytest.mark.parametrize("theta", [0.0, 0.4, math.pi / 6, PI_THIRD, math.pi / 2 - 0.2])
-@pytest.mark.parametrize("build", [build_mass_operator_levels, build_mass_operator_fock])
-def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
-    op = build(build_background(theta, 1.3, 0.7, n_levels))
+def test_block_spectrum_matches_dense_oracle(n_levels, theta):
+    op = build_mass_operator_levels(theta, 1.3, 0.7, n_levels)
     margin = min(4, n_levels // 3)
     assert_same_spectrum(
         numeric_spectrum(op, margin), dense_numeric_spectrum(op, margin), op.scale
     )
-
-
-def test_dense_matrix_is_one_component():
-    rng = np.random.default_rng(7)
-    n = 6
-    raw = rng.standard_normal((3 * n, 3 * n)) + 1j * rng.standard_normal((3 * n, 3 * n))
-    op = MassOperator(basis="random", matrix=raw + raw.conj().T, scale=1.0, n_levels=n)
-    block, dense = numeric_spectrum(op, 2), dense_numeric_spectrum(op, 2)
-    assert_same_spectrum(block, dense, op.scale)
-    assert [m.trusted for m in block] == [m.trusted for m in dense]
 
 
 @pytest.mark.parametrize(
@@ -448,8 +626,8 @@ def test_dense_matrix_is_one_component():
     ],
 )
 def test_route_residual_equals_dense_oracle(theta, z2, R, n_levels, margin):
-    bg = build_background(theta, z2, R, n_levels)
-    op_qp, op_fock = build_mass_operator_qp(bg), build_mass_operator_fock(bg)
+    params = (theta, z2, R, n_levels)
+    op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
     assert route_equivalence_residual(op_qp, op_fock, margin) == (
         dense_route_equivalence_residual(op_qp, op_fock, margin)
     )
@@ -483,19 +661,21 @@ def test_match_tower_equals_brute_force(tol):
 
 
 def test_numeric_spectrum_rejects_nan_operator():
-    op = build_mass_operator_levels(default_background(8))
+    op = build_mass_operator_levels(*default_params(8))
     matrix = op.matrix.copy()
-    matrix[3, 3] = math.nan
+    matrix[0, 0, 1, 3] = math.nan
     broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
     with pytest.raises(ValueError, match="not Hermitian"):
         numeric_spectrum(broken, 2)
 
 
 def test_numeric_spectrum_rejects_non_finite_eigenvalue():
-    # a finite Hermitian block whose eigenvalue overflows to inf
+    # a finite Hermitian level block whose eigenvalue overflows to inf:
+    # field 1 at level 2 and field 2 at level 0
     n = 4
-    matrix = np.diag(np.arange(3.0 * n)).astype(complex)
-    matrix[:2, :2] = 1e308
-    op = MassOperator(basis="huge", matrix=matrix, scale=1.0, n_levels=n)
+    matrix = np.zeros((3, 3, len(OFFSETS), n), dtype=complex)
+    matrix[[0, 1, 2], [0, 1, 2], 1] = np.arange(3.0 * n).reshape(3, n)
+    matrix[0, 0, 1, 2] = matrix[1, 1, 1, 0] = matrix[0, 1, 0, 2] = matrix[1, 0, 2, 0] = 1e308
+    op = MassOperator(basis=BASIS_LEVELS, matrix=matrix, scale=1.0, n_levels=n)
     with pytest.raises(ValueError, match="non-finite eigenvalue"):
         numeric_spectrum(op, 1)
