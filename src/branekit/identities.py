@@ -9,6 +9,7 @@ trace and the result is recorded, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,14 @@ def _tr(x: np.ndarray) -> complex:
     return complex(np.trace(x))
 
 
-def _scale(*values: complex) -> float:
-    return max(1.0, *(abs(v) for v in values))
+def _holds(residual: float, tol: float, *scales: complex) -> bool:
+    """Whether residual <= tol * max(1, |scales|), failing on anything non-finite.
+
+    ``np.max`` keeps a NaN scale, and a bound that is not finite fails, so an
+    infinite residual cannot pass an infinite bound.
+    """
+    bound = tol * float(np.max([1.0, *(abs(v) for v in scales)]))
+    return math.isfinite(bound) and residual <= bound
 
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -111,7 +118,7 @@ def check_expansion(
                 + _tr(nn @ nn)
             )
     residual = abs(lhs - rhs)
-    ok = residual <= PASS_TOL * _scale(lhs, rhs)
+    ok = _holds(residual, PASS_TOL, lhs, rhs)
     return IdentityReport(
         identity="expansion",
         seed=seed,
@@ -159,7 +166,7 @@ def check_quartic_t(
     lhs = _quartic_block_trace(fluct)
     rhs = _direct_form_rhs((t1, t2, t3))
     residual = abs(lhs - rhs)
-    matched = residual <= PASS_TOL * _scale(lhs, rhs)
+    matched = _holds(residual, PASS_TOL, lhs, rhs)
     return IdentityReport(
         identity="quartic-direct",
         seed=seed,
@@ -195,7 +202,7 @@ def check_quartic_ttilde(
     cross2 = tt[1].conj().T @ tt[2] - tt[2].conj().T @ tt[1]
     rhs = -4.0 * (_tr(quad @ quad) + 2.0 * _tr(cross1 @ cross2))
     residual = abs(lhs - rhs)
-    matched = residual <= PASS_TOL * _scale(lhs, rhs)
+    matched = _holds(residual, PASS_TOL, lhs, rhs)
     direct_rhs = _direct_form_rhs(ts).real
     return IdentityReport(
         identity="quartic-rotated",
@@ -235,8 +242,7 @@ def check_cross_terms(
     a_mats = fluct.block_matrices()
     linear = 0.0 + 0.0j
     cubic = 0.0 + 0.0j
-    scale_lin = 0.0
-    scale_cub = 0.0
+    scales_lin, scales_cub = [], []
     for i in range(3):
         for j in range(3):
             kx = commutator(xs[i], xs[j])
@@ -244,11 +250,11 @@ def check_cross_terms(
             nn = commutator(a_mats[i], a_mats[j])
             linear += _tr(kx @ la)
             cubic += _tr(la @ nn)
-            scale_lin = max(scale_lin, float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
-            scale_cub = max(scale_cub, float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
+            scales_lin.append(float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
+            scales_cub.append(float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
     dim = 2 * bg.n_levels
     lin_res = abs(linear)
-    lin_ok = lin_res <= EXACT_TOL * max(1.0, scale_lin * dim)
+    lin_ok = _holds(lin_res, EXACT_TOL, float(np.max(scales_lin)) * dim)
     linear_report = IdentityReport(
         identity="cross-linear",
         seed=None,
@@ -260,7 +266,7 @@ def check_cross_terms(
     )
     cub_res = abs(cubic)
     if fluctuation_class == "momentum-polynomial":
-        cub_ok = cub_res <= PASS_TOL * max(1.0, scale_cub * dim)
+        cub_ok = _holds(cub_res, PASS_TOL, float(np.max(scales_cub)) * dim)
         verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
     else:
         verdict = VERDICT_RECORDED

@@ -15,7 +15,13 @@ from branekit import (
     random_hermitian,
     rotation_u,
 )
-from branekit.identities import VERDICT_EXACT, VERDICT_PASS, VERDICT_RECORDED, random_complex
+from branekit.identities import (
+    VERDICT_EXACT,
+    VERDICT_PASS,
+    VERDICT_RECORDED,
+    _holds,
+    random_complex,
+)
 
 
 def zero_fluct(n):
@@ -171,3 +177,20 @@ def test_cross_terms_dimension_mismatch():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
         check_cross_terms(bg, random_fluctuation(rng, 5))
+
+
+@pytest.mark.parametrize(
+    "residual,tol,scales,expected",
+    [
+        (0.5, 1.0, (0.2,), True),  # the bound is at least tol
+        (2.0, 1e-10, (3e10, -1e9), True),  # scales count by magnitude
+        (2.0, 1e-10, (1e10,), False),
+        (0.0, 1e-10, (math.nan,), False),  # np.max keeps the NaN scale
+        (math.nan, 1e-10, (1.0,), False),
+        (math.inf, 1e-10, (1.0,), False),
+        (math.inf, 1e-10, (math.inf,), False),  # inf <= tol * inf must not pass
+        (1.0, 1e-10, (math.inf,), False),
+    ],
+)
+def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expected):
+    assert _holds(residual, tol, *scales) is expected
