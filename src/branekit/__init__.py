@@ -58,7 +58,6 @@ from .oscillator import (
 from .spectrum import (
     MassOperator,
     ModeRecord,
-    NumericMode,
     TowerMatch,
     analytic_spectrum,
     build_mass_operator_fock,

@@ -156,10 +156,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     match_tol = config.tol("eigenvalue_match")
     match = match_tower(modes, tol_units=match_tol)
 
-    trusted_negative = [m for m in modes if m.trusted and m.units < -match_tol]
-    tachyon_ok = (
-        len(trusted_negative) == 1 and abs(trusted_negative[0].units + 1.0) <= match_tol
-    )
+    trusted_negative = modes.units[modes.trusted & (modes.units < -match_tol)].tolist()
+    tachyon_ok = len(trusted_negative) == 1 and abs(trusted_negative[0] + 1.0) <= match_tol
 
     transverse_horizon = config.N - 1 - config.margin_k
     transverse_gap = transverse_interior_gap(config.N, config.margin_k, config.theta)

@@ -21,7 +21,9 @@ It is assembled three ways:
 
 In the number basis the operator is a direct sum of 1x1 and 2x2 level
 blocks; ``numeric_spectrum`` reads them off the diagonals and solves them in
-stacked ``eigh`` calls.  The dense assemblies, route check and whole-matrix
+stacked ``eigh`` calls.  It returns one numpy record array, with the fields
+``value``, ``units``, ``trusted`` and ``top_mass``, which ``match_tower``
+reads as whole columns.  The dense assemblies, route check and whole-matrix
 solve are kept in the tests as the oracles all of this is checked against.
 
 All eigenvalues are reported both raw (energy^2) and in units of the natural
@@ -32,7 +34,6 @@ level 0; 0 and +1 at level 1; 0 once and (2n-1) twice for every level n >= 2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,16 +319,6 @@ def fermion_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class NumericMode:
-    """One numeric eigenvalue with its cutoff-contamination verdict."""
-
-    value: float
-    units: float
-    trusted: bool
-    top_mass: float
-
-
 def _hermiticity_residual(band: np.ndarray) -> float:
     """Largest entry of |M - M^dag|, from band storage.
 
@@ -344,20 +335,22 @@ def numeric_spectrum(
     op: MassOperator,
     margin: int,
     mass_threshold: float = TRUST_MASS_THRESHOLD,
-) -> list[NumericMode]:
+) -> np.recarray:
     """Eigendecomposition of a number-basis operator by level block, with trust flags.
 
     The 1x1 and 2x2 level blocks are read off the band storage, and blocks
-    of equal size are solved in one stacked ``eigh`` call.
+    of equal size are solved in one stacked ``eigh`` call.  Returns a record
+    array of 3N eigenvalues in ascending order, with the fields ``value``
+    (energy^2), ``units`` (value / scale), ``trusted`` and ``top_mass`` (the
+    squared norm on the top ``margin`` levels).
 
     An eigenvector is trusted when at most ``mass_threshold`` of its squared
     norm sits on the top ``margin`` levels of each field block.  Inside a
     block, trust is decided per degenerate cluster (eigenvalues closer than
     1e-10 * scale) by counting the independent interior directions of the
     cluster; for isolated eigenvalues this reduces to the plain rule.
-    Modes come back in ascending order.  Raises ``ValueError`` on another
-    basis, a non-Hermitian operator, an entry outside the level blocks or a
-    non-finite eigenvalue.
+    Raises ``ValueError`` on another basis, a non-Hermitian operator, an
+    entry outside the level blocks or a non-finite eigenvalue.
     """
     if op.basis != BASIS_LEVELS:
         raise ValueError(f"numeric spectrum needs the {BASIS_LEVELS} basis, got {op.basis}")
@@ -407,16 +400,11 @@ def numeric_spectrum(
         masses.append(mass.ravel())
         trusted.append(ok.ravel())
 
-    values, masses, trusted = (np.concatenate(a) for a in (values, masses, trusted))
-    return [
-        NumericMode(
-            value=float(values[i]),
-            units=float(values[i] / op.scale),
-            trusted=bool(trusted[i]),
-            top_mass=float(masses[i]),
-        )
-        for i in np.argsort(values, kind="stable")
-    ]
+    order = np.argsort(np.concatenate(values), kind="stable")
+    values, masses, trusted = (np.concatenate(a)[order] for a in (values, masses, trusted))
+    return np.rec.fromarrays(
+        (values, values / op.scale, trusted, masses), names="value,units,trusted,top_mass"
+    )
 
 
 @dataclass(frozen=True)
@@ -432,21 +420,23 @@ class TowerMatch:
         return not self.unmatched
 
 
-def _count_near(units: list[float], value: float, tol: float) -> int:
-    """Number of sorted ``units`` with abs(u - value) <= tol.
+def _count_near(units: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Number of sorted ``units`` with abs(u - v) <= tol, for each target v.
 
     A computed gap of at most tol means an exact gap below 2 * tol, and
-    rounding is monotone, so the bisected +-2 * tol window holds every
+    rounding is monotone, so the searchsorted +-2 * tol window holds every
     match; the exact test inside it keeps values on the tolerance edge
-    counted as before.
+    counted as a scan would.
     """
-    window = units[bisect_left(units, value - 2.0 * tol) : bisect_right(units, value + 2.0 * tol)]
-    return sum(1 for u in window if abs(u - value) <= tol)
+    lo = np.searchsorted(units, targets - 2.0 * tol, side="left")
+    sizes = np.searchsorted(units, targets + 2.0 * tol, side="right") - lo
+    owner = np.repeat(np.arange(targets.size), sizes)
+    window = np.arange(owner.size) + (lo + sizes - np.cumsum(sizes))[owner]
+    near = np.abs(units[window] - targets[owner]) <= tol
+    return np.bincount(owner[near], minlength=targets.size)
 
 
-def match_tower(
-    modes: list[NumericMode], tol_units: float = 1e-6
-) -> TowerMatch:
+def match_tower(modes: np.recarray, tol_units: float = 1e-6) -> TowerMatch:
     """Largest level to which trusted eigenvalues reproduce the tower.
 
     The horizon is the largest H such that every tower eigenvalue from
@@ -454,28 +444,22 @@ def match_tower(
     multiplicity; trusted modes not near any tower value are reported as
     unmatched (the degenerate pair is compared as a multiset, unordered).
     Raising the horizon to h adds two requirements only: h zero modes, and
-    the value 2h-1 once at h = 1 and twice beyond.
+    the value 2h-1 once at h = 1 and twice beyond, so every level below the
+    zero count is checked at once and the horizon is the first that fails.
     """
-    trusted_units = sorted(m.units for m in modes if m.trusted)
-
-    def is_tower_value(u: float) -> bool:
-        if abs(u + 1.0) <= tol_units or abs(u) <= tol_units:
-            return True
-        if u < 0:
-            return False
-        odd = round((u + 1.0) / 2.0)
-        return odd >= 1 and abs(u - (2.0 * odd - 1.0)) <= tol_units
-
-    unmatched = tuple(u for u in trusted_units if not is_tower_value(u))
-    horizon = 0 if _count_near(trusted_units, -1.0, tol_units) >= 1 else -1
-    if horizon == 0:
-        zeros = _count_near(trusted_units, 0.0, tol_units)
-        while (
-            zeros >= horizon + 1
-            and _count_near(trusted_units, 2.0 * horizon + 1.0, tol_units)
-            >= min(horizon + 1, 2)
-        ):
-            horizon += 1
+    units = np.sort(modes.units[modes.trusted])
+    odd = np.rint((units + 1.0) / 2.0)  # half to even, as round()
+    tower = (
+        (np.abs(units + 1.0) <= tol_units)
+        | (np.abs(units) <= tol_units)
+        | ((units >= 0) & (odd >= 1) & (np.abs(units - (2.0 * odd - 1.0)) <= tol_units))
+    )
+    tachyons, zeros = _count_near(units, np.array([-1.0, 0.0]), tol_units)
+    horizon = -1
+    if tachyons >= 1:
+        levels = np.arange(zeros)
+        found = _count_near(units, 2.0 * levels + 1.0, tol_units) >= np.minimum(levels + 1, 2)
+        horizon = int(np.argmin(np.append(found, False)))
     return TowerMatch(
-        horizon=horizon, unmatched=unmatched, trusted_count=len(trusted_units)
+        horizon=horizon, unmatched=tuple(units[~tower].tolist()), trusted_count=units.size
     )

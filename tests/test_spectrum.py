@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -30,7 +32,6 @@ from branekit.spectrum import (
     SECTOR_ZERO,
     TRUST_MASS_THRESHOLD,
     MassOperator,
-    NumericMode,
     TowerMatch,
     _hermiticity_residual,
 )
@@ -462,10 +463,27 @@ def test_numeric_spectrum_rejects_bad_margin(margin):
         numeric_spectrum(op, margin)
 
 
+def test_spectrum_records_carry_what_the_report_and_bench_read():
+    # the bench counts the records and reads each one's .trusted; the report
+    # writes the match with json, which cannot encode numpy scalars
+    n_levels = 12
+    modes = numeric_spectrum(build_mass_operator_levels(*default_params(n_levels)), 3)
+    assert isinstance(modes, np.recarray) and len(modes) == 3 * n_levels
+    assert modes.dtype.names == ("value", "units", "trusted", "top_mass")
+    tachyon = modes[0]
+    assert (tachyon.units, tachyon.trusted, tachyon.top_mass) == (-1.0, True, 0.0)
+    assert tachyon.value == -mass_scale(*default_params()[:3])
+    # a tolerance far below the rounding noise leaves unmatched values
+    match = match_tower(modes, tol_units=1e-300)
+    assert type(match.horizon) is int and type(match.trusted_count) is int
+    assert match.unmatched and all(type(u) is float for u in match.unmatched)
+    json.dumps(dataclasses.asdict(match))
+
+
 def test_match_tower_without_tachyon():
     op = build_mass_operator_levels(*default_params(12))
-    modes = [m for m in numeric_spectrum(op, 3) if m.units > -0.5]
-    assert match_tower(modes).horizon == -1
+    modes = numeric_spectrum(op, 3)
+    assert match_tower(modes[modes.units > -0.5]).horizon == -1
 
 
 # --------------------------------------------------- transverse and fermions
@@ -557,20 +575,14 @@ def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
             order = idx[np.argsort(masses[idx], kind="stable")]
             trusted[order[:interior_directions]] = True
         start = stop
-    return [
-        NumericMode(
-            value=float(eigenvalues[i]),
-            units=float(eigenvalues[i] / op.scale),
-            trusted=bool(trusted[i]),
-            top_mass=float(masses[i]),
-        )
-        for i in range(eigenvalues.size)
-    ]
+    return np.rec.fromarrays(
+        (eigenvalues, eigenvalues / op.scale, trusted, masses), names="value,units,trusted,top_mass"
+    )
 
 
 def brute_force_match_tower(modes, tol_units=1e-6):
     """Horizon by rescanning every trusted mode for every tower value."""
-    trusted_units = sorted(m.units for m in modes if m.trusted)
+    trusted_units = sorted(float(m.units) for m in modes if m.trusted)
 
     def count_near(value):
         return sum(1 for u in trusted_units if abs(u - value) <= tol_units)
@@ -597,9 +609,7 @@ def brute_force_match_tower(modes, tol_units=1e-6):
 
 
 def assert_same_spectrum(block_modes, dense_modes, scale):
-    block_values = np.array([m.value for m in block_modes])
-    dense_values = np.array([m.value for m in dense_modes])
-    assert np.max(np.abs(block_values - dense_values)) <= 1e-10 * scale
+    assert np.max(np.abs(block_modes.value - dense_modes.value)) <= 1e-10 * scale
     block, dense = match_tower(block_modes), match_tower(dense_modes)
     assert block.horizon == dense.horizon
     assert block.trusted_count == dense.trusted_count
@@ -614,9 +624,9 @@ def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
     # solved by the dense oracle in the test_fock_route_* tests
     op = build(theta, 1.3, 0.7, n_levels)
     margin = min(4, n_levels // 3)
-    assert_same_spectrum(
-        numeric_spectrum(op, margin), dense_numeric_spectrum(op, margin), op.scale
-    )
+    modes = numeric_spectrum(op, margin)
+    assert_same_spectrum(modes, dense_numeric_spectrum(op, margin), op.scale)
+    assert match_tower(modes) == brute_force_match_tower(modes)
 
 
 @pytest.mark.parametrize(
@@ -640,7 +650,7 @@ def test_route_residual_equals_dense_oracle(theta, z2, R, n_levels, margin):
 def test_match_tower_equals_brute_force(tol):
     rng = np.random.default_rng(11)
     for _ in range(150):
-        modes = []
+        units_drawn, trusted_drawn = [], []
         for _ in range(int(rng.integers(0, 40))):
             level = int(rng.integers(0, 12))
             value = -1.0 if level == 0 else float(rng.choice([0.0, 2.0 * level - 1.0]))
@@ -659,7 +669,13 @@ def test_match_tower_equals_brute_force(tol):
                 units = value + float(rng.uniform(-tol, tol))
             else:
                 units = float(rng.uniform(-2.0, 25.0))
-            modes.append(NumericMode(units, units, bool(rng.random() < 0.9), 0.0))
+            units_drawn.append(units)
+            trusted_drawn.append(rng.random() < 0.9)
+        values = np.array(units_drawn, dtype=float)
+        modes = np.rec.fromarrays(
+            (values, values, np.array(trusted_drawn, dtype=bool), 0.0 * values),
+            names="value,units,trusted,top_mass",
+        )
         assert match_tower(modes, tol) == brute_force_match_tower(modes, tol)
 
 
