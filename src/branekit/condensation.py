@@ -32,17 +32,22 @@ def _validate_params(theta: float, z2: float, R: float | None = None) -> None:
         validate_positive("tension scale R", R)
 
 
-def _potential(t: float, scale: float, R: float) -> float:
-    """-scale t^2 + R t^4, with scale = mass_scale(theta, z2, R)."""
-    return -scale * t**2 + R * t**4
+def _scaled_potential(s: float, cos_t: float) -> float:
+    """-2 cos(theta) s^2 + s^4: the potential in units of R (2*pi*z2)^2 at t = s sqrt(2*pi*z2)."""
+    return -2.0 * cos_t * s**2 + s**4
 
 
 def potential_value(t: float, theta: float, z2: float, R: float) -> float:
-    """Tachyon potential -4*pi*z2*R*cos(theta) t^2 + R t^4 at amplitude t >= 0."""
+    """Tachyon potential -4*pi*z2*R*cos(theta) t^2 + R t^4 at amplitude t >= 0.
+
+    Evaluated in the units ``numeric_minimum`` searches in; the unit is
+    applied one factor at a time, so a finite potential stays finite.
+    """
     if t < 0.0:
         raise ValueError(f"mode amplitude must be nonnegative, got {t!r}")
     _validate_params(theta, z2, R)
-    return _potential(t, mass_scale(theta, z2, R), R)
+    unit = 2.0 * math.pi * z2
+    return R * unit * (unit * _scaled_potential(t / math.sqrt(unit), math.cos(theta)))
 
 
 def potential_derivative(t: float, theta: float, z2: float, R: float) -> float:
@@ -95,34 +100,23 @@ def golden_section_minimize(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def numeric_minimum(theta: float, z2: float, R: float, tol: float = 1e-8) -> float:
+def numeric_minimum(theta: float, z2: float, R: float) -> float:
     """Independent one-dimensional minimizer of the tachyon potential.
 
-    Golden-section search on [0, 4*sqrt(2*pi*z2)], then a single Newton step
-    off the exact derivative.  In exact arithmetic that interval holds the
-    minimum sqrt(2*pi*z2*cos(theta)) for every valid input; raises if the
-    potential underflows, so that no probe resolves the dip below V(0) = 0.
+    In the units t = s sqrt(2*pi*z2) the potential is R (2*pi*z2)^2 times
+    -2 cos(theta) s^2 + s^4, so the search never sees how small or large z2
+    is: golden section on [0, 4], which holds every minimum
+    sqrt(cos(theta)) <= 1, then one Newton step off the exact derivative,
+    then back to t.  The bracket is narrowed to 1e-8, about where the
+    polynomial's float values stop telling points apart near its minimum,
+    so the Newton step lands within rounding of it.
     """
-    validate_positive("tolerance", tol)
     _validate_params(theta, z2, R)
-    hi = 4.0 * math.sqrt(2.0 * math.pi * z2)
-    scale = mass_scale(theta, z2, R)
-
-    def f(t: float) -> float:
-        return _potential(t, scale, R)
-
-    # Linear probes plus a geometric ladder toward 0: the dip can sit
-    # arbitrarily close to 0 when the angle nears the guard.
-    probes = [frac * hi for frac in (0.1, 0.25, 0.5, 0.75, 0.9)]
-    probes += [hi * 2.0**-k for k in range(2, 50)]
-    if min(f(p) for p in probes) >= min(f(0.0), f(hi)):
-        raise ValueError(f"tachyon potential underflows at z2={z2!r}: its minimum is not resolved")
-
-    # bring the bracket down far enough that one Newton step lands within tol
-    golden_tol = min(hi * 1e-7, math.sqrt(tol) * 1e-2)
-    coarse = golden_section_minimize(f, 0.0, hi, tol=golden_tol)
-    curvature = -2.0 * scale + 12.0 * R * coarse**2
-    return coarse - potential_derivative(coarse, theta, z2, R) / curvature
+    cos_t = math.cos(theta)
+    coarse = golden_section_minimize(lambda s: _scaled_potential(s, cos_t), 0.0, 4.0, tol=1e-8)
+    slope = -4.0 * cos_t * coarse + 4.0 * coarse**3
+    curvature = -4.0 * cos_t + 12.0 * coarse**2
+    return (coarse - slope / curvature) * math.sqrt(2.0 * math.pi * z2)
 
 
 @dataclass(frozen=True, eq=False)

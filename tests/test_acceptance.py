@@ -147,7 +147,7 @@ def test_criterion_06_potential_minimum():
     assert len(pairs) == 10
     for theta, z2 in pairs:
         tmin, _ = analytic_minimum(theta, z2, R)
-        worst_gap = max(worst_gap, abs(numeric_minimum(theta, z2, R, tol=1e-8) - tmin))
+        worst_gap = max(worst_gap, abs(numeric_minimum(theta, z2, R) - tmin))
         scale = 8.0 * math.pi * z2 * R * math.cos(theta) * tmin
         worst_stationarity = max(
             worst_stationarity, abs(potential_derivative(tmin, theta, z2, R)) / scale

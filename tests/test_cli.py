@@ -317,12 +317,25 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert len(err.splitlines()) == 1 and error in err
 
 
-def test_underflowing_potential_is_invalid_input(capsys):
-    code, out, err = run(capsys, "condense", "--z2", "1e-200")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "underflows" in err
-    assert "bracket" not in err
+def test_tiny_flux_condenses(capsys):
+    # V at the minimum, -R (2 pi z2 cos theta)^2, is below the smallest float
+    code, out, err = run(capsys, "condense", "--z2", "1e-250", "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tmin_numeric"] == pytest.approx(doc["tmin_analytic"], rel=1e-14)
+    assert err.splitlines()[-1] == "pass"
+
+
+def test_minimizer_gate_is_relative_below_one(capsys, monkeypatch):
+    # a 5% miss at tmin = 1.77e-81 is far inside an absolute 1e-8
+    monkeypatch.setattr(
+        "branekit.cli.numeric_minimum", lambda *args, **kwargs: 1.05 * math.sqrt(math.pi * 1e-162)
+    )
+    code, _, err = run(capsys, "condense", "--z2", "1e-162")
+    assert code == 1
+    gap_line, _, verdict = err.splitlines()
+    assert gap_line.endswith("(FAIL at 1.8e-89)")
+    assert verdict == "FAIL: analytic/numeric minimizer disagreement"
 
 
 def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):

@@ -51,15 +51,17 @@ def test_analytic_minimum_values():
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6, 0.9, 1.2])
-@pytest.mark.parametrize("z2", [0.5, 2.0])
+@pytest.mark.parametrize("z2", [1e-250, 1e-162, 0.5, 2.0])
 def test_numeric_minimum_reproduces_closed_form(theta, z2):
+    # the condense gate's bound: relative once the minimum is below 1, where
+    # the potential is far below the float range of the raw units
     tmin, _ = analytic_minimum(theta, z2, 1.0)
-    assert abs(numeric_minimum(theta, z2, 1.0, tol=1e-8) - tmin) <= 1e-8
+    assert abs(numeric_minimum(theta, z2, 1.0) - tmin) <= 1e-8 * min(1.0, tmin)
 
 
 def test_minimizer_independent_of_overall_tension():
-    a = numeric_minimum(PI_THIRD, 1.0, 1.0, tol=1e-10)
-    b = numeric_minimum(PI_THIRD, 1.0, 10.0, tol=1e-10)
+    a = numeric_minimum(PI_THIRD, 1.0, 1.0)
+    b = numeric_minimum(PI_THIRD, 1.0, 10.0)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -69,20 +71,6 @@ def test_stationarity_at_analytic_minimum():
     assert abs(potential_derivative(pot.tmin, PI_THIRD, 1.0, 1.0)) <= 1e-12 * scale
     assert pot.quad == pytest.approx(-2.0 * math.pi, abs=1e-13)
     assert pot.quart == 1.0
-
-
-def test_numeric_minimum_guards():
-    with pytest.raises(ValueError):
-        numeric_minimum(PI_THIRD, 1.0, 1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        numeric_minimum(PI_THIRD, 1.0, 1.0, tol=math.nan)
-
-
-def test_numeric_minimum_names_an_underflowing_potential():
-    # V at the minimum, -R (2 pi z2 cos theta)^2, is below the smallest float
-    with pytest.raises(ValueError, match="underflows") as info:
-        numeric_minimum(PI_THIRD, 1e-200, 1.0)
-    assert "bracket" not in str(info.value)
 
 
 def test_condensed_blocks_structure():
