@@ -328,9 +328,8 @@ def test_tiny_flux_condenses(capsys):
 
 def test_minimizer_gate_is_relative_below_one(capsys, monkeypatch):
     # a 5% miss at tmin = 1.77e-81 is far inside an absolute 1e-8
-    monkeypatch.setattr(
-        "branekit.cli.numeric_minimum", lambda *args, **kwargs: 1.05 * math.sqrt(math.pi * 1e-162)
-    )
+    tmin = math.sqrt(math.pi * 1e-162)
+    monkeypatch.setattr("branekit.cli.numeric_minimum", lambda *args, **kwargs: 1.05 * tmin)
     code, _, err = run(capsys, "condense", "--z2", "1e-162")
     assert code == 1
     gap_line, _, verdict = err.splitlines()
