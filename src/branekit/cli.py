@@ -415,8 +415,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (MemoryError, OverflowError, FloatingPointError) as exc:
-        # overflowing inputs, and sizes with no bound of their own that
-        # cannot be allocated: `curve --points`, or `n_max` in a config file
+        # overflowing inputs, and `curve --points`, a size with no bound of
+        # its own that cannot be allocated
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

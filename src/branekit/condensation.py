@@ -16,20 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import validate_angle, validate_positive
+from .oscillator import validate_params
 from .spectrum import mass_scale
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRANCHES = ("minus", "plus")
 ASYMPTOTES = ("asym-minus", "asym-plus")
-
-
-def _validate_params(theta: float, z2: float, R: float | None = None) -> None:
-    validate_angle(theta)
-    validate_positive("flux density z2", z2)
-    if R is not None:
-        validate_positive("tension scale R", R)
 
 
 def _scaled_potential(s: float, cos_t: float) -> float:
@@ -45,7 +38,7 @@ def potential_value(t: float, theta: float, z2: float, R: float) -> float:
     """
     if t < 0.0:
         raise ValueError(f"mode amplitude must be nonnegative, got {t!r}")
-    _validate_params(theta, z2, R)
+    validate_params(theta, z2, R)
     unit = 2.0 * math.pi * z2
     return R * unit * (unit * _scaled_potential(t / math.sqrt(unit), math.cos(theta)))
 
@@ -72,7 +65,7 @@ def tachyon_potential(theta: float, z2: float, R: float) -> TachyonPotential:
 
 def analytic_minimum(theta: float, z2: float, R: float) -> tuple[float, float]:
     """Closed-form minimizer sqrt(2*pi*z2*cos(theta)) and the value there."""
-    _validate_params(theta, z2, R)
+    validate_params(theta, z2, R)
     arg = 2.0 * math.pi * z2 * math.cos(theta)
     return math.sqrt(arg), -R * arg**2
 
@@ -111,7 +104,7 @@ def numeric_minimum(theta: float, z2: float, R: float) -> float:
     polynomial's float values stop telling points apart near its minimum,
     so the Newton step lands within rounding of it.
     """
-    _validate_params(theta, z2, R)
+    validate_params(theta, z2, R)
     cos_t = math.cos(theta)
     coarse = golden_section_minimize(lambda s: _scaled_potential(s, cos_t), 0.0, 4.0, tol=1e-8)
     slope = -4.0 * cos_t * coarse + 4.0 * coarse**3
@@ -134,7 +127,7 @@ class CondensedBlocks:
 
 def condensate_amplitude(theta: float, z2: float) -> float:
     """Off-diagonal magnitude sqrt(pi*z2*cos(theta)) of the condensed blocks."""
-    _validate_params(theta, z2)
+    validate_params(theta, z2)
     return math.sqrt(math.pi * z2 * math.cos(theta))
 
 

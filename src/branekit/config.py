@@ -6,7 +6,8 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
-from .oscillator import validate_angle, validate_positive
+from .oscillator import validate_params, validate_positive
+from .spectrum import MAX_BAND_LEVELS
 
 ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 
@@ -43,15 +44,13 @@ class RunConfig:
     output_format: str = FORMAT_DELIMITED
 
     def validate(self) -> "RunConfig":
-        validate_angle(self.theta)
-        validate_positive("z2", self.z2)
-        validate_positive("R", self.R)
+        validate_params(self.theta, self.z2, self.R)
         if self.N < 4:
             raise ValueError(f"N must be >= 4, got {self.N}")
         if not 0 < self.margin_k < self.N:
             raise ValueError(f"margin_k must be in (0, N), got {self.margin_k}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        if not 0 <= self.n_max <= MAX_BAND_LEVELS:
+            raise ValueError(f"n_max must be in [0, {MAX_BAND_LEVELS}], got {self.n_max}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")

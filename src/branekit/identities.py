@@ -45,6 +45,30 @@ def _tr(x: np.ndarray) -> complex:
     return complex(np.trace(x))
 
 
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The nine commutators [x_i, y_j] of two (3, n, n) stacks, as a (3, 3, n, n) array."""
+    return x[:, None] @ y[None] - y[None] @ x[:, None]
+
+
+def _trace_sum(*terms: np.ndarray) -> complex:
+    """Sum of the terms' traces over the nine (i, j) pairs, in the per-pair loop's order.
+
+    Each pair adds its traces left to right, and the pairs accumulate in (i, j)
+    order into a Python complex.  Power-of-two factors on a term are exact.
+    """
+    traces = [np.trace(term, axis1=2, axis2=3) for term in terms]
+    total = 0.0 + 0.0j
+    for value in sum(traces[1:], traces[0]).ravel().tolist():
+        total += value
+    return total
+
+
+def _scale(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest max|x_ij| * max|y_ij| over the pairs, as Python floats: past the range is inf."""
+    x_max, y_max = (np.abs(c).max(axis=(2, 3)).ravel().tolist() for c in (x, y))
+    return float(np.max([a * b for a, b in zip(x_max, y_max)]))
+
+
 def _holds(residual: float, tol: float, *scales: complex) -> bool:
     """Whether residual <= tol * max(1, |scales|), failing on anything non-finite.
 
@@ -53,6 +77,18 @@ def _holds(residual: float, tol: float, *scales: complex) -> bool:
     """
     bound = tol * float(np.max([1.0, *(abs(v) for v in scales)]))
     return math.isfinite(bound) and residual <= bound
+
+
+def _agree(lhs: complex, rhs: complex) -> bool:
+    """Whether |lhs - rhs| <= PASS_TOL * max(1, |lhs|, |rhs|)."""
+    return _holds(abs(lhs - rhs), PASS_TOL, lhs, rhs)
+
+
+def _report(
+    identity: str, seed: int | None, dim: int, lhs: complex, rhs: complex, verdict: str, extra=()
+) -> IdentityReport:
+    """The real parts of both sides and the complex residual |lhs - rhs|."""
+    return IdentityReport(identity, seed, dim, lhs.real, rhs.real, abs(lhs - rhs), verdict, extra)
 
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -66,9 +102,7 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_fluctuation(rng: np.random.Generator, n: int) -> OffDiagonalFluctuation:
-    return OffDiagonalFluctuation(
-        random_complex(rng, n), random_complex(rng, n), random_complex(rng, n)
-    )
+    return OffDiagonalFluctuation(*(random_complex(rng, n) for _ in range(3)))
 
 
 def momentum_polynomial_fluctuation(
@@ -78,11 +112,8 @@ def momentum_polynomial_fluctuation(
     powers = [np.eye(bg.n_levels, dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ bg.p_rel)
-    blocks = []
-    for _ in range(3):
-        coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        blocks.append(sum(c * p for c, p in zip(coeffs, powers)))
-    return OffDiagonalFluctuation(*blocks)
+    coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+    return OffDiagonalFluctuation(*(sum(c * p for c, p in zip(cs, powers)) for cs in coeffs))
 
 
 def check_expansion(
@@ -94,44 +125,26 @@ def check_expansion(
 
     Holds for every input; a violation beyond rounding is reported as such.
     """
-    a_mats = fluct.block_matrices()
-    if xs[0].shape != a_mats[0].shape:
-        raise ValueError(
-            f"background/fluctuation shape mismatch: {xs[0].shape} vs {a_mats[0].shape}"
-        )
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    for i in range(3):
-        for j in range(3):
-            full = commutator(xs[i] + a_mats[i], xs[j] + a_mats[j])
-            lhs += _tr(full @ full)
-            k = commutator(xs[i], xs[j])
-            l = commutator(xs[i], a_mats[j])
-            m = commutator(a_mats[i], xs[j])
-            nn = commutator(a_mats[i], a_mats[j])
-            rhs += (
-                _tr(k @ k)
-                + 4.0 * _tr(k @ l)
-                + 2.0 * _tr(k @ nn)
-                + 2.0 * _tr(l @ (l + m))
-                + 4.0 * _tr(l @ nn)
-                + _tr(nn @ nn)
-            )
-    residual = abs(lhs - rhs)
-    ok = _holds(residual, PASS_TOL, lhs, rhs)
-    return IdentityReport(
-        identity="expansion",
-        seed=seed,
-        dim=fluct.dim,
-        lhs=lhs.real,
-        rhs=rhs.real,
-        residual=residual,
-        verdict=VERDICT_EXACT if ok else VERDICT_VIOLATED,
+    a = fluct.block_matrices()
+    if xs[0].shape != a[0].shape:
+        raise ValueError(f"background/fluctuation shape mismatch: {xs[0].shape} vs {a[0].shape}")
+    x = np.stack(xs)
+    full = _pairs(x + a, x + a)
+    k, l, m, nn = _pairs(x, x), _pairs(x, a), _pairs(a, x), _pairs(a, a)
+    lhs = _trace_sum(full @ full)
+    rhs = _trace_sum(
+        k @ k, 4.0 * (k @ l), 2.0 * (k @ nn), 2.0 * (l @ (l + m)), 4.0 * (l @ nn), nn @ nn
     )
+    verdict = VERDICT_EXACT if _agree(lhs, rhs) else VERDICT_VIOLATED
+    return _report("expansion", seed, fluct.dim, lhs, rhs, verdict)
 
 
 def _quartic_block_trace(fluct: OffDiagonalFluctuation) -> complex:
-    """Direct oracle: sum over i,j of Tr [A_i, A_j][A_i, A_j]."""
+    """Direct oracle: sum over i,j of Tr [A_i, A_j][A_i, A_j].
+
+    One pair at a time: ``identities`` calls it at N // 4 levels, where nine
+    stacked commutators would more than double the peak memory.
+    """
     a_mats = fluct.block_matrices()
     total = 0.0 + 0.0j
     for i in range(3):
@@ -151,10 +164,7 @@ def _direct_form_rhs(ts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> complex:
 
 
 def check_quartic_t(
-    t1: np.ndarray,
-    t2: np.ndarray,
-    t3: np.ndarray,
-    seed: int | None = None,
+    t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, seed: int | None = None
 ) -> IdentityReport:
     """Quartic trace in the unrotated fields, against the block-trace oracle.
 
@@ -165,25 +175,12 @@ def check_quartic_t(
     fluct = OffDiagonalFluctuation(t1, t2, t3)
     lhs = _quartic_block_trace(fluct)
     rhs = _direct_form_rhs((t1, t2, t3))
-    residual = abs(lhs - rhs)
-    matched = _holds(residual, PASS_TOL, lhs, rhs)
-    return IdentityReport(
-        identity="quartic-direct",
-        seed=seed,
-        dim=fluct.dim,
-        lhs=lhs.real,
-        rhs=rhs.real,
-        residual=residual,
-        verdict=VERDICT_RECORDED,
-        extra=(("matched", 1.0 if matched else 0.0),),
-    )
+    matched = (("matched", float(_agree(lhs, rhs))),)
+    return _report("quartic-direct", seed, fluct.dim, lhs, rhs, VERDICT_RECORDED, matched)
 
 
 def check_quartic_ttilde(
-    t1: np.ndarray,
-    t2: np.ndarray,
-    t3: np.ndarray,
-    seed: int | None = None,
+    t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, seed: int | None = None
 ) -> IdentityReport:
     """Quartic trace in the rotated fields, against the same oracle.
 
@@ -201,29 +198,17 @@ def check_quartic_ttilde(
     cross1 = tt[0].conj().T @ tt[2] - tt[2].conj().T @ tt[0]
     cross2 = tt[1].conj().T @ tt[2] - tt[2].conj().T @ tt[1]
     rhs = -4.0 * (_tr(quad @ quad) + 2.0 * _tr(cross1 @ cross2))
-    residual = abs(lhs - rhs)
-    matched = _holds(residual, PASS_TOL, lhs, rhs)
     direct_rhs = _direct_form_rhs(ts).real
-    return IdentityReport(
-        identity="quartic-rotated",
-        seed=seed,
-        dim=fluct.dim,
-        lhs=lhs.real,
-        rhs=rhs.real,
-        residual=residual,
-        verdict=VERDICT_RECORDED,
-        extra=(
-            ("matched", 1.0 if matched else 0.0),
-            ("direct_form_rhs", direct_rhs),
-            ("form_gap", abs(rhs - direct_rhs)),
-        ),
+    extra = (
+        ("matched", float(_agree(lhs, rhs))),
+        ("direct_form_rhs", direct_rhs),
+        ("form_gap", abs(rhs - direct_rhs)),
     )
+    return _report("quartic-rotated", seed, fluct.dim, lhs, rhs, VERDICT_RECORDED, extra)
 
 
 def check_cross_terms(
-    bg: BraneBackground,
-    fluct: OffDiagonalFluctuation,
-    fluctuation_class: str = "generic",
+    bg: BraneBackground, fluct: OffDiagonalFluctuation, fluctuation_class: str = "generic"
 ) -> tuple[IdentityReport, IdentityReport]:
     """Cross terms between background and fluctuation.
 
@@ -235,49 +220,23 @@ def check_cross_terms(
     recorded without a claim.
     """
     if fluct.dim != bg.n_levels:
-        raise ValueError(
-            f"fluctuation dim {fluct.dim} does not match background {bg.n_levels}"
-        )
-    xs = (bg.x1, bg.x2, bg.x3)
-    a_mats = fluct.block_matrices()
-    linear = 0.0 + 0.0j
-    cubic = 0.0 + 0.0j
-    scales_lin, scales_cub = [], []
-    for i in range(3):
-        for j in range(3):
-            kx = commutator(xs[i], xs[j])
-            la = commutator(xs[i], a_mats[j])
-            nn = commutator(a_mats[i], a_mats[j])
-            linear += _tr(kx @ la)
-            cubic += _tr(la @ nn)
-            scales_lin.append(float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
-            scales_cub.append(float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
+        raise ValueError(f"fluctuation dim {fluct.dim} does not match background {bg.n_levels}")
+    x = np.stack((bg.x1, bg.x2, bg.x3))
+    a = fluct.block_matrices()
+    kx, la, nn = _pairs(x, x), _pairs(x, a), _pairs(a, a)
+    linear = _trace_sum(kx @ la)
+    cubic = _trace_sum(la @ nn)
     dim = 2 * bg.n_levels
-    lin_res = abs(linear)
-    lin_ok = _holds(lin_res, EXACT_TOL, float(np.max(scales_lin)) * dim)
-    linear_report = IdentityReport(
-        identity="cross-linear",
-        seed=None,
-        dim=bg.n_levels,
-        lhs=linear.real,
-        rhs=0.0,
-        residual=lin_res,
-        verdict=VERDICT_EXACT if lin_ok else VERDICT_VIOLATED,
-    )
-    cub_res = abs(cubic)
-    if fluctuation_class == "momentum-polynomial":
-        cub_ok = _holds(cub_res, PASS_TOL, float(np.max(scales_cub)) * dim)
-        verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
+    lin_ok = _holds(abs(linear), EXACT_TOL, _scale(kx, la) * dim)
+    momentum = fluctuation_class == "momentum-polynomial"
+    if momentum:
+        cub_ok = _holds(abs(cubic), PASS_TOL, _scale(la, nn) * dim)
+        cub_verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
     else:
-        verdict = VERDICT_RECORDED
-    cubic_report = IdentityReport(
-        identity="cross-cubic",
-        seed=None,
-        dim=bg.n_levels,
-        lhs=cubic.real,
-        rhs=0.0,
-        residual=cub_res,
-        verdict=verdict,
-        extra=(("fluctuation_class", 1.0 if fluctuation_class == "momentum-polynomial" else 0.0),),
+        cub_verdict = VERDICT_RECORDED
+    lin_verdict = VERDICT_EXACT if lin_ok else VERDICT_VIOLATED
+    extra = (("fluctuation_class", float(momentum)),)
+    return (
+        _report("cross-linear", None, bg.n_levels, linear, 0.0, lin_verdict),
+        _report("cross-cubic", None, bg.n_levels, cubic, 0.0, cub_verdict, extra),
     )
-    return linear_report, cubic_report

@@ -34,6 +34,14 @@ def validate_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def validate_params(theta: float, z2: float, R: float | None = None) -> None:
+    """Reject a bad angle, flux density z2 or, when given, tension scale R."""
+    validate_angle(theta)
+    validate_positive("flux density z2", z2)
+    if R is not None:
+        validate_positive("tension scale R", R)
+
+
 def validate_levels(what: str, n_levels: int, bound: int) -> None:
     """Reject a truncation size below 4, or above the ``bound`` of the ``what`` it sizes."""
     if n_levels < 4:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oscillator import InteriorProjector, bogoliubov_coefficients, ladder_entries
-from .oscillator import validate_angle, validate_levels, validate_positive
+from .oscillator import validate_levels, validate_params
 
 SECTOR_TACHYON = "offdiag-tachyon"
 SECTOR_ZERO = "offdiag-zero"
@@ -99,10 +99,8 @@ def mass_scale(theta: float, z2: float, R: float) -> float:
 
 def _checked_scale(theta: float, z2: float, R: float, n_levels: int) -> float:
     """The mass scale, once every builder's checks pass, before it allocates."""
-    validate_angle(theta)
-    validate_positive("tension scale R", R)
+    validate_params(theta, z2, R)
     validate_levels("mass operator", n_levels, MAX_BAND_LEVELS)
-    validate_positive("flux density z2", z2)
     return mass_scale(theta, z2, R)
 
 

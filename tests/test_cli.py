@@ -364,6 +364,20 @@ def test_size_past_the_bound_is_invalid_input(capsys, command, n_levels, site, b
     assert err == f"error: {site} truncation size {bound + 1} exceeds its bound {bound}\n"
 
 
+def test_n_max_past_the_band_bound_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # no tower row past MAX_BAND_LEVELS can be trusted, so none is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("analytic_spectrum must not run")
+
+    monkeypatch.setattr("branekit.cli.analytic_spectrum", refuse)
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(f"n_max = {MAX_BAND_LEVELS + 1}\n")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n_max must be in [0, {MAX_BAND_LEVELS}], got {MAX_BAND_LEVELS + 1}\n"
+
+
 def test_curve_nan_residual_fails_closed(capsys, monkeypatch):
     # a NaN residual must reach the verdict as a failure, never as a pass
     def nan_curve(*args):

@@ -10,15 +10,19 @@ from branekit import (
     check_expansion,
     check_quartic_t,
     check_quartic_ttilde,
+    commutator,
     momentum_polynomial_fluctuation,
     random_fluctuation,
     random_hermitian,
     rotation_u,
 )
 from branekit.identities import (
+    EXACT_TOL,
+    PASS_TOL,
     VERDICT_EXACT,
     VERDICT_PASS,
     VERDICT_RECORDED,
+    VERDICT_VIOLATED,
     _holds,
     random_complex,
 )
@@ -36,8 +40,6 @@ def test_expansion_with_zero_fluctuation():
     assert report.verdict == VERDICT_EXACT
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
     # both sides collapse to the pure-background double trace
-    from branekit import commutator
-
     pure = sum(
         np.trace(commutator(xs[i], xs[j]) @ commutator(xs[i], xs[j]))
         for i in range(3)
@@ -194,3 +196,129 @@ def test_cross_terms_dimension_mismatch():
 )
 def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expected):
     assert _holds(residual, tol, *scales) is expected
+
+
+# ------------------------------------------------- per-pair identity oracle
+
+
+def _pair_blocks(fluct):
+    zero = np.zeros((fluct.dim, fluct.dim), dtype=complex)
+    return [np.block([[zero, t], [t.conj().T, zero]]) for t in (fluct.t1, fluct.t2, fluct.t3)]
+
+
+def _tr(x):
+    return complex(np.trace(x))
+
+
+def pairwise_expansion(xs, fluct):
+    """``check_expansion`` one (i, j) pair at a time, with one ``commutator`` per product."""
+    a = _pair_blocks(fluct)
+    lhs = rhs = 0.0 + 0.0j
+    for i in range(3):
+        for j in range(3):
+            full = commutator(xs[i] + a[i], xs[j] + a[j])
+            lhs += _tr(full @ full)
+            k = commutator(xs[i], xs[j])
+            l = commutator(xs[i], a[j])
+            m = commutator(a[i], xs[j])
+            nn = commutator(a[i], a[j])
+            rhs += (
+                _tr(k @ k)
+                + 4.0 * _tr(k @ l)
+                + 2.0 * _tr(k @ nn)
+                + 2.0 * _tr(l @ (l + m))
+                + 4.0 * _tr(l @ nn)
+                + _tr(nn @ nn)
+            )
+    residual = abs(lhs - rhs)
+    verdict = VERDICT_EXACT if _holds(residual, PASS_TOL, lhs, rhs) else VERDICT_VIOLATED
+    return [(lhs.real, rhs.real, residual, verdict)]
+
+
+def pairwise_cross_terms(bg, fluct, momentum):
+    """``check_cross_terms`` one (i, j) pair at a time, with per-pair scale lists."""
+    xs = (bg.x1, bg.x2, bg.x3)
+    a = _pair_blocks(fluct)
+    linear = cubic = 0.0 + 0.0j
+    scales_lin, scales_cub = [], []
+    for i in range(3):
+        for j in range(3):
+            kx = commutator(xs[i], xs[j])
+            la = commutator(xs[i], a[j])
+            nn = commutator(a[i], a[j])
+            linear += _tr(kx @ la)
+            cubic += _tr(la @ nn)
+            scales_lin.append(float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
+            scales_cub.append(float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
+    dim = 2 * bg.n_levels
+    lin_ok = _holds(abs(linear), EXACT_TOL, float(np.max(scales_lin)) * dim)
+    if momentum:
+        cub_ok = _holds(abs(cubic), PASS_TOL, float(np.max(scales_cub)) * dim)
+        cub_verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
+    else:
+        cub_verdict = VERDICT_RECORDED
+    return [
+        (linear.real, 0.0, abs(linear), VERDICT_EXACT if lin_ok else VERDICT_VIOLATED),
+        (cubic.real, 0.0, abs(cubic), cub_verdict, "fluctuation_class", float(momentum)),
+    ]
+
+
+def _report_bits(*reports):
+    rows = [
+        (r.lhs, r.rhs, r.residual, r.verdict, *(v for pair in r.extra for v in pair))
+        for r in reports
+    ]
+    return _bits(rows)
+
+
+def _bits(rows):
+    """Rows with every float spelled out bit for bit (keeps the sign of zero)."""
+    return [
+        tuple((type(v), v.hex()) if isinstance(v, float) else v for v in row) for row in rows
+    ]
+
+
+def _with_nan(fluct):
+    t1 = fluct.t1.copy()
+    t1[0, -1] = math.nan
+    return OffDiagonalFluctuation(t1, fluct.t2, fluct.t3)
+
+
+# kinds of expansion draw: generic (weighted), zero background, zero
+# fluctuation, real background, and a NaN entry in one fluctuation block
+EXPANSION_KINDS = ("generic", "generic", "generic", "zero-x", "zero-a", "real-x", "nan")
+
+
+@pytest.mark.parametrize("draw", range(175))
+def test_expansion_matches_per_pair_oracle_bitwise(draw):
+    rng = np.random.default_rng(20031005 + draw)
+    dim = 2 + draw % 15
+    kind = EXPANSION_KINDS[draw % len(EXPANSION_KINDS)]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "real-x":
+        xs = tuple(scale * rng.standard_normal((2 * dim, 2 * dim)) for _ in range(3))
+    else:
+        xs = tuple(scale * random_hermitian(rng, 2 * dim) for _ in range(3))
+    if kind == "zero-x":
+        xs = tuple(np.zeros_like(x) for x in xs)
+    fluct = zero_fluct(dim) if kind == "zero-a" else random_fluctuation(rng, dim)
+    if kind == "nan":
+        fluct = _with_nan(fluct)
+    report = check_expansion(xs, fluct, seed=draw)
+    assert _report_bits(report) == _bits(pairwise_expansion(xs, fluct))
+
+
+@pytest.mark.parametrize("draw", range(50))
+def test_cross_terms_match_per_pair_oracle_bitwise(draw):
+    rng = np.random.default_rng(20240817 + draw)
+    n = 4 + draw % 13
+    bg = build_background(float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0), 1.0, n)
+    momentum = draw % 2 == 1
+    fluct = momentum_polynomial_fluctuation(bg, rng) if momentum else random_fluctuation(rng, n)
+    if draw % 5 == 2:
+        fluct = zero_fluct(n)
+    elif draw % 5 == 4:
+        fluct = _with_nan(fluct)
+    fluctuation_class = "momentum-polynomial" if momentum else "generic"
+    reports = check_cross_terms(bg, fluct, fluctuation_class=fluctuation_class)
+    assert _report_bits(*reports) == _bits(pairwise_cross_terms(bg, fluct, momentum))
