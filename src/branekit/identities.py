@@ -54,7 +54,8 @@ def _trace_sum(*terms: np.ndarray) -> complex:
     """Sum of the terms' traces over the nine (i, j) pairs, in the per-pair loop's order.
 
     Each pair adds its traces left to right, and the pairs accumulate in (i, j)
-    order into a Python complex.  Power-of-two factors on a term are exact.
+    order into a Python complex.  A power-of-two factor on a term scales its
+    trace exactly, so it may sit on the matrix instead of the trace.
     """
     traces = [np.trace(term, axis1=2, axis2=3) for term in terms]
     total = 0.0 + 0.0j
