@@ -36,6 +36,10 @@ GOLDEN_RUNS = {
     ),
     "identities_default": (0, ["identities"]),
     "identities_seed42": (0, ["identities", "--seed", "42"]),
+    "identities_n40": (
+        0,
+        ["identities", "--N", "40", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
+    ),
     "condense_default": (0, ["condense"]),
     "curve_default": (0, ["curve"]),
 }
