@@ -11,32 +11,25 @@ from .oscillator import InteriorProjector, commutator, make_qp
 from .oscillator import validate_levels, validate_params
 
 #: Largest truncation of the dense 2N x 2N background; ``identities`` builds
-#: one at N // 4, and ``identities --N 4003`` peaks at 682 MB resident.
+#: one at N // 4, and ``identities --N 4003`` peaks at 666 MB resident.
 MAX_DENSE_LEVELS = 1000
-
-
-def _block_diag(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    n = upper.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    return np.block([[upper, zero], [zero, lower]])
 
 
 @dataclass(frozen=True, eq=False)
 class BraneBackground:
     """Two branes intersecting at one angle, on a shared N-level truncation.
 
-    x1, x2, x3 are the 2N x 2N block-diagonal coordinate matrices; q_rel and
-    p_rel are the N x N relative coordinates with [q_rel, p_rel] = 2*pi*i*z2
-    on the interior.  All fields are immutable after construction.
+    xs stacks the 2N x 2N block-diagonal coordinate matrices X_1, X_2, X_3 as
+    one (3, 2N, 2N) array; q_rel and p_rel are the N x N relative coordinates
+    with [q_rel, p_rel] = 2*pi*i*z2 on the interior.  All fields are
+    immutable after construction.
     """
 
     theta: float
     z2: float
     R: float
     n_levels: int
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
+    xs: np.ndarray
     q_rel: np.ndarray
     p_rel: np.ndarray
 
@@ -52,40 +45,34 @@ def build_background(theta: float, z2: float, R: float, n_levels: int) -> BraneB
     q, p = make_qp(n_levels, z2)
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
-    x1 = _block_diag(p * sin_t, p * sin_t)
-    x2 = _block_diag(p * cos_t, -p * cos_t)
-    x3 = _block_diag(q, q)
-    return BraneBackground(
-        theta=theta, z2=z2, R=R, n_levels=n_levels, x1=x1, x2=x2, x3=x3, q_rel=q, p_rel=p
-    )
+    n = n_levels
+    xs = np.zeros((3, 2 * n, 2 * n), dtype=complex)
+    xs[:, :n, :n] = p * sin_t, p * cos_t, q
+    xs[:, n:, n:] = p * sin_t, -p * cos_t, q
+    return BraneBackground(theta=theta, z2=z2, R=R, n_levels=n, xs=xs, q_rel=q, p_rel=p)
 
 
 @dataclass(frozen=True, eq=False)
 class OffDiagonalFluctuation:
-    """Off-diagonal interaction blocks between the two branes."""
+    """Off-diagonal interaction blocks T_1, T_2, T_3 between the two branes, as (3, N, N)."""
 
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
+    ts: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = self.t1.shape
-        if self.t2.shape != shape or self.t3.shape != shape:
-            raise ValueError("fluctuation blocks must share one shape")
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"fluctuation blocks must be square, got {shape}")
+        shape = self.ts.shape
+        if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
+            raise ValueError(f"fluctuation blocks must be a (3, N, N) stack, got {shape}")
 
     @property
     def dim(self) -> int:
-        return self.t1.shape[0]
+        return self.ts.shape[1]
 
     def block_matrices(self) -> np.ndarray:
         """The Hermitian 2N x 2N matrices [[0, T_i], [T_i^dag, 0]], stacked as (3, 2N, 2N)."""
         n = self.dim
         out = np.zeros((3, 2 * n, 2 * n), dtype=complex)
-        for block, t in zip(out, (self.t1, self.t2, self.t3)):
-            block[:n, n:] = t
-            block[n:, :n] = t.conj().T
+        out[:, :n, n:] = self.ts
+        out[:, n:, :n] = self.ts.conj().transpose(0, 2, 1)
         return out
 
 
@@ -115,13 +102,12 @@ class BackgroundCommutatorReport:
 
 def check_background_commutators(bg: BraneBackground) -> BackgroundCommutatorReport:
     """Verify each [X_i, X_j] block is proportional to the identity below the top level."""
-    mats = {1: bg.x1, 2: bg.x2, 3: bg.x3}
     n = bg.n_levels
     proj = InteriorProjector(n, 1)
     checks: list[BlockConstant] = []
     squared_sum = 0.0 + 0.0j
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        comm = commutator(mats[i], mats[j])
+        comm = commutator(bg.xs[i - 1], bg.xs[j - 1])
         for name, sl in (("upper", slice(0, n)), ("lower", slice(n, 2 * n))):
             block = comm[sl, sl]
             interior = proj.apply(block)

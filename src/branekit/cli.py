@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .background import build_background
+from .background import OffDiagonalFluctuation, build_background
 from .condensation import (
     asymmetry_gap,
     numeric_minimum,
@@ -215,7 +215,7 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         seed = config.seed + trial
         rng = np.random.default_rng(seed)
         dim = 2 + trial % 7
-        xs = tuple(random_hermitian(rng, 2 * dim) for _ in range(3))
+        xs = np.stack([random_hermitian(rng, 2 * dim) for _ in range(3)])
         fluct = random_fluctuation(rng, dim)
         reports.append(check_expansion(xs, fluct, seed=seed))
 
@@ -233,20 +233,20 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
 
     rng = np.random.default_rng(config.seed)
     dim = 5
-    equal = random_complex(rng, dim)
-    reports.append(check_quartic_t(equal, equal.copy(), equal.copy(), seed=config.seed))
+    equal = OffDiagonalFluctuation(np.stack([random_complex(rng, dim)] * 3))
+    reports.append(check_quartic_t(equal, seed=config.seed))
     rank_one = [
         np.outer(rng.standard_normal(dim), rng.standard_normal(dim)).astype(complex)
         for _ in range(3)
     ]
-    reports.append(check_quartic_t(*rank_one, seed=config.seed))
+    reports.append(check_quartic_t(OffDiagonalFluctuation(np.stack(rank_one)), seed=config.seed))
     momentum = momentum_polynomial_fluctuation(config_bg, rng)
-    reports.append(check_quartic_t(momentum.t1, momentum.t2, momentum.t3, seed=config.seed))
-    generic = [random_complex(rng, dim) for _ in range(3)]
-    reports.append(check_quartic_t(*generic, seed=config.seed))
-    reports.append(check_quartic_ttilde(*generic, seed=config.seed))
-    zero = np.zeros((dim, dim), dtype=complex)
-    reports.append(check_quartic_ttilde(zero, zero.copy(), zero.copy(), seed=config.seed))
+    reports.append(check_quartic_t(momentum, seed=config.seed))
+    generic = random_fluctuation(rng, dim)
+    reports.append(check_quartic_t(generic, seed=config.seed))
+    reports.append(check_quartic_ttilde(generic, seed=config.seed))
+    zero = OffDiagonalFluctuation(np.zeros((3, dim, dim), dtype=complex))
+    reports.append(check_quartic_ttilde(zero, seed=config.seed))
 
     violated = [r for r in reports if r.verdict == VERDICT_VIOLATED]
     by_verdict = Counter(r.verdict for r in reports)

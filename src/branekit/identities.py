@@ -103,7 +103,7 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_fluctuation(rng: np.random.Generator, n: int) -> OffDiagonalFluctuation:
-    return OffDiagonalFluctuation(*(random_complex(rng, n) for _ in range(3)))
+    return OffDiagonalFluctuation(np.stack([random_complex(rng, n) for _ in range(3)]))
 
 
 def momentum_polynomial_fluctuation(
@@ -114,24 +114,23 @@ def momentum_polynomial_fluctuation(
     for _ in range(3):
         powers.append(powers[-1] @ bg.p_rel)
     coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-    return OffDiagonalFluctuation(*(sum(c * p for c, p in zip(cs, powers)) for cs in coeffs))
+    blocks = [sum(c * p for c, p in zip(cs, powers)) for cs in coeffs]
+    return OffDiagonalFluctuation(np.stack(blocks))
 
 
 def check_expansion(
-    xs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    fluct: OffDiagonalFluctuation,
-    seed: int | None = None,
+    xs: np.ndarray, fluct: OffDiagonalFluctuation, seed: int | None = None
 ) -> IdentityReport:
     """Expand Tr[(X_i+A_i),(X_j+A_j)]^2 and compare term by term.
 
-    Holds for every input; a violation beyond rounding is reported as such.
+    xs is the (3, 2N, 2N) background stack.  Holds for every input; a
+    violation beyond rounding is reported as such.
     """
     a = fluct.block_matrices()
-    if xs[0].shape != a[0].shape:
-        raise ValueError(f"background/fluctuation shape mismatch: {xs[0].shape} vs {a[0].shape}")
-    x = np.stack(xs)
-    full = _pairs(x + a, x + a)
-    k, l, m, nn = _pairs(x, x), _pairs(x, a), _pairs(a, x), _pairs(a, a)
+    if xs.shape != a.shape:
+        raise ValueError(f"background/fluctuation shape mismatch: {xs.shape} vs {a.shape}")
+    full = _pairs(xs + a, xs + a)
+    k, l, m, nn = _pairs(xs, xs), _pairs(xs, a), _pairs(a, xs), _pairs(a, a)
     lhs = _trace_sum(full @ full)
     rhs = _trace_sum(
         k @ k, 4.0 * (k @ l), 2.0 * (k @ nn), 2.0 * (l @ (l + m)), 4.0 * (l @ nn), nn @ nn
@@ -155,7 +154,7 @@ def _quartic_block_trace(fluct: OffDiagonalFluctuation) -> complex:
     return total
 
 
-def _direct_form_rhs(ts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> complex:
+def _direct_form_rhs(ts: np.ndarray) -> complex:
     """Unrotated-field closed form 4 sum_{i<j} Tr (T_i T_j^dag - T_j T_i^dag)^2."""
     rhs = 0.0 + 0.0j
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -164,25 +163,20 @@ def _direct_form_rhs(ts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> complex:
     return rhs
 
 
-def check_quartic_t(
-    t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, seed: int | None = None
-) -> IdentityReport:
+def check_quartic_t(fluct: OffDiagonalFluctuation, seed: int | None = None) -> IdentityReport:
     """Quartic trace in the unrotated fields, against the block-trace oracle.
 
     rhs follows the stated closed form
     4[(T1 T2^dag - T2 T1^dag)^2 + (T1 T3^dag - T3 T1^dag)^2 + (T2 T3^dag - T3 T2^dag)^2]
     taken literally; the report records how it compares.
     """
-    fluct = OffDiagonalFluctuation(t1, t2, t3)
     lhs = _quartic_block_trace(fluct)
-    rhs = _direct_form_rhs((t1, t2, t3))
+    rhs = _direct_form_rhs(fluct.ts)
     matched = (("matched", float(_agree(lhs, rhs))),)
     return _report("quartic-direct", seed, fluct.dim, lhs, rhs, VERDICT_RECORDED, matched)
 
 
-def check_quartic_ttilde(
-    t1: np.ndarray, t2: np.ndarray, t3: np.ndarray, seed: int | None = None
-) -> IdentityReport:
+def check_quartic_ttilde(fluct: OffDiagonalFluctuation, seed: int | None = None) -> IdentityReport:
     """Quartic trace in the rotated fields, against the same oracle.
 
     Rotates the fields, evaluates the stated rotated-field closed form
@@ -190,10 +184,9 @@ def check_quartic_ttilde(
     and also records the gap to the unrotated-field closed form so the two
     conventions can be compared on identical inputs.
     """
-    fluct = OffDiagonalFluctuation(t1, t2, t3)
     lhs = _quartic_block_trace(fluct)
     u = rotation_u()
-    ts = (t1, t2, t3)
+    ts = fluct.ts
     tt = [sum(u[i, j] * ts[j] for j in range(3)) for i in range(3)]
     quad = tt[0].conj().T @ tt[0] + tt[1].conj().T @ tt[1]
     cross1 = tt[0].conj().T @ tt[2] - tt[2].conj().T @ tt[0]
@@ -217,13 +210,14 @@ def check_cross_terms(
     dimension (the integrand is block-off-diagonal).  The cubic term
     sum Tr[X_i,A_j][A_i,A_j] is asserted at the pass tolerance only for
     fluctuations built from the relative momentum
-    (fluctuation_class="momentum-polynomial"); for anything else it is
-    recorded without a claim.
+    (fluctuation_class="momentum-polynomial"); for "generic" ones it is
+    recorded without a claim.  Any other class is an error.
     """
+    if fluctuation_class not in ("generic", "momentum-polynomial"):
+        raise ValueError(f"unknown fluctuation class {fluctuation_class!r}")
     if fluct.dim != bg.n_levels:
         raise ValueError(f"fluctuation dim {fluct.dim} does not match background {bg.n_levels}")
-    x = np.stack((bg.x1, bg.x2, bg.x3))
-    a = fluct.block_matrices()
+    x, a = bg.xs, fluct.block_matrices()
     kx, la, nn = _pairs(x, x), _pairs(x, a), _pairs(a, a)
     linear = _trace_sum(kx @ la)
     cubic = _trace_sum(la @ nn)

@@ -123,7 +123,7 @@ def test_criterion_05_algebraic_identities():
         seed = 5000 + trial
         rng = np.random.default_rng(seed)
         dim = 2 + trial % 7
-        xs = tuple(random_hermitian(rng, 2 * dim) for _ in range(3))
+        xs = np.stack([random_hermitian(rng, 2 * dim) for _ in range(3)])
         expansion = check_expansion(xs, random_fluctuation(rng, dim), seed=seed)
         rel = expansion.residual / max(1.0, abs(expansion.lhs), abs(expansion.rhs))
         worst_expansion = max(worst_expansion, rel)

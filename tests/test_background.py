@@ -12,26 +12,57 @@ from branekit import (
 )
 
 
+def _block_diag(upper, lower):
+    n = upper.shape[0]
+    zero = np.zeros((n, n), dtype=complex)
+    return np.block([[upper, zero], [zero, lower]])
+
+
+def block_assembled_background(theta, z2, n):
+    """The X_i one at a time from their two diagonal blocks, with ``np.block``."""
+    q, p = make_qp(n, z2)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    return np.stack(
+        [
+            _block_diag(p * sin_t, p * sin_t),
+            _block_diag(p * cos_t, -p * cos_t),
+            _block_diag(q, q),
+        ]
+    )
+
+
+@pytest.mark.parametrize("draw", range(60))
+def test_background_stack_matches_block_assembly_bitwise(draw):
+    rng = np.random.default_rng(20260118 + draw)
+    theta = 0.0 if draw == 0 else float(rng.uniform(0.0, math.pi / 2 - 0.01))
+    z2 = 10.0 ** rng.uniform(-3.0, 3.0)
+    n = 4 + draw % 37
+    bg = build_background(theta, z2, 1.0, n)
+    expected = block_assembled_background(theta, z2, n)
+    assert bg.xs.dtype == expected.dtype and bg.xs.shape == expected.shape
+    assert bg.xs.tobytes() == expected.tobytes()
+
+
 def test_blocks_are_hermitian():
     bg = build_background(math.pi / 3, 1.0, 1.0, 8)
-    for mat in (bg.x1, bg.x2, bg.x3):
+    for mat in bg.xs:
         np.testing.assert_array_equal(mat, mat.conj().T)
 
 
 def test_coordinate_block_matches_qp():
     bg = build_background(math.pi / 3, 1.0, 1.0, 8)
     q, p = make_qp(8, 1.0)
-    np.testing.assert_array_equal(bg.x3[:8, :8], q)
-    np.testing.assert_array_equal(bg.x3[8:, 8:], q)
-    np.testing.assert_allclose(bg.x1[:8, :8], p * math.sin(math.pi / 3), atol=1e-15)
-    np.testing.assert_allclose(bg.x2[8:, 8:], -p * math.cos(math.pi / 3), atol=1e-15)
+    np.testing.assert_array_equal(bg.xs[2, :8, :8], q)
+    np.testing.assert_array_equal(bg.xs[2, 8:, 8:], q)
+    np.testing.assert_allclose(bg.xs[0, :8, :8], p * math.sin(math.pi / 3), atol=1e-15)
+    np.testing.assert_allclose(bg.xs[1, 8:, 8:], -p * math.cos(math.pi / 3), atol=1e-15)
 
 
 def test_zero_angle_is_brane_antibrane():
     bg = build_background(0.0, 1.0, 1.0, 6)
-    np.testing.assert_array_equal(bg.x1, np.zeros_like(bg.x1))
-    np.testing.assert_array_equal(bg.x2[:6, :6], bg.p_rel)
-    np.testing.assert_array_equal(bg.x2[6:, 6:], -bg.p_rel)
+    np.testing.assert_array_equal(bg.xs[0], np.zeros_like(bg.xs[0]))
+    np.testing.assert_array_equal(bg.xs[1, :6, :6], bg.p_rel)
+    np.testing.assert_array_equal(bg.xs[1, 6:, 6:], -bg.p_rel)
 
 
 def test_relative_pair_commutator():
@@ -94,7 +125,7 @@ def test_squared_sum_is_angle_independent(theta, z2):
 def test_fluctuation_blocks_hermitian():
     rng = np.random.default_rng(3)
     ts = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
-    fluct = OffDiagonalFluctuation(*ts)
+    fluct = OffDiagonalFluctuation(np.stack(ts))
     for mat in fluct.block_matrices():
         np.testing.assert_array_equal(mat, mat.conj().T)
         np.testing.assert_array_equal(mat[:4, :4], np.zeros((4, 4)))
@@ -102,12 +133,18 @@ def test_fluctuation_blocks_hermitian():
 
 def test_fluctuation_rejects_mismatched_blocks():
     with pytest.raises(ValueError):
-        OffDiagonalFluctuation(np.eye(3), np.eye(3), np.eye(4))
+        OffDiagonalFluctuation(np.zeros((3, 3, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 4, 4), (4, 4, 4), (3, 4), (3, 4, 4, 1)])
+def test_fluctuation_rejects_anything_but_three_square_blocks(shape):
+    with pytest.raises(ValueError, match=r"\(3, N, N\) stack"):
+        OffDiagonalFluctuation(np.zeros(shape, dtype=complex))
 
 
 def test_commutator_report_keeps_nan_residual():
     bg = build_background(0.3, 1.0, 1.0, 8)
-    x1 = bg.x1.copy()
-    x1[0, 0] = np.nan
-    report = check_background_commutators(dataclasses.replace(bg, x1=x1))
+    xs = bg.xs.copy()
+    xs[0, 0, 0] = np.nan
+    report = check_background_commutators(dataclasses.replace(bg, xs=xs))
     assert np.isnan(report.max_residual)

@@ -29,13 +29,12 @@ from branekit.identities import (
 
 
 def zero_fluct(n):
-    z = np.zeros((n, n), dtype=complex)
-    return OffDiagonalFluctuation(z, z.copy(), z.copy())
+    return OffDiagonalFluctuation(np.zeros((3, n, n), dtype=complex))
 
 
 def test_expansion_with_zero_fluctuation():
     rng = np.random.default_rng(0)
-    xs = tuple(random_hermitian(rng, 8) for _ in range(3))
+    xs = np.stack([random_hermitian(rng, 8) for _ in range(3)])
     report = check_expansion(xs, zero_fluct(4))
     assert report.verdict == VERDICT_EXACT
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
@@ -51,7 +50,7 @@ def test_expansion_with_zero_fluctuation():
 def test_expansion_with_zero_background():
     rng = np.random.default_rng(1)
     fluct = random_fluctuation(rng, 5)
-    xs = tuple(np.zeros((10, 10), dtype=complex) for _ in range(3))
+    xs = np.zeros((3, 10, 10), dtype=complex)
     report = check_expansion(xs, fluct)
     assert report.verdict == VERDICT_EXACT
 
@@ -60,7 +59,7 @@ def test_expansion_with_zero_background():
 def test_expansion_property(trial):
     rng = np.random.default_rng(1000 + trial)
     dim = 2 + trial % 7
-    xs = tuple(random_hermitian(rng, 2 * dim) for _ in range(3))
+    xs = np.stack([random_hermitian(rng, 2 * dim) for _ in range(3)])
     report = check_expansion(xs, random_fluctuation(rng, dim), seed=1000 + trial)
     assert report.verdict == VERDICT_EXACT
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs), abs(report.rhs))
@@ -68,15 +67,24 @@ def test_expansion_property(trial):
 
 def test_expansion_shape_mismatch():
     rng = np.random.default_rng(2)
-    xs = tuple(random_hermitian(rng, 6) for _ in range(3))
+    xs = np.stack([random_hermitian(rng, 6) for _ in range(3)])
     with pytest.raises(ValueError):
         check_expansion(xs, random_fluctuation(rng, 5))
+
+
+@pytest.mark.parametrize("coords", [1, 2])
+def test_expansion_rejects_a_short_background(coords):
+    # one or two coordinates must not broadcast into all three
+    rng = np.random.default_rng(13)
+    xs = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        check_expansion(xs[:coords], random_fluctuation(rng, 4))
 
 
 def test_quartic_direct_equal_fields_vanish():
     rng = np.random.default_rng(3)
     t = random_complex(rng, 5)
-    report = check_quartic_t(t, t.copy(), t.copy())
+    report = check_quartic_t(OffDiagonalFluctuation(np.stack([t, t, t])))
     assert report.lhs == pytest.approx(0.0, abs=1e-12)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -89,7 +97,7 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
         np.outer(rng.standard_normal(5), rng.standard_normal(5)).astype(complex)
         for _ in range(3)
     ]
-    report = check_quartic_t(*ts)
+    report = check_quartic_t(OffDiagonalFluctuation(np.stack(ts)))
     zero = np.zeros((5, 5), dtype=complex)
     oracle = 0.0
     for i in range(3):
@@ -107,20 +115,19 @@ def test_quartic_direct_momentum_class_matches():
     bg = build_background(0.7, 1.0, 1.0, 6)
     rng = np.random.default_rng(5)
     fluct = momentum_polynomial_fluctuation(bg, rng)
-    report = check_quartic_t(fluct.t1, fluct.t2, fluct.t3)
+    report = check_quartic_t(fluct)
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
 
 
 def test_quartic_direct_generic_is_recorded():
     rng = np.random.default_rng(6)
-    report = check_quartic_t(*(random_complex(rng, 5) for _ in range(3)), seed=6)
+    report = check_quartic_t(random_fluctuation(rng, 5), seed=6)
     assert report.verdict == VERDICT_RECORDED
     assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
 
 
 def test_quartic_rotated_zero_fields():
-    z = np.zeros((4, 4), dtype=complex)
-    report = check_quartic_ttilde(z, z.copy(), z.copy())
+    report = check_quartic_ttilde(zero_fluct(4))
     assert report.lhs == 0.0 and report.rhs == 0.0
 
 
@@ -132,7 +139,7 @@ def test_quartic_rotated_single_field_direction():
     tilde = np.array([t_amp * np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, dim))])
     u = rotation_u()
     ts = [sum(u.conj().T[i, j] * tilde[j] for j in range(3)) for i in range(3)]
-    report = check_quartic_ttilde(*ts)
+    report = check_quartic_ttilde(OffDiagonalFluctuation(np.stack(ts)))
     expected = -4.0 * t_amp**4 * dim
     assert report.rhs == pytest.approx(expected, rel=1e-12)
     assert report.lhs == pytest.approx(expected, rel=1e-12)
@@ -141,9 +148,9 @@ def test_quartic_rotated_single_field_direction():
 
 def test_quartic_rotated_records_form_gap():
     rng = np.random.default_rng(8)
-    ts = [random_complex(rng, 5) for _ in range(3)]
-    report = check_quartic_ttilde(*ts, seed=8)
-    direct = check_quartic_t(*ts, seed=8)
+    fluct = random_fluctuation(rng, 5)
+    report = check_quartic_ttilde(fluct, seed=8)
+    direct = check_quartic_t(fluct, seed=8)
     assert report.lhs == pytest.approx(direct.lhs, rel=1e-12)
     extras = dict(report.extra)
     assert extras["direct_form_rhs"] == pytest.approx(direct.rhs, rel=1e-12)
@@ -172,6 +179,14 @@ def test_cross_terms_generic_recorded():
     rng = np.random.default_rng(11)
     _, cubic = check_cross_terms(bg, random_fluctuation(rng, 6))
     assert cubic.verdict == VERDICT_RECORDED
+
+
+def test_cross_terms_reject_an_unknown_class():
+    # a misspelled class must not turn the pass-gated cubic check into a record
+    bg = build_background(0.9, 1.0, 1.0, 6)
+    fluct = momentum_polynomial_fluctuation(bg, np.random.default_rng(14))
+    with pytest.raises(ValueError, match="unknown fluctuation class"):
+        check_cross_terms(bg, fluct, fluctuation_class="momentum_polynomial")
 
 
 def test_cross_terms_dimension_mismatch():
@@ -203,7 +218,7 @@ def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expect
 
 def _pair_blocks(fluct):
     zero = np.zeros((fluct.dim, fluct.dim), dtype=complex)
-    return [np.block([[zero, t], [t.conj().T, zero]]) for t in (fluct.t1, fluct.t2, fluct.t3)]
+    return [np.block([[zero, t], [t.conj().T, zero]]) for t in fluct.ts]
 
 
 def _tr(x):
@@ -237,7 +252,7 @@ def pairwise_expansion(xs, fluct):
 
 def pairwise_cross_terms(bg, fluct, momentum):
     """``check_cross_terms`` one (i, j) pair at a time, with per-pair scale lists."""
-    xs = (bg.x1, bg.x2, bg.x3)
+    xs = bg.xs
     a = _pair_blocks(fluct)
     linear = cubic = 0.0 + 0.0j
     scales_lin, scales_cub = [], []
@@ -279,9 +294,9 @@ def _bits(rows):
 
 
 def _with_nan(fluct):
-    t1 = fluct.t1.copy()
-    t1[0, -1] = math.nan
-    return OffDiagonalFluctuation(t1, fluct.t2, fluct.t3)
+    ts = fluct.ts.copy()
+    ts[0, 0, -1] = math.nan
+    return OffDiagonalFluctuation(ts)
 
 
 # kinds of expansion draw: generic (weighted), zero background, zero
@@ -296,11 +311,11 @@ def test_expansion_matches_per_pair_oracle_bitwise(draw):
     kind = EXPANSION_KINDS[draw % len(EXPANSION_KINDS)]
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     if kind == "real-x":
-        xs = tuple(scale * rng.standard_normal((2 * dim, 2 * dim)) for _ in range(3))
+        xs = np.stack([scale * rng.standard_normal((2 * dim, 2 * dim)) for _ in range(3)])
     else:
-        xs = tuple(scale * random_hermitian(rng, 2 * dim) for _ in range(3))
+        xs = np.stack([scale * random_hermitian(rng, 2 * dim) for _ in range(3)])
     if kind == "zero-x":
-        xs = tuple(np.zeros_like(x) for x in xs)
+        xs = np.zeros_like(xs)
     fluct = zero_fluct(dim) if kind == "zero-a" else random_fluctuation(rng, dim)
     if kind == "nan":
         fluct = _with_nan(fluct)
@@ -322,3 +337,19 @@ def test_cross_terms_match_per_pair_oracle_bitwise(draw):
     fluctuation_class = "momentum-polynomial" if momentum else "generic"
     reports = check_cross_terms(bg, fluct, fluctuation_class=fluctuation_class)
     assert _report_bits(*reports) == _bits(pairwise_cross_terms(bg, fluct, momentum))
+
+
+@pytest.mark.parametrize("draw", range(50))
+def test_block_matrices_match_per_block_assembly_bitwise(draw):
+    rng = np.random.default_rng(20260117 + draw)
+    n = 1 + draw % 12
+    if draw % 5 == 2:
+        fluct = zero_fluct(n)
+    elif draw % 5 == 4:
+        fluct = _with_nan(random_fluctuation(rng, n))
+    else:
+        fluct = random_fluctuation(rng, n)
+    expected = np.stack(_pair_blocks(fluct))
+    got = fluct.block_matrices()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
