@@ -132,7 +132,7 @@ def test_fluctuation_blocks_hermitian():
 
 
 def test_fluctuation_rejects_mismatched_blocks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(3, N, N\) stack"):
         OffDiagonalFluctuation(np.zeros((3, 3, 4), dtype=complex))
 
 
