@@ -25,7 +25,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #: Pinned reports with their exit codes; ``<name>.err`` holds the stderr
 #: text, which does not depend on the format.  ``spectrum_n52362`` is the
 #: first size at which the route gate fails at the ``spectrum_n200`` config,
-#: while the tower still matches to its horizon.
+#: while the tower still matches to its horizon.  ``spectrum_small_scale``
+#: has a scale below 1, where a Hermiticity bound of 1e-10 * scale is
+#: tighter than 1e-10.
 GOLDEN_RUNS = {
     "spectrum_default": (0, ["spectrum"]),
     "spectrum_n8": (0, ["spectrum", "--N", "8"]),
@@ -33,6 +35,10 @@ GOLDEN_RUNS = {
     "spectrum_n52362": (
         1,
         ["spectrum", "--N", "52362", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
+    ),
+    "spectrum_small_scale": (
+        0,
+        ["spectrum", "--N", "300", "--theta", "1.3", "--z2", "0.05", "--R", "0.5"],
     ),
     "identities_default": (0, ["identities"]),
     "identities_seed42": (0, ["identities", "--seed", "42"]),
