@@ -355,7 +355,7 @@ def numeric_spectrum(
     band = op.matrix
     n = op.n_levels
     herm = _hermiticity_residual(band)
-    if not herm <= 1e-10 * max(op.scale, 1.0):
+    if not herm <= 1e-10 * op.scale:
         raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
     # only the field diagonals and the field 1 to field 2 coupling may be nonzero
     rest = band.copy()
@@ -366,7 +366,7 @@ def numeric_spectrum(
         raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
 
     top = (np.arange(3 * n) % n >= n - margin).astype(float)
-    cluster_tol = 1e-10 * max(op.scale, 1.0)
+    cluster_tol = 1e-10 * op.scale
 
     # indices (field * n + level) of the level blocks: field 1 at level m
     # couples to field 2 at level m - 2; field 1 at levels 0 and 1, field 2

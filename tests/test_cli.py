@@ -327,6 +327,12 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert len(err.splitlines()) == 1 and error in err
 
 
+def test_tiny_scale_trusts_as_at_defaults(capsys):
+    # at scale 6.3e-14 the level-block trust rule reads as at scale 6.28
+    trusted = [run(capsys, "spectrum", *argv)[2].splitlines()[2] for argv in ((), ("--z2", "1e-14"))]
+    assert trusted == ["trust horizon n <= 19 with 58 trusted eigenvalues (all matched)"] * 2
+
+
 def test_tiny_flux_condenses(capsys):
     # V at the minimum, -R (2 pi z2 cos theta)^2, is below the smallest float
     code, out, err = run(capsys, "condense", "--z2", "1e-250", "--format", "structured")

@@ -150,7 +150,12 @@ def test_builders_reject_sizes_past_the_bound(assembly):
 
 @pytest.mark.parametrize(
     "theta,z2,R,n_levels",
-    [(math.pi / 2, 1.0, 1.0, 8), (0.3, 0.0, 1.0, 8), (0.3, 1.0, math.nan, 8), (0.3, 1.0, 1.0, 3)],
+    [
+        (math.pi / 2, 1.0, 1.0, 8),
+        (0.3, 0.0, 1.0, 8),
+        (0.3, 1.0, math.nan, 8),
+        (0.3, 1.0, 1.0, 3),
+    ],
 )
 @pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
 def test_builders_validate_parameters(assembly, theta, z2, R, n_levels):
@@ -426,6 +431,19 @@ def test_tachyon_sector_only_at_level_zero(theta, z2, R):
     assert all(r.eigenvalue_units >= 0.0 for r in records if r.sector != SECTOR_TACHYON)
 
 
+@pytest.mark.parametrize("n_levels,margin", [(8, 2), (24, 4), (61, 7)])
+def test_trust_does_not_depend_on_the_scale(n_levels, margin):
+    # the trust rule is stated in scale units, so it reads the same at any z2;
+    # rounding noise reorders the zero modes, so flags are compared per value
+    readings = []
+    for z2 in (1e-16, 1e-12, 1.0, 1e3):
+        modes = numeric_spectrum(build_mass_operator_levels(PI_THIRD, z2, 1.0, n_levels), margin)
+        match = match_tower(modes)
+        flags = sorted(zip(np.round(modes.units, 6).tolist(), modes.trusted.tolist()))
+        readings.append((flags, match.horizon, match.trusted_count))
+    assert readings[1:] == readings[:1] * 3
+
+
 def test_numeric_spectrum_rejects_non_hermitian():
     op = build_mass_operator_levels(*default_params(8))
     upper = np.zeros_like(op.matrix)
@@ -559,7 +577,7 @@ def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
     masses = (np.abs(eigenvectors) ** 2 * top[:, None]).sum(axis=0)
 
     trusted = np.zeros(eigenvalues.size, dtype=bool)
-    cluster_tol = 1e-10 * max(op.scale, 1.0)
+    cluster_tol = 1e-10 * op.scale
     start = 0
     while start < eigenvalues.size:
         stop = start + 1
