@@ -101,7 +101,10 @@ def _checked_scale(theta: float, z2: float, R: float, n_levels: int) -> float:
     """The mass scale, once every builder's checks pass, before it allocates."""
     validate_params(theta, z2, R)
     validate_levels("mass operator", n_levels, MAX_BAND_LEVELS)
-    return mass_scale(theta, z2, R)
+    scale = mass_scale(theta, z2, R)
+    if scale == 0.0:
+        raise ValueError(f"mass scale 4*pi*z2*R*cos(theta) underflows to 0 (z2={z2!r}, R={R!r})")
+    return scale
 
 
 def _product(x: tuple, y: tuple) -> np.ndarray:

@@ -327,6 +327,12 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert len(err.splitlines()) == 1 and error in err
 
 
+def test_underflowing_mass_scale_is_invalid_input(capsys):
+    code, out, err = run(capsys, "spectrum", "--z2", "1e-300", "--R", "1e-300")
+    assert (code, out) == (2, "")
+    assert err == "error: mass scale 4*pi*z2*R*cos(theta) underflows to 0 (z2=1e-300, R=1e-300)\n"
+
+
 def test_tiny_scale_trusts_as_at_defaults(capsys):
     # at scale 6.3e-14 the level-block trust rule reads as at scale 6.28
     trusted = [run(capsys, "spectrum", *argv)[2].splitlines()[2] for argv in ((), ("--z2", "1e-14"))]

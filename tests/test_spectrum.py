@@ -155,6 +155,7 @@ def test_builders_reject_sizes_past_the_bound(assembly):
         (0.3, 0.0, 1.0, 8),
         (0.3, 1.0, math.nan, 8),
         (0.3, 1.0, 1.0, 3),
+        (0.3, 1e-300, 1e-300, 8),
     ],
 )
 @pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
