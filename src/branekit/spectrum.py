@@ -20,11 +20,12 @@ It is assembled three ways:
   numeric spectrum verification.
 
 In the number basis the operator is a direct sum of 1x1 and 2x2 level
-blocks; ``numeric_spectrum`` reads them off the diagonals and solves them in
-stacked ``eigh`` calls.  It returns one numpy record array, with the fields
-``value``, ``units``, ``trusted`` and ``top_mass``, which ``match_tower``
-reads as whole columns.  The dense assemblies, route check and whole-matrix
-solve are kept in the tests as the oracles all of this is checked against.
+blocks, which ``numeric_spectrum`` reads off the band and solves one by one,
+so degeneracies across levels never mix and trust is decided per eigenvector.
+It returns one numpy record array, with the fields ``value``, ``units``,
+``trusted`` and ``top_mass``, which ``match_tower`` reads as whole columns.
+The dense assemblies, route check and whole-matrix solve, with its trust rule
+for degenerate clusters, are the test oracles all of this is checked against.
 
 All eigenvalues are reported both raw (energy^2) and in units of the natural
 scale 4*pi*z2*R*cos(theta), in which the closed-form tower reads: -1 once at
@@ -320,91 +321,62 @@ def fermion_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     return records
 
 
-def _hermiticity_residual(band: np.ndarray) -> float:
-    """Largest entry of |M - M^dag|, from band storage.
-
-    The partner of entry (i, i + OFFSETS[k]) of block (a, b) is held in band
-    (b, a, 2 - k) at level i + OFFSETS[k]; past the block edge it is zero.
-    """
-    n = band.shape[-1]
-    mirrored = np.pad(band, [(0, 0)] * 3 + [(2, 2)]).transpose(1, 0, 2, 3)[:, :, ::-1].conj()
-    partner = [mirrored[:, :, k, 2 + off : 2 + off + n] for k, off in enumerate(OFFSETS)]
-    return float(np.max(np.abs(band - np.stack(partner, axis=2))))
-
-
 def numeric_spectrum(
-    op: MassOperator,
-    margin: int,
-    mass_threshold: float = TRUST_MASS_THRESHOLD,
+    op: MassOperator, margin: int, mass_threshold: float = TRUST_MASS_THRESHOLD
 ) -> np.recarray:
     """Eigendecomposition of a number-basis operator by level block, with trust flags.
 
-    The 1x1 and 2x2 level blocks are read off the band storage, and blocks
-    of equal size are solved in one stacked ``eigh`` call.  Returns a record
-    array of 3N eigenvalues in ascending order, with the fields ``value``
+    The level blocks are read off the band storage by slices: field 1 at
+    level m couples to field 2 at level m - 2, and every other level stands
+    alone.  A 1x1 block's eigenvalue is its real diagonal entry; the 2x2
+    blocks are solved in one stacked ``eigh`` call.  Returns a record array
+    of 3N eigenvalues in ascending order, with the fields ``value``
     (energy^2), ``units`` (value / scale), ``trusted`` and ``top_mass`` (the
     squared norm on the top ``margin`` levels).
 
-    An eigenvector is trusted when at most ``mass_threshold`` of its squared
-    norm sits on the top ``margin`` levels of each field block.  Inside a
-    block, trust is decided per degenerate cluster (eigenvalues closer than
-    1e-10 * scale) by counting the independent interior directions of the
-    cluster; for isolated eigenvalues this reduces to the plain rule.
-    Raises ``ValueError`` on another basis, a non-Hermitian operator, an
-    entry outside the level blocks or a non-finite eigenvalue.
+    Trust is per eigenvector: one is trusted when at most ``mass_threshold``
+    of its squared norm sits on the top ``margin`` levels of each field
+    block.  Each block is solved alone, so degeneracies across levels never
+    mix eigenvectors, and a block's eigenvalues 0 and (2m - 1) * scale never
+    form a cluster.  Raises ``ValueError`` on another basis, a non-Hermitian
+    operator (beyond 1e-10 * scale), an entry outside the level blocks or a
+    non-finite eigenvalue.
     """
     if op.basis != BASIS_LEVELS:
         raise ValueError(f"numeric spectrum needs the {BASIS_LEVELS} basis, got {op.basis}")
-    band = op.matrix
-    n = op.n_levels
-    herm = _hermiticity_residual(band)
+    band, n = op.matrix, op.n_levels
+    diagonals = band[[0, 1, 2], [0, 1, 2], 1]
+    upper, lower = band[0, 1, 0, 2:], band[1, 0, 2, :-2]
+    herm = np.max(np.abs(np.append(diagonals - diagonals.conj(), upper - lower.conj())))
     if not herm <= 1e-10 * op.scale:
         raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
-    # only the field diagonals and the field 1 to field 2 coupling may be nonzero
+    # everything else must be zero, the past-edge slots of the coupling bands too
     rest = band.copy()
-    rest[0, 0, 1] = rest[1, 1, 1] = rest[2, 2, 1] = rest[0, 1, 0] = rest[1, 0, 2] = 0.0
+    rest[[0, 1, 2], [0, 1, 2], 1] = rest[0, 1, 0, 2:] = rest[1, 0, 2, :-2] = 0.0
     if np.any(rest):
         raise ValueError(f"the {op.basis} operator couples levels outside its level blocks")
     if not 0 < margin < n:
         raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
 
-    top = (np.arange(3 * n) % n >= n - margin).astype(float)
-    cluster_tol = 1e-10 * op.scale
+    top = (np.arange(n) >= n - margin).astype(float)
+    # 1x1 blocks: field 1 at levels 0 and 1, field 2 at the top two, field 3
+    single_values = np.concatenate([diagonals[0, :2], diagonals[1, -2:], diagonals[2]]).real
+    single_masses = np.concatenate([top[:2], top[-2:], top])
+    blocks = np.stack([diagonals[0, 2:], upper, lower, diagonals[1, :-2]], axis=1)
+    try:
+        pair_values, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
+    pair_masses = np.abs(vecs[:, 0]) ** 2 * top[2:, None] + np.abs(vecs[:, 1]) ** 2 * top[:-2, None]
 
-    # indices (field * n + level) of the level blocks: field 1 at level m
-    # couples to field 2 at level m - 2; field 1 at levels 0 and 1, field 2
-    # at the top two levels and all of field 3 stand alone
-    singles = np.concatenate([[0, 1, 2 * n - 2, 2 * n - 1], np.arange(2 * n, 3 * n)])
-    pairs = np.stack([np.arange(2, n), np.arange(n, 2 * n - 2)], axis=1)
-    values, masses, trusted = [], [], []
-    for idx in (singles[:, None], pairs):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        blocks = band[rows // n, cols // n, (cols % n - rows % n) // 2 + 1, rows % n]
-        try:
-            vals, vecs = np.linalg.eigh(blocks)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-            raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
-        if not np.isfinite(vals).all():
-            raise ValueError(f"non-finite eigenvalue in the {op.basis} operator")
-        tops = top[idx]
-        mass = (np.abs(vecs) ** 2 * tops[:, :, None]).sum(axis=1)
-        ok = mass <= mass_threshold
-        # a near-degenerate pair is one cluster, returned as any mixture: it
-        # trusts as many of its lowest-mass members as the Gram form of its
-        # top mass has interior directions
-        for k in np.flatnonzero((np.diff(vals, axis=1) <= cluster_tol).any(axis=1)):
-            gram = vecs[k].conj().T @ (tops[k][:, None] * vecs[k])
-            interior_directions = int(np.sum(np.linalg.eigvalsh(gram) <= mass_threshold))
-            ok[k] = False
-            ok[k, np.argsort(mass[k], kind="stable")[:interior_directions]] = True
-        values.append(vals.ravel())
-        masses.append(mass.ravel())
-        trusted.append(ok.ravel())
-
-    order = np.argsort(np.concatenate(values), kind="stable")
-    values, masses, trusted = (np.concatenate(a)[order] for a in (values, masses, trusted))
+    values = np.concatenate([single_values, pair_values.ravel()])
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite eigenvalue in the {op.basis} operator")
+    order = np.argsort(values, kind="stable")
+    values, masses = values[order], np.concatenate([single_masses, pair_masses.ravel()])[order]
     return np.rec.fromarrays(
-        (values, values / op.scale, trusted, masses), names="value,units,trusted,top_mass"
+        (values, values / op.scale, masses <= mass_threshold, masses),
+        names="value,units,trusted,top_mass",
     )
 
 

@@ -33,7 +33,6 @@ from branekit.spectrum import (
     TRUST_MASS_THRESHOLD,
     MassOperator,
     TowerMatch,
-    _hermiticity_residual,
 )
 
 PI_THIRD = math.pi / 3
@@ -162,27 +161,6 @@ def test_builders_reject_sizes_past_the_bound(assembly):
 def test_builders_validate_parameters(assembly, theta, z2, R, n_levels):
     with pytest.raises(ValueError):
         ASSEMBLIES[assembly][0](theta, z2, R, n_levels)
-
-
-def test_hermiticity_residual_equals_dense_scan():
-    rng = np.random.default_rng(3)
-    for n_levels in (4, 5, 9):
-        shape = (3, 3, len(OFFSETS), n_levels)
-        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        op = MassOperator("random", band, 1.0, n_levels)
-        dense = to_dense(op)
-        # entries past a block edge have no partner, so they count in full
-        levels = np.arange(n_levels)
-        past_edge = [
-            np.abs(band[:, :, k, (levels + off < 0) | (levels + off >= n_levels)])
-            for k, off in enumerate(OFFSETS)
-        ]
-        expected = max(
-            np.max(np.abs(dense - dense.conj().T)), max(np.max(e, initial=0.0) for e in past_edge)
-        )
-        assert _hermiticity_residual(band) == expected
-    hermitian = build_mass_operator_fock(0.4, 1.3, 0.7, 9).matrix
-    assert _hermiticity_residual(hermitian) == 0.0
 
 
 # ------------------------------------------------------------ field rotation
@@ -445,6 +423,43 @@ def test_trust_does_not_depend_on_the_scale(n_levels, margin):
     assert readings[1:] == readings[:1] * 3
 
 
+def test_not_hermitian_exactly_when_the_dense_scan_exceeds_the_bound():
+    # level-block entries moved by about the bound 1e-10 * scale, and a
+    # diagonal with an imaginary part exactly at the bound and one float past it
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for draw in range(80):
+        n_levels = int(rng.integers(4, 30))
+        z2 = float(10.0 ** rng.uniform(-16, 3))
+        op = build_mass_operator_levels(float(rng.uniform(0.0, 1.5)), z2, 1.0, n_levels)
+        matrix = op.matrix.copy()
+        bound = 1e-10 * op.scale
+        if draw < 2:
+            half = bound / 2 if draw == 0 else float(np.nextafter(bound / 2, math.inf))
+            matrix[2, 2, 1, int(rng.integers(n_levels))] += 1j * half
+        for _ in range(int(rng.integers(1, 4))):
+            delta = bound * 10.0 ** rng.uniform(-1.5, 0.5) * np.exp(2j * math.pi * rng.random())
+            field = int(rng.integers(3))
+            entry = [
+                (field, field, 1, int(rng.integers(n_levels))),
+                (0, 1, 0, int(rng.integers(2, n_levels))),
+                (1, 0, 2, int(rng.integers(n_levels - 2))),
+            ][int(rng.integers(3))]
+            matrix[entry] += delta
+        broken = MassOperator(op.basis, matrix, op.scale, n_levels)
+        dense = to_dense(broken)
+        over = bool(np.max(np.abs(dense - dense.conj().T)) > bound)
+        if draw < 2:
+            assert over == (draw == 1)
+        outcomes.add(over)
+        if over:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                numeric_spectrum(broken, 1)
+        else:
+            assert len(numeric_spectrum(broken, 1)) == 3 * n_levels
+    assert outcomes == {False, True}
+
+
 def test_numeric_spectrum_rejects_non_hermitian():
     op = build_mass_operator_levels(*default_params(8))
     upper = np.zeros_like(op.matrix)
@@ -470,6 +485,17 @@ def test_numeric_spectrum_rejects_couplings_outside_level_blocks():
     op = build_mass_operator_levels(*default_params(8))
     matrix = op.matrix.copy()
     matrix[0, 2, 1, 3] = matrix[2, 0, 1, 3] = 0.5
+    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
+    with pytest.raises(ValueError, match="outside its level blocks"):
+        numeric_spectrum(broken, 2)
+
+
+@pytest.mark.parametrize("entry", [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 2, -2), (1, 0, 2, -1)])
+def test_numeric_spectrum_rejects_past_edge_couplings(entry):
+    # the slots of the field 1 to field 2 coupling bands past the block edge
+    op = build_mass_operator_levels(*default_params(8))
+    matrix = op.matrix.copy()
+    matrix[entry] = 1e-12
     broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
     with pytest.raises(ValueError, match="outside its level blocks"):
         numeric_spectrum(broken, 2)
@@ -599,6 +625,67 @@ def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
     )
 
 
+def gathered_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
+    """Level blocks gathered by index, one eigh per block size, and the Gram rule.
+
+    A pair of eigenvalues closer than 1e-10 * scale inside a block is one
+    cluster, returned as any mixture; it trusts as many of its lowest-mass
+    members as the Gram form of its top mass has interior directions.
+    """
+    band, n = op.matrix, op.n_levels
+    top = (np.arange(3 * n) % n >= n - margin).astype(float)
+    # indices (field * n + level): field 1 at level m couples to field 2 at
+    # level m - 2; field 1 at levels 0 and 1, field 2 at the top two levels
+    # and all of field 3 stand alone
+    singles = np.concatenate([[0, 1, 2 * n - 2, 2 * n - 1], np.arange(2 * n, 3 * n)])
+    pairs = np.stack([np.arange(2, n), np.arange(n, 2 * n - 2)], axis=1)
+    values, masses, trusted = [], [], []
+    for idx in (singles[:, None], pairs):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        blocks = band[rows // n, cols // n, (cols % n - rows % n) // 2 + 1, rows % n]
+        vals, vecs = np.linalg.eigh(blocks)
+        tops = top[idx]
+        mass = (np.abs(vecs) ** 2 * tops[:, :, None]).sum(axis=1)
+        ok = mass <= mass_threshold
+        for k in np.flatnonzero((np.diff(vals, axis=1) <= 1e-10 * op.scale).any(axis=1)):
+            gram = vecs[k].conj().T @ (tops[k][:, None] * vecs[k])
+            interior_directions = int(np.sum(np.linalg.eigvalsh(gram) <= mass_threshold))
+            ok[k] = False
+            ok[k, np.argsort(mass[k], kind="stable")[:interior_directions]] = True
+        values.append(vals.ravel())
+        masses.append(mass.ravel())
+        trusted.append(ok.ravel())
+    order = np.argsort(np.concatenate(values), kind="stable")
+    values, masses, trusted = (np.concatenate(a)[order] for a in (values, masses, trusted))
+    return np.rec.fromarrays(
+        (values, values / op.scale, trusted, masses), names="value,units,trusted,top_mass"
+    )
+
+
+def test_block_slices_match_gathered_oracle_bitwise():
+    # every field bit for bit, over drawn operators, margins and thresholds;
+    # some draws carry Hermitian-within-bound noise on the diagonals and on
+    # the upper coupling, which eigh does not read
+    rng = np.random.default_rng(5)
+    for _ in range(240):
+        n_levels = int(rng.integers(4, 1002))
+        theta = float(rng.uniform(0.0, 1.5))
+        z2, R = float(10.0 ** rng.uniform(-16, 3)), float(10.0 ** rng.uniform(-2, 2))
+        op = build_mass_operator_levels(theta, z2, R, n_levels)
+        if rng.random() < 0.3:
+            matrix = op.matrix.copy()
+            noise = 1e-12 * op.scale * rng.standard_normal((4, n_levels))
+            matrix[[0, 1, 2], [0, 1, 2], 1] += 1j * noise[:3]
+            matrix[0, 1, 0, 2:] += noise[3, 2:]
+            op = MassOperator(op.basis, matrix, op.scale, n_levels)
+        margin = int(rng.integers(1, n_levels))
+        threshold = float(rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-12, 0)]))
+        modes = numeric_spectrum(op, margin, threshold)
+        oracle = gathered_numeric_spectrum(op, margin, threshold)
+        for field in ("value", "units", "trusted", "top_mass"):
+            assert modes[field].tobytes() == oracle[field].tobytes()
+
+
 def brute_force_match_tower(modes, tol_units=1e-6):
     """Horizon by rescanning every trusted mode for every tower value."""
     trusted_units = sorted(float(m.units) for m in modes if m.trusted)
@@ -641,11 +728,12 @@ def assert_same_spectrum(block_modes, dense_modes, scale):
 def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
     # the level-block solve takes the number basis only; the Fock basis is
     # solved by the dense oracle in the test_fock_route_* tests
-    op = build(theta, 1.3, 0.7, n_levels)
-    margin = min(4, n_levels // 3)
-    modes = numeric_spectrum(op, margin)
-    assert_same_spectrum(modes, dense_numeric_spectrum(op, margin), op.scale)
-    assert match_tower(modes) == brute_force_match_tower(modes)
+    for z2 in (1e-14, 1.3, 1e6):
+        op = build(theta, z2, 0.7, n_levels)
+        margin = min(4, n_levels // 3)
+        modes = numeric_spectrum(op, margin)
+        assert_same_spectrum(modes, dense_numeric_spectrum(op, margin), op.scale)
+        assert match_tower(modes) == brute_force_match_tower(modes)
 
 
 @pytest.mark.parametrize(
