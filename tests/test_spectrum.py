@@ -353,8 +353,8 @@ def test_levels_route_reaches_deep_horizon():
 
 
 def test_levels_route_degenerate_zero_count():
-    # zero modes across levels are exactly degenerate; the cluster-aware
-    # trust count must equal the horizon, not collapse to one survivor
+    # zero modes across levels are exactly degenerate; each level block is
+    # solved alone, so the trust count equals the horizon, not one survivor
     op = build_mass_operator_levels(*default_params(24))
     modes = numeric_spectrum(op, 4)
     match = match_tower(modes)
