@@ -362,6 +362,7 @@ def numeric_spectrum(
     # 1x1 blocks: field 1 at levels 0 and 1, field 2 at the top two, field 3
     single_values = np.concatenate([diagonals[0, :2], diagonals[1, -2:], diagonals[2]]).real
     single_masses = np.concatenate([top[:2], top[-2:], top])
+    # 2x2 blocks [[field 1 at level m, upper], [lower, field 2 at level m - 2]]
     blocks = np.stack([diagonals[0, 2:], upper, lower, diagonals[1, :-2]], axis=1)
     try:
         pair_values, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
