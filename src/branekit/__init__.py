@@ -29,7 +29,6 @@ from .condensation import (
     hyperbola_residual,
     numeric_minimum,
     potential_derivative,
-    potential_value,
     recombined_eigenvalues,
     sample_curve,
     tachyon_potential,
@@ -48,12 +47,10 @@ from .identities import (
 from .oscillator import (
     DEFAULT_ANGLE_GUARD,
     InteriorProjector,
-    bogoliubov,
     bogoliubov_coefficients,
     commutator,
     make_ladder,
     make_qp,
-    max_interior_residual,
 )
 from .spectrum import (
     MassOperator,

@@ -30,19 +30,6 @@ def _scaled_potential(s: float, cos_t: float) -> float:
     return -2.0 * cos_t * s**2 + s**4
 
 
-def potential_value(t: float, theta: float, z2: float, R: float) -> float:
-    """Tachyon potential -4*pi*z2*R*cos(theta) t^2 + R t^4 at amplitude t >= 0.
-
-    Evaluated in the units ``numeric_minimum`` searches in; the unit is
-    applied one factor at a time, so a finite potential stays finite.
-    """
-    if t < 0.0:
-        raise ValueError(f"mode amplitude must be nonnegative, got {t!r}")
-    validate_params(theta, z2, R)
-    unit = 2.0 * math.pi * z2
-    return R * unit * (unit * _scaled_potential(t / math.sqrt(unit), math.cos(theta)))
-
-
 def potential_derivative(t: float, theta: float, z2: float, R: float) -> float:
     """Exact first derivative -8*pi*z2*R*cos(theta) t + 4 R t^3."""
     return -2.0 * mass_scale(theta, z2, R) * t + 4.0 * R * t**3

@@ -95,17 +95,6 @@ def bogoliubov_coefficients(theta: float) -> tuple[float, float]:
     return (1.0 - cos_t) / denom, (1.0 + cos_t) / denom
 
 
-def bogoliubov(dim: int, theta: float) -> np.ndarray:
-    """Bogoliubov-rotated annihilation operator A = c_minus a^dag + c_plus a.
-
-    [A, A^dag] = 1 on the interior (margin 2: A mixes neighbouring levels).
-    At theta = 0 this is the plain ladder operator.
-    """
-    c_minus, c_plus = bogoliubov_coefficients(theta)
-    a, a_dag = make_ladder(dim)
-    return c_minus * a_dag + c_plus * a
-
-
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """XY - YX for square operators of matching dimension."""
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -149,12 +138,3 @@ class InteriorProjector:
         m = self.mask()
         return op * np.outer(m, m)
 
-
-def max_interior_residual(
-    op: np.ndarray, reference: complex | np.ndarray, margin: int
-) -> float:
-    """Max-norm of P (op - reference) P; scalar references mean reference * I."""
-    dim = op.shape[0]
-    proj = InteriorProjector(dim, margin)
-    ref = reference if isinstance(reference, np.ndarray) else reference * np.eye(dim)
-    return float(np.max(np.abs(proj.apply(op - ref))))

@@ -231,7 +231,6 @@ class ModeRecord:
     eigenvalue_units: float
     eigenvalue_raw: float
     multiplicity: int
-    coefficients: tuple[float, float, float] | None = None
 
 
 def analytic_spectrum(
@@ -239,36 +238,17 @@ def analytic_spectrum(
 ) -> list[ModeRecord]:
     """Closed-form off-diagonal tower up to level n_max.
 
-    Eigenvector coefficients are over the (level n, level n-2, level n-1)
-    components: the zero mode is (-sqrt n, sqrt(n-1), 0), the degenerate
-    massive pair (0, 0, sqrt n) and (sqrt(n(n-1)), n, 0).
+    Level n >= 1 holds a zero mode and massive modes at 2n - 1: one at level
+    1, a degenerate pair above it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     scale = mass_scale(theta, z2, R)
-    records = [ModeRecord(SECTOR_TACHYON, 0, -1.0, -scale, 1, (1.0, 0.0, 0.0))]
-    if n_max >= 1:
-        records.append(ModeRecord(SECTOR_ZERO, 1, 0.0, 0.0, 1, (1.0, 0.0, 0.0)))
-        records.append(ModeRecord(SECTOR_MASSIVE, 1, 1.0, scale, 1, (0.0, 0.0, 1.0)))
-    for n in range(2, n_max + 1):
-        root_n = math.sqrt(n)
+    records = [ModeRecord(SECTOR_TACHYON, 0, -1.0, -scale, 1)]
+    for n in range(1, n_max + 1):
         units = 2.0 * n - 1.0
-        records.append(
-            ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1, (-root_n, math.sqrt(n - 1.0), 0.0))
-        )
-        records.append(
-            ModeRecord(SECTOR_MASSIVE, n, units, units * scale, 1, (0.0, 0.0, root_n))
-        )
-        records.append(
-            ModeRecord(
-                SECTOR_MASSIVE,
-                n,
-                units,
-                units * scale,
-                1,
-                (math.sqrt(n * (n - 1.0)), float(n), 0.0),
-            )
-        )
+        massive = ModeRecord(SECTOR_MASSIVE, n, units, units * scale, 1)
+        records += (ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1), massive, massive)[: 2 + (n > 1)]
     return records
 
 

@@ -1,0 +1,67 @@
+"""Operators and closed forms that only the tests call.
+
+The Bogoliubov mode is the dense Fock oracle's mode; the interior residual
+states the canonical relations on the interior levels; the potential and the
+eigenvectors are the closed forms the tests check the program's routes
+against.  Each validates its inputs as the program does.
+"""
+
+import math
+
+import numpy as np
+
+from branekit.condensation import _scaled_potential
+from branekit.oscillator import (
+    InteriorProjector,
+    bogoliubov_coefficients,
+    make_ladder,
+    validate_params,
+)
+
+
+def bogoliubov(dim: int, theta: float) -> np.ndarray:
+    """Bogoliubov-rotated annihilation operator A = c_minus a^dag + c_plus a.
+
+    [A, A^dag] = 1 on the interior (margin 2: A mixes neighbouring levels).
+    At theta = 0 this is the plain ladder operator.
+    """
+    c_minus, c_plus = bogoliubov_coefficients(theta)
+    a, a_dag = make_ladder(dim)
+    return c_minus * a_dag + c_plus * a
+
+
+def max_interior_residual(op: np.ndarray, reference: complex | np.ndarray, margin: int) -> float:
+    """Max-norm of P (op - reference) P; scalar references mean reference * I."""
+    dim = op.shape[0]
+    proj = InteriorProjector(dim, margin)
+    ref = reference if isinstance(reference, np.ndarray) else reference * np.eye(dim)
+    return float(np.max(np.abs(proj.apply(op - ref))))
+
+
+def potential_value(t: float, theta: float, z2: float, R: float) -> float:
+    """Tachyon potential -4*pi*z2*R*cos(theta) t^2 + R t^4 at amplitude t >= 0.
+
+    Evaluated in the units ``numeric_minimum`` searches in; the unit is
+    applied one factor at a time, so a finite potential stays finite.
+    """
+    if t < 0.0:
+        raise ValueError(f"mode amplitude must be nonnegative, got {t!r}")
+    validate_params(theta, z2, R)
+    unit = 2.0 * math.pi * z2
+    return R * unit * (unit * _scaled_potential(t / math.sqrt(unit), math.cos(theta)))
+
+
+def level_eigenvectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form eigenvectors of the level-n block, n >= 2.
+
+    Over the (level n, level n-2, level n-1) components: the zero mode
+    (-sqrt n, sqrt(n-1), 0) and the degenerate massive pair (0, 0, sqrt n)
+    and (sqrt(n(n-1)), n, 0), at eigenvalue (2n-1) in scale units.
+    """
+    if n < 2:
+        raise ValueError(f"the level blocks with three components start at n = 2, got {n}")
+    return (
+        np.array([-math.sqrt(n), math.sqrt(n - 1.0), 0.0]),
+        np.array([0.0, 0.0, math.sqrt(n)]),
+        np.array([math.sqrt(n * (n - 1.0)), float(n), 0.0]),
+    )

@@ -11,11 +11,11 @@ from branekit import (
     hyperbola_residual,
     numeric_minimum,
     potential_derivative,
-    potential_value,
     recombined_eigenvalues,
     sample_curve,
     tachyon_potential,
 )
+from helpers import potential_value
 
 PI_THIRD = math.pi / 3
 

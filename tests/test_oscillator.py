@@ -5,13 +5,12 @@ import pytest
 
 from branekit import (
     InteriorProjector,
-    bogoliubov,
     bogoliubov_coefficients,
     commutator,
     make_ladder,
     make_qp,
-    max_interior_residual,
 )
+from helpers import bogoliubov, max_interior_residual
 
 
 def test_smallest_ladder():

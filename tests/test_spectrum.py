@@ -11,7 +11,6 @@ from branekit import (
     build_mass_operator_levels,
     build_mass_operator_qp,
     analytic_spectrum,
-    bogoliubov,
     fermion_spectrum,
     make_ladder,
     mass_scale,
@@ -34,6 +33,7 @@ from branekit.spectrum import (
     MassOperator,
     TowerMatch,
 )
+from helpers import bogoliubov, level_eigenvectors
 
 PI_THIRD = math.pi / 3
 
@@ -248,9 +248,7 @@ def test_reduced_block_rejects_negative_level():
 def test_reduced_block_eigenvectors(n):
     scale = mass_scale(0.8, 1.3, 0.7)
     block = reduced_block(n, 0.8, 1.3, 0.7)
-    v1 = np.array([-math.sqrt(n), math.sqrt(n - 1.0), 0.0])
-    v2 = np.array([0.0, 0.0, math.sqrt(n)])
-    v3 = np.array([math.sqrt(n * (n - 1.0)), float(n), 0.0])
+    v1, v2, v3 = level_eigenvectors(n)
     lam = (2.0 * n - 1.0) * scale
     assert np.max(np.abs(block @ v1)) <= 1e-12 * scale * n
     np.testing.assert_allclose(block @ v2, lam * v2, atol=1e-12 * scale * n)
@@ -275,7 +273,7 @@ def test_analytic_eigenvector_is_null_vector():
     records = analytic_spectrum(5, PI_THIRD, 1.0, 1.0)
     zero_mode = next(r for r in records if r.n == 5 and r.sector == SECTOR_ZERO)
     block = reduced_block(5, PI_THIRD, 1.0, 1.0)
-    residual = np.max(np.abs(block @ np.array(zero_mode.coefficients)))
+    residual = np.max(np.abs(block @ level_eigenvectors(zero_mode.n)[0]))
     assert residual <= 1e-12 * mass_scale(PI_THIRD, 1.0, 1.0) * 5
 
 
