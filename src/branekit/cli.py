@@ -67,12 +67,17 @@ EXIT_INVALID = 2
 #: A summary field holding every row of the report, written as records.
 RECORDS = slice(None)
 
+#: json's spellings of the non-finite floats, keyed by their reprs.
+_SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: What starts a line inside a record of the structured document.
+_RECORD_PAD = "\n      "
+
 
 @dataclass(frozen=True, eq=False)
 class Report:
     """What one command found, before it is written in either format.
 
-    ``rows`` hold raw values, one per column; a row may carry one more
+    ``rows`` hold raw scalars, one per column; a row may carry one more
     value, ``(name, value)`` extras that only the structured format writes.
     ``fields`` are the ordered summary entries of the structured document,
     where a ``slice`` stands for those rows written as records; the fields
@@ -103,38 +108,86 @@ def _plain(value):
     return float(f"{value:.15g}") if isinstance(value, float) else value
 
 
+def _json(value, pad: str = "\n  ") -> str:
+    """``_plain(value)`` as ``json.dumps(indent=2)`` writes it, nested as deep as ``pad``."""
+    return json.dumps(_plain(value), indent=2).replace("\n", pad)
+
+
+def _json_floats(values: list[float]):
+    """``_json`` of each float: the repr of its 15-digit rounding, or json's NaN/Infinity."""
+    texts = list(map(float.__repr__, map(float, map("{:.15g}".format, values))))
+    return texts if all(map(math.isfinite, values)) else map(_SPELLED.get, texts, texts)
+
+
+def _columns(report: Report, prefixes, float_texts, text) -> list[list[str]]:
+    """Each column's texts behind its prefix, a float formatted once per bit pattern.
+
+    So -0.0 stays apart from 0.0.  A column of strings, ints and None, or of
+    bools, whose equal values have equal texts, is formatted once per value;
+    any other column value by value.
+    """
+    columns = []
+    for prefix, values in zip(prefixes, list(zip(*report.rows))[: len(report.columns)]):
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            bits, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
+            texts = list(map(prefix.__add__, float_texts(bits.view(float).tolist())))
+            columns.append(list(map(texts.__getitem__, index.tolist())))
+        elif kinds <= {str, int, type(None)} or kinds == {bool}:
+            memo = {v: prefix + text(v) for v in set(values)}
+            columns.append(list(map(memo.__getitem__, values)))
+        else:
+            columns.append([prefix + text(v) for v in values])
+    return columns
+
+
 def _delimited(report: Report, config: RunConfig) -> str:
     fields = dict(report.fields)
-    width = len(report.columns)
     lines = [
         f"# theta={_text(config.theta)} z2={_text(config.z2)} R={_text(config.R)}",
         f"# columns: {','.join(report.columns)}",
     ]
     lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
-    lines.extend(",".join([_text(v) for v in row[:width]]) for row in report.rows)
+    g15 = "{:.15g}".format
+    columns = _columns(report, [""] * len(report.columns), lambda v: map(g15, v), _text)
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
-def _record(columns: tuple[str, ...], row: tuple) -> dict:
-    entry = {name: _plain(value) for name, value in zip(columns, row)}
-    if len(row) > len(columns) and row[-1]:
-        entry["extra"] = {name: _plain(value) for name, value in row[-1]}
-    return entry
-
-
 def _structured(report: Report, config: RunConfig) -> str:
+    """The document ``json.dumps(indent=2)`` writes, assembled entry by entry.
+
+    A record is its column texts, each behind its ``,\\n      "name": ``
+    prefix; a record slice joins its records as the encoder indents a list.
+    """
+    names = map(json.dumps, report.columns)
+    prefixes = [f'{"," * bool(i)}{_RECORD_PAD}{name}: ' for i, name in enumerate(names)]
+    columns = _columns(report, prefixes, _json_floats, lambda v: json.dumps(_plain(v)))
+    extras = [
+        f',{_RECORD_PAD}"extra": {_json({n: _plain(v) for n, v in row[-1]}, _RECORD_PAD)}'
+        if len(row) > len(report.columns) and row[-1]
+        else ""
+        for row in report.rows
+    ]
+    records = list(map("".join, zip(*columns, extras)))
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
         "report": report.kind,
         "params": {name: _plain(getattr(config, name)) for name in params},
         "tolerances": {k: _plain(v) for k, v in sorted(config.tolerances.items())},
+        **dict(report.fields),
+        "passed": report.passed,
     }
-    for name, value in report.fields:
-        if isinstance(value, slice):
-            value = [_record(report.columns, row) for row in report.rows[value]]
-        doc[name] = _plain(value)
-    doc["passed"] = report.passed
-    return json.dumps(doc, indent=2) + "\n"
+    parts = []
+    for key, value in doc.items():
+        parts += (",\n  " if parts else "{\n  ", json.dumps(key), ": ")
+        if not isinstance(value, slice):
+            parts.append(_json(value))
+        elif records[value]:
+            parts += ("[\n    {", "\n    },\n    {".join(records[value]), "\n    }\n  ]")
+        else:
+            parts.append("[]")
+    return "".join(parts + ["\n}\n"])
 
 
 RENDERERS = {FORMAT_DELIMITED: _delimited, FORMAT_STRUCTURED: _structured}

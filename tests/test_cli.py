@@ -6,14 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import branekit
+from branekit import cli
 from branekit.background import MAX_DENSE_LEVELS
-from branekit.cli import main
+from branekit.cli import RECORDS, RENDERERS, Report, main
 from branekit.condensation import sample_curve
 from branekit.config import (
     DEFAULT_TOLERANCES,
+    FORMAT_DELIMITED,
+    FORMAT_STRUCTURED,
     RunConfig,
     build_config,
     read_config_file,
@@ -460,3 +464,147 @@ def test_report_matches_golden(name, fmt, suffix, capsys):
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
     assert err.encode("utf-8") == (GOLDEN / f"{name}.err").read_bytes()
+
+
+# ------------------------------------------------------------ writer oracle
+# The writers the column-wise ones replaced, kept verbatim: one ``_text``
+# call per delimited value, and one dict per record, written by the
+# pure-Python json encoder that ``indent=2`` falls back to.
+
+
+def _text(value) -> str:
+    """One value as the delimited format writes it."""
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _plain(value):
+    """One value as the structured format writes it: floats to 15 digits."""
+    return float(f"{value:.15g}") if isinstance(value, float) else value
+
+
+def oracle_delimited(report: Report, config: RunConfig) -> str:
+    fields = dict(report.fields)
+    width = len(report.columns)
+    lines = [
+        f"# theta={_text(config.theta)} z2={_text(config.z2)} R={_text(config.R)}",
+        f"# columns: {','.join(report.columns)}",
+    ]
+    lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
+    lines.extend(",".join([_text(v) for v in row[:width]]) for row in report.rows)
+    return "\n".join(lines) + "\n"
+
+
+def _record(columns: tuple[str, ...], row: tuple) -> dict:
+    entry = {name: _plain(value) for name, value in zip(columns, row)}
+    if len(row) > len(columns) and row[-1]:
+        entry["extra"] = {name: _plain(value) for name, value in row[-1]}
+    return entry
+
+
+def oracle_structured(report: Report, config: RunConfig) -> str:
+    params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
+    doc = {
+        "report": report.kind,
+        "params": {name: _plain(getattr(config, name)) for name in params},
+        "tolerances": {k: _plain(v) for k, v in sorted(config.tolerances.items())},
+    }
+    for name, value in report.fields:
+        if isinstance(value, slice):
+            value = [_record(report.columns, row) for row in report.rows[value]]
+        doc[name] = _plain(value)
+    doc["passed"] = report.passed
+    return json.dumps(doc, indent=2) + "\n"
+
+
+ORACLES = {FORMAT_DELIMITED: oracle_delimited, FORMAT_STRUCTURED: oracle_structured}
+
+
+def assert_writers_match(report: Report, config: RunConfig, label: str) -> None:
+    for fmt, oracle in ORACLES.items():
+        assert RENDERERS[fmt](report, config) == oracle(report, config), f"{fmt}: {label}"
+
+
+def drawn_argv(command: str, rng: np.random.Generator) -> list[str]:
+    """One run of ``command`` at drawn parameters, across their valid ranges."""
+    argv = [
+        command,
+        f"--theta={rng.uniform(0.0, 1.5)!r}",
+        f"--z2={10.0 ** rng.uniform(-8.0, 8.0)!r}",
+        f"--R={10.0 ** rng.uniform(-5.0, 5.0)!r}",
+    ]
+    if command == "spectrum":
+        argv.append(f"--N={rng.integers(6, 401)}")
+    elif command == "identities":
+        argv += [f"--N={rng.integers(6, 41)}", f"--seed={rng.integers(2**31)}"]
+    elif command == "curve":
+        # a symmetric range with an odd point count puts x0 = 0 on the grid
+        x0_max = 10.0 ** rng.uniform(-3.0, 2.0)
+        x0_min = -x0_max if rng.random() < 0.5 else x0_max - 10.0 ** rng.uniform(-3.0, 2.5)
+        argv += [f"--x0-min={x0_min!r}", f"--x0-max={x0_max!r}"]
+        argv.append(f"--points={rng.integers(2, 601)}")
+    return argv
+
+
+#: Drawn runs per command; identities runs its 100-trial suite every time.
+DRAWS = {"spectrum": 70, "identities": 15, "condense": 70, "curve": 45}
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS))
+def test_writers_match_the_oracle_on_drawn_reports(command, capsys, monkeypatch):
+    rendered = []
+
+    def both(report, config):
+        rendered.append((report, config))
+        return ""
+
+    monkeypatch.setattr(cli, "RENDERERS", dict.fromkeys(RENDERERS, both))
+    rng = np.random.default_rng(sorted(DRAWS).index(command))
+    for _ in range(DRAWS[command]):
+        argv = drawn_argv(command, rng)
+        assert main(argv) in (0, 1), argv
+        assert_writers_match(*rendered[-1], " ".join(argv))
+    capsys.readouterr()
+    assert len(rendered) == DRAWS[command]
+
+
+def test_writers_match_the_oracle_on_edge_values():
+    floats = [
+        -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 1e15, -1234567890123456.7,
+        9999999999999998.0, 5e-324, -3.0, 2.9999999999999996, 1e16, 1e-5, 1e-4,
+        0.1, 1.0000000000000002, -0.0, math.nan,
+    ]
+    n = len(floats)
+    labels = ['say "hi"', "caf\u00e9 \u2013 \\", "plain"]
+    # rows without extras, with falsy ones, and with named values
+    tails = [(), (None,), ((),), ((("matched", -0.0), ("note", "t\u00e9"), ("flag", True)),)]
+    rows = [
+        (x, abs(x) if math.isfinite(x) else 1.5, [None, 3, -7][i % 3], i % 2 == 0)
+        + (labels[i % 3], [1.0, 2][i % 2])
+        + tails[i % 4]
+        for i, x in enumerate(floats)
+    ]
+    report = Report(
+        kind="edge \u00e9",
+        columns=("value", "finite", "seed", "flag", "label", "mixed"),
+        rows=rows,
+        fields=(
+            ("scale", -0.0),
+            ("worst", math.nan),
+            ("count", n),
+            ("name", "\u00e9\"t"),
+            ("records", RECORDS),
+            ("none", slice(0, 0)),
+            ("tail", slice(n - 2, None)),
+        ),
+        passed=False,
+        notes=(),
+        headers=("scale", "worst", "count", "name"),
+    )
+    config = build_config(None, {"theta": 0.0, "z2": 1e-300, "R": 1e300})
+    assert_writers_match(report, config, "edge values")
+    empty = dataclasses.replace(report, rows=[], headers=())
+    assert_writers_match(empty, config, "no rows")
