@@ -119,12 +119,14 @@ def _json_floats(values: list[float]):
     return texts if all(map(math.isfinite, values)) else map(_SPELLED.get, texts, texts)
 
 
-def _columns(report: Report, prefixes, float_texts, text) -> list[list[str]]:
-    """Each column's texts behind its prefix, a float formatted once per bit pattern.
+def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list[str]:
+    """Each row's texts and then its ``tails``, joined by ``sep``.
 
-    So -0.0 stays apart from 0.0.  A column of strings, ints and None, or of
-    bools, whose equal values have equal texts, is formatted once per value;
-    any other column value by value.
+    A text stands behind its column's prefix.  The texts are made column by
+    column: a float column is formatted once per bit pattern, so -0.0 stays
+    apart from 0.0; a column of strings, ints and None, or of bools, whose
+    equal values have equal texts, once per value; any other column value
+    by value.
     """
     columns = []
     for prefix, values in zip(prefixes, list(zip(*report.rows))[: len(report.columns)]):
@@ -138,7 +140,7 @@ def _columns(report: Report, prefixes, float_texts, text) -> list[list[str]]:
             columns.append(list(map(memo.__getitem__, values)))
         else:
             columns.append([prefix + text(v) for v in values])
-    return columns
+    return list(map(sep.join, zip(*columns, *tails)))
 
 
 def _delimited(report: Report, config: RunConfig) -> str:
@@ -149,8 +151,7 @@ def _delimited(report: Report, config: RunConfig) -> str:
     ]
     lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
     g15 = "{:.15g}".format
-    columns = _columns(report, [""] * len(report.columns), lambda v: map(g15, v), _text)
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(_rows(report, ",", [""] * len(report.columns), lambda v: map(g15, v), _text))
     return "\n".join(lines) + "\n"
 
 
@@ -162,14 +163,13 @@ def _structured(report: Report, config: RunConfig) -> str:
     """
     names = map(json.dumps, report.columns)
     prefixes = [f'{"," * bool(i)}{_RECORD_PAD}{name}: ' for i, name in enumerate(names)]
-    columns = _columns(report, prefixes, _json_floats, lambda v: json.dumps(_plain(v)))
     extras = [
         f',{_RECORD_PAD}"extra": {_json({n: _plain(v) for n, v in row[-1]}, _RECORD_PAD)}'
         if len(row) > len(report.columns) and row[-1]
         else ""
         for row in report.rows
     ]
-    records = list(map("".join, zip(*columns, extras)))
+    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)), extras)
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
         "report": report.kind,
