@@ -124,9 +124,9 @@ def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list
 
     A text stands behind its column's prefix.  The texts are made column by
     column: a float column is formatted once per bit pattern, so -0.0 stays
-    apart from 0.0; a column of strings, ints and None, or of bools, whose
-    equal values have equal texts, once per value; any other column value
-    by value.
+    apart from 0.0; a column of strings, ints and None, whose equal values
+    have equal texts, once per value; any other column (bools, as True == 1,
+    or floats among other kinds) value by value.
     """
     columns = []
     for prefix, values in zip(prefixes, list(zip(*report.rows))[: len(report.columns)]):
@@ -135,7 +135,7 @@ def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list
             bits, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
             texts = list(map(prefix.__add__, float_texts(bits.view(float).tolist())))
             columns.append(list(map(texts.__getitem__, index.tolist())))
-        elif kinds <= {str, int, type(None)} or kinds == {bool}:
+        elif kinds <= {str, int, type(None)}:
             memo = {v: prefix + text(v) for v in set(values)}
             columns.append(list(map(memo.__getitem__, values)))
         else:

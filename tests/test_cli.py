@@ -582,7 +582,7 @@ def test_writers_match_the_oracle_on_edge_values():
     # rows without extras, with falsy ones, and with named values
     tails = [(), (None,), ((),), ((("matched", -0.0), ("note", "t\u00e9"), ("flag", True)),)]
     rows = [
-        (x, abs(x) if math.isfinite(x) else 1.5, [None, 3, -7][i % 3], i % 2 == 0)
+        (x, abs(x) if math.isfinite(x) else 1.5, [None, 1, True, -7][i % 4], i % 2 == 0)
         + (labels[i % 3], [1.0, 2][i % 2])
         + tails[i % 4]
         for i, x in enumerate(floats)
