@@ -248,7 +248,9 @@ def analytic_spectrum(
     for n in range(1, n_max + 1):
         units = 2.0 * n - 1.0
         massive = ModeRecord(SECTOR_MASSIVE, n, units, units * scale, 1)
-        records += (ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1), massive, massive)[: 2 + (n > 1)]
+        records += (ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1), massive)
+        if n > 1:
+            records.append(massive)
     return records
 
 
