@@ -19,7 +19,6 @@ from .background import (
 )
 from .condensation import (
     CondensedBlocks,
-    CurvePoint,
     RecombinationCurve,
     TachyonPotential,
     analytic_minimum,

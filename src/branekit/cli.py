@@ -21,6 +21,8 @@ import numpy as np
 from . import __version__
 from .background import OffDiagonalFluctuation, build_background
 from .condensation import (
+    ASYMPTOTES,
+    BRANCHES,
     asymmetry_gap,
     numeric_minimum,
     potential_derivative,
@@ -67,8 +69,6 @@ EXIT_INVALID = 2
 #: A summary field holding every row of the report, written as records.
 RECORDS = slice(None)
 
-#: json's spellings of the non-finite floats, keyed by their reprs.
-_SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: What starts a line inside a record of the structured document.
 _RECORD_PAD = "\n      "
 
@@ -77,21 +77,26 @@ _RECORD_PAD = "\n      "
 class Report:
     """What one command found, before it is written in either format.
 
-    ``rows`` hold raw scalars, one per column; a row may carry one more
-    value, ``(name, value)`` extras that only the structured format writes.
-    ``fields`` are the ordered summary entries of the structured document,
-    where a ``slice`` stands for those rows written as records; the fields
-    named in ``headers`` also head the delimited table as ``# name: value``.
-    ``notes`` are the stderr lines.
+    ``data`` holds one sequence of raw scalars per named column, a row per
+    index.  A float64 array is formatted once per bit pattern (-0.0 apart
+    from 0.0), any other array once per value, so equal values must have
+    equal texts there (an object array holds no floats, nor bools by ints),
+    and a list value by value.  ``extras``, if given, is one more column of
+    ``(name, value)`` pairs or falsy values, written only in the structured
+    format.  ``fields`` are the ordered summary entries of the structured
+    document, where a ``slice`` stands for those rows written as records;
+    those named in ``headers`` also head the delimited table as
+    ``# name: value``.  ``notes`` are the stderr lines.
     """
 
     kind: str
     columns: tuple[str, ...]
-    rows: Sequence[tuple]
+    data: tuple[Sequence, ...]
     fields: tuple[tuple[str, object], ...]
     passed: bool
     notes: tuple[str, ...]
     headers: tuple[str, ...] = ()
+    extras: Sequence = ()
 
 
 def _text(value) -> str:
@@ -113,33 +118,36 @@ def _json(value, pad: str = "\n  ") -> str:
     return json.dumps(_plain(value), indent=2).replace("\n", pad)
 
 
-def _json_floats(values: list[float]):
-    """``_json`` of each float: the repr of its 15-digit rounding, or json's NaN/Infinity."""
-    texts = list(map(float.__repr__, map(float, map("{:.15g}".format, values))))
-    return texts if all(map(math.isfinite, values)) else map(_SPELLED.get, texts, texts)
+def _json_floats(values: list[float]) -> list[str]:
+    """``_json`` of each float: its 15-digit text, spelled as the repr of that rounding.
+
+    A normal float's 15-digit text names it alone, so repr writes the same
+    digits.  Only texts where the two can differ are re-parsed: those with
+    no "." (integers, which repr writes as "3.0", -0, nan, inf, "1e+16"),
+    at exponent 15 (which repr writes out), at exponents -30 to -39 and
+    below -299 (which hold the subnormals, whose fewer bits repr may spell
+    in fewer digits, as "5e-324") and at 308 (which may round up to inf).
+    """
+    return [
+        t if "." in t and not ("e+15" in t or "e-3" in t or "e+308" in t) else json.dumps(float(t))
+        for t in map("{:.15g}".format, values)
+    ]
 
 
 def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list[str]:
-    """Each row's texts and then its ``tails``, joined by ``sep``.
-
-    A text stands behind its column's prefix.  The texts are made column by
-    column: a float column is formatted once per bit pattern, so -0.0 stays
-    apart from 0.0; a column of strings, ints and None, whose equal values
-    have equal texts, once per value; any other column (bools, as True == 1,
-    or floats among other kinds) value by value.
-    """
+    """Each row's texts, each behind its column's prefix, then its ``tails``, joined by ``sep``."""
     columns = []
-    for prefix, values in zip(prefixes, list(zip(*report.rows))[: len(report.columns)]):
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            bits, index = np.unique(np.array(values).view(np.int64), return_inverse=True)
+    for prefix, values in zip(prefixes, report.data):
+        if not isinstance(values, np.ndarray):
+            columns.append([prefix + text(v) for v in values])
+        elif values.dtype == float:
+            bits, index = np.unique(values.view(np.int64), return_inverse=True)
             texts = list(map(prefix.__add__, float_texts(bits.view(float).tolist())))
             columns.append(list(map(texts.__getitem__, index.tolist())))
-        elif kinds <= {str, int, type(None)}:
+        else:
+            values = values.tolist()
             memo = {v: prefix + text(v) for v in set(values)}
             columns.append(list(map(memo.__getitem__, values)))
-        else:
-            columns.append([prefix + text(v) for v in values])
     return list(map(sep.join, zip(*columns, *tails)))
 
 
@@ -164,12 +172,13 @@ def _structured(report: Report, config: RunConfig) -> str:
     names = map(json.dumps, report.columns)
     prefixes = [f'{"," * bool(i)}{_RECORD_PAD}{name}: ' for i, name in enumerate(names)]
     extras = [
-        f',{_RECORD_PAD}"extra": {_json({n: _plain(v) for n, v in row[-1]}, _RECORD_PAD)}'
-        if len(row) > len(report.columns) and row[-1]
+        f',{_RECORD_PAD}"extra": {_json({n: _plain(v) for n, v in extra}, _RECORD_PAD)}'
+        if extra
         else ""
-        for row in report.rows
+        for extra in report.extras
     ]
-    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)), extras)
+    tails = (extras,) if extras else ()
+    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)), *tails)
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
         "report": report.kind,
@@ -193,6 +202,11 @@ def _structured(report: Report, config: RunConfig) -> str:
 RENDERERS = {FORMAT_DELIMITED: _delimited, FORMAT_STRUCTURED: _structured}
 
 
+def _columns(records: Sequence, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """Each named attribute of the records as one array (ints and None: an object array)."""
+    return tuple(np.array([getattr(r, name) for r in records]) for name in names)
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -203,9 +217,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     op_levels = build_mass_operator_levels(*params)
 
     route_residual = route_equivalence_residual(op_qp, op_fock, config.margin_k)
-    modes = numeric_spectrum(
-        op_levels, config.margin_k, mass_threshold=config.tol("trust_mass")
-    )
+    modes = numeric_spectrum(op_levels, config.margin_k, mass_threshold=config.tol("trust_mass"))
     match_tol = config.tol("eigenvalue_match")
     match = match_tower(modes, tol_units=match_tol)
 
@@ -223,17 +235,16 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
         (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse_ok else -1),
         (fermion_spectrum(config.n_max, config.theta), -1),
     )
-    rows = [
-        (r.sector, r.n, r.eigenvalue_units, r.eigenvalue_raw, r.multiplicity, r.n <= horizon)
-        for records, horizon in tables
-        for r in records
-    ]
+    records = [r for table, _ in tables for r in table]
+    horizons = [horizon for table, horizon in tables for _ in table]
+    columns = ("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity")
+    data = _columns(records, columns)
 
     route_ok = route_residual <= config.tol("route_equivalence")
     return Report(
         kind="spectrum",
-        columns=("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity", "trusted"),
-        rows=rows,
+        columns=(*columns, "trusted"),
+        data=(*data, data[1] <= horizons),
         fields=(
             ("scale", op_levels.scale),
             ("route_equivalence_residual", route_residual),
@@ -275,14 +286,9 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         bg_dim = 4 + trial % 5
         bg_theta = float(rng.uniform(0.0, math.pi / 2 - 0.2))
         bg = build_background(bg_theta, config.z2, config.R, bg_dim)
-        linear, cubic = check_cross_terms(bg, random_fluctuation(rng, bg_dim))
-        reports.extend((linear, cubic))
-        linear_p, cubic_p = check_cross_terms(
-            bg,
-            momentum_polynomial_fluctuation(bg, rng),
-            fluctuation_class="momentum-polynomial",
-        )
-        reports.extend((linear_p, cubic_p))
+        reports += check_cross_terms(bg, random_fluctuation(rng, bg_dim))
+        polynomial = momentum_polynomial_fluctuation(bg, rng)
+        reports += check_cross_terms(bg, polynomial, fluctuation_class="momentum-polynomial")
 
     rng = np.random.default_rng(config.seed)
     dim = 5
@@ -311,13 +317,12 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     )
     if violated:
         notes += (f"FAIL: {len(violated)} exact/pass identities violated",)
+    columns = ("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict")
     return Report(
         kind="identities",
-        columns=("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict"),
-        rows=[
-            (r.identity, r.seed, r.dim, r.lhs, r.rhs, r.residual, r.verdict, r.extra)
-            for r in reports
-        ],
+        columns=columns,
+        data=_columns(reports, columns),
+        extras=[r.extra for r in reports],
         fields=(("trials", n_trials), ("records", RECORDS), ("violations", len(violated))),
         passed=not violated,
         notes=notes,
@@ -339,21 +344,18 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
 
     gap_failed = not minimizer_gap <= minimizer_tol
     stationarity_failed = not stationarity <= stationarity_tol
-    failed = [
-        gate
-        for gate, bad in (
-            ("analytic/numeric minimizer disagreement", gap_failed),
-            ("stationarity residual at the analytic minimum", stationarity_failed),
-        )
-        if bad
-    ]
+    gates = (
+        ("analytic/numeric minimizer disagreement", gap_failed),
+        ("stationarity residual at the analytic minimum", stationarity_failed),
+    )
+    failed = [gate for gate, bad in gates if bad]
     columns = ("quad", "quart", "tmin_analytic", "tmin_numeric", "vmin", "stationarity_residual")
-    row = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
+    values = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
     return Report(
         kind="condense",
         columns=columns,
-        rows=[row],
-        fields=tuple(zip(columns, row)),
+        data=tuple(np.array([v]) for v in values),
+        fields=tuple(zip(columns, values)),
         passed=not failed,
         notes=(
             f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g}, "
@@ -375,11 +377,18 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
 
     hyperbola_failed = not curve.max_residual <= config.tol("hyperbola")
     eigensolve_failed = not curve.max_eigensolve_gap <= config.tol("block_eigensolve")
-    split = len(curve.points)
+    split = curve.x_d.size
     return Report(
         kind="curve",
         columns=("x0", "branch", "x_d", "y_d", "residual"),
-        rows=curve.points + curve.asymptotes,
+        # the branch points, then the asymptotes, grid value by grid value
+        data=(
+            np.tile(np.repeat(curve.grid, 2), 2),
+            np.repeat([BRANCHES, ASYMPTOTES], curve.grid.size, axis=0).ravel(),
+            np.concatenate((curve.x_d, curve.asym_x), axis=None),
+            np.concatenate((curve.y_d, curve.asym_y), axis=None),
+            np.concatenate((curve.residual, np.zeros_like(curve.asym_y)), axis=None),
+        ),
         fields=(
             ("x0_min", args.x0_min),
             ("x0_max", args.x0_max),
@@ -393,11 +402,9 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
         passed=not (hyperbola_failed or eigensolve_failed),
         notes=(
             f"max hyperbola residual = {curve.max_residual:.3e} "
-            f"({'FAIL' if hyperbola_failed else 'pass'} "
-            f"at {config.tol('hyperbola'):.1e})",
+            f"({'FAIL' if hyperbola_failed else 'pass'} at {config.tol('hyperbola'):.1e})",
             f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e} "
-            f"({'FAIL' if eigensolve_failed else 'pass'} "
-            f"at {config.tol('block_eigensolve'):.1e})",
+            f"({'FAIL' if eigensolve_failed else 'pass'} at {config.tol('block_eigensolve'):.1e})",
             f"asymmetry gap = {gap:.6g}",
         ),
     )
@@ -444,15 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config_path = args.config or default_config_path()
         file_values = read_config_file(config_path) if config_path else None
-        overrides = {
-            "theta": args.theta,
-            "z2": args.z2,
-            "R": args.R,
-            "N": args.N,
-            "seed": args.seed,
-            "output_format": args.format,
-        }
-        config = build_config(file_values, overrides)
+        overrides = {name: getattr(args, name) for name in ("theta", "z2", "R", "N", "seed")}
+        config = build_config(file_values, {**overrides, "output_format": args.format})
         with np.errstate(over="raise", invalid="raise"):
             report = args.run(config, args)
         text = RENDERERS[config.output_format](report, config)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -164,31 +163,30 @@ def hyperbola_residual(x_d: np.ndarray, y_d: np.ndarray, theta: float, z2: float
     return np.abs(lhs - rhs)
 
 
-class CurvePoint(NamedTuple):
-    x0: float
-    branch: str
-    x_d: float
-    y_d: float
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class RecombinationCurve:
-    """Sampled recombined branches plus the pre-condensation asymptotes."""
+    """Sampled recombined branches plus the pre-condensation asymptotes.
+
+    ``grid`` holds the x0 values; ``x_d``, ``y_d`` and ``residual`` are
+    shaped (len(grid), 2), the branches on the last axis in BRANCHES order,
+    and ``asym_x``, ``asym_y`` likewise in ASYMPTOTES order.
+    """
 
     theta: float
     z2: float
-    points: tuple[CurvePoint, ...]
-    asymptotes: tuple[CurvePoint, ...]
+    grid: np.ndarray
+    x_d: np.ndarray
+    y_d: np.ndarray
+    residual: np.ndarray
+    asym_x: np.ndarray
+    asym_y: np.ndarray
     max_residual: float
     max_eigensolve_gap: float
 
-
-def _curve_points(grid, branches, x_d, y_d, residual) -> tuple[CurvePoint, ...]:
-    """One Python-float point per grid value and branch, from (P, 2) columns."""
-    columns = (np.repeat(grid, 2), x_d, y_d, residual)
-    x0, x_d, y_d, residual = (np.ravel(column).tolist() for column in columns)
-    return tuple(map(CurvePoint._make, zip(x0, branches * len(grid), x_d, y_d, residual)))
+    @property
+    def points(self) -> np.ndarray:
+        """The branch points (x_d, y_d), one row per grid value and branch (bench counts them)."""
+        return np.stack((self.x_d.ravel(), self.y_d.ravel()), axis=-1)
 
 
 def sample_curve(
@@ -214,13 +212,15 @@ def sample_curve(
     blocks = condensed_blocks(grid, theta, z2)
     x_vals = np.linalg.eigh(blocks.m1).eigenvalues
     y_vals = np.linalg.eigh(blocks.m2).eigenvalues
-    asym_x = np.repeat(grid * math.sin(theta), 2)
-    asym_y = np.multiply.outer(grid, (-1.0, 1.0)) * math.cos(theta)
     return RecombinationCurve(
         theta=theta,
         z2=z2,
-        points=_curve_points(grid, BRANCHES, x_d, y_d, residual),
-        asymptotes=_curve_points(grid, ASYMPTOTES, asym_x, asym_y, np.zeros_like(asym_y)),
+        grid=grid,
+        x_d=x_d,
+        y_d=y_d,
+        residual=residual,
+        asym_x=np.repeat(grid * math.sin(theta), 2).reshape(-1, 2),
+        asym_y=np.multiply.outer(grid, (-1.0, 1.0)) * math.cos(theta),
         # np.max, unlike the builtin, keeps a NaN residual or gap
         max_residual=float(np.max(residual)),
         max_eigensolve_gap=float(np.max(np.abs([x_vals - x_d, y_vals - y_d]))),
@@ -236,10 +236,9 @@ def asymmetry_gap(curve: RecombinationCurve) -> float:
     collapses to zero with it, where the branches degenerate to the
     symmetric asymptote pair.
     """
-    x0, _, x_d, y_d, _ = zip(*curve.points)
-    mirrored = recombined_eigenvalues(-np.array(x0[::2]), curve.theta, curve.z2)
+    mirrored = recombined_eigenvalues(-curve.grid, curve.theta, curve.z2)
     # axes: grid point, reflected branch, compared branch
     mirrored_x, mirrored_y = (column[:, :, None] for column in mirrored)
-    here_x, here_y = np.reshape(x_d, (-1, 1, 2)), np.reshape(y_d, (-1, 1, 2))
+    here_x, here_y = curve.x_d[:, None], curve.y_d[:, None]
     distance = np.maximum(np.abs(-mirrored_x - here_x), np.abs(mirrored_y - here_y))
     return float(np.min(distance))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -523,9 +524,19 @@ def oracle_structured(report: Report, config: RunConfig) -> str:
 ORACLES = {FORMAT_DELIMITED: oracle_delimited, FORMAT_STRUCTURED: oracle_structured}
 
 
+def as_rows(report: Report) -> SimpleNamespace:
+    """The report as the oracle reads it: one tuple of Python scalars per row, extras last."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in report.data]
+    if report.extras:
+        columns.append(list(report.extras))
+    fields = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
+    return SimpleNamespace(**fields, rows=list(zip(*columns)))
+
+
 def assert_writers_match(report: Report, config: RunConfig, label: str) -> None:
+    rows = as_rows(report)
     for fmt, oracle in ORACLES.items():
-        assert RENDERERS[fmt](report, config) == oracle(report, config), f"{fmt}: {label}"
+        assert RENDERERS[fmt](report, config) == oracle(rows, config), f"{fmt}: {label}"
 
 
 def drawn_argv(command: str, rng: np.random.Generator) -> list[str]:
@@ -555,8 +566,8 @@ def drawn_argv(command: str, rng: np.random.Generator) -> list[str]:
 DRAWS = {"spectrum": 86, "identities": 3, "condense": 86, "curve": 25}
 
 
-@pytest.mark.parametrize("command", sorted(DRAWS))
-def test_writers_match_the_oracle_on_drawn_reports(command, capsys, monkeypatch):
+def writers_match_on(argvs, capsys, monkeypatch) -> None:
+    """Run each argv, and match both writers against the oracle on its report."""
     rendered = []
 
     def both(report, config):
@@ -564,35 +575,60 @@ def test_writers_match_the_oracle_on_drawn_reports(command, capsys, monkeypatch)
         return ""
 
     monkeypatch.setattr(cli, "RENDERERS", dict.fromkeys(RENDERERS, both))
-    rng = np.random.default_rng(sorted(DRAWS).index(command))
-    for _ in range(DRAWS[command]):
-        argv = drawn_argv(command, rng)
+    for argv in argvs:
         assert main(argv) in (0, 1), argv
         assert_writers_match(*rendered[-1], " ".join(argv))
     capsys.readouterr()
-    assert len(rendered) == DRAWS[command]
+    assert len(rendered) == len(argvs)
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS))
+def test_writers_match_the_oracle_on_drawn_reports(command, capsys, monkeypatch):
+    rng = np.random.default_rng(sorted(DRAWS).index(command))
+    argvs = [drawn_argv(command, rng) for _ in range(DRAWS[command])]
+    writers_match_on(argvs, capsys, monkeypatch)
+
+
+def test_writers_match_the_oracle_on_a_dense_curve(capsys, monkeypatch):
+    # drawn from the benchmark's dense-curve ranges, at a fifth of its points
+    rng = np.random.default_rng(5)
+    argv = [
+        "curve",
+        f"--theta={rng.uniform(0.05, 1.45)!r}",
+        f"--z2={rng.uniform(0.25, 4.0)!r}",
+        f"--R={rng.uniform(0.25, 4.0)!r}",
+        f"--x0-min={rng.uniform(-4.0, -1.0)!r}",
+        f"--x0-max={rng.uniform(1.0, 4.0)!r}",
+        "--points=2001",
+    ]
+    writers_match_on([argv], capsys, monkeypatch)
 
 
 def test_writers_match_the_oracle_on_edge_values():
     floats = [
         -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 1e15, -1234567890123456.7,
         9999999999999998.0, 5e-324, -3.0, 2.9999999999999996, 1e16, 1e-5, 1e-4,
-        0.1, 1.0000000000000002, -0.0, math.nan,
+        0.1, 1.0000000000000002, -0.0, math.nan, 1.7976931348623157e308,
     ]
     n = len(floats)
     labels = ['say "hi"', "caf\u00e9 \u2013 \\", "plain"]
-    # rows without extras, with falsy ones, and with named values
-    tails = [(), (None,), ((),), ((("matched", -0.0), ("note", "t\u00e9"), ("flag", True)),)]
-    rows = [
-        (x, abs(x) if math.isfinite(x) else 1.5, [None, 1, True, -7][i % 4], i % 2 == 0)
-        + (labels[i % 3], [1.0, 2][i % 2])
-        + tails[i % 4]
-        for i, x in enumerate(floats)
-    ]
+    # falsy extras, and named values
+    extras = [None, (), (("matched", -0.0), ("note", "t\u00e9"), ("flag", True))]
     report = Report(
         kind="edge \u00e9",
-        columns=("value", "finite", "seed", "flag", "label", "mixed"),
-        rows=rows,
+        columns=("value", "finite", "level", "flag", "label", "seed", "kinds", "mixed"),
+        data=(
+            np.array(floats),
+            np.array([abs(x) if math.isfinite(x) else 1.5 for x in floats]),
+            np.arange(n) - 3,
+            np.arange(n) % 2 == 0,
+            np.array([labels[i % 3] for i in range(n)]),
+            np.array([[None, 1, "1", -7][i % 4] for i in range(n)], dtype=object),
+            # lists of mixed kinds and of floats, where True == 1 and -0.0 == 0.0
+            [[None, 1, True, -7][i % 4] for i in range(n)],
+            [[1.0, 2, -0.0, 0.0, math.nan][i % 5] for i in range(n)],
+        ),
+        extras=[extras[i % 3] for i in range(n)],
         fields=(
             ("scale", -0.0),
             ("worst", math.nan),
@@ -608,5 +644,30 @@ def test_writers_match_the_oracle_on_edge_values():
     )
     config = build_config(None, {"theta": 0.0, "z2": 1e-300, "R": 1e300})
     assert_writers_match(report, config, "edge values")
-    empty = dataclasses.replace(report, rows=[], headers=())
-    assert_writers_match(empty, config, "no rows")
+    assert_writers_match(dataclasses.replace(report, extras=()), config, "no extras")
+    empty = dataclasses.replace(report, data=tuple(c[:0] for c in report.data), headers=())
+    assert_writers_match(dataclasses.replace(empty, extras=[]), config, "no rows")
+
+
+#: Floats whose 15-digit texts repr may spell differently: subnormals, the
+#: smallest normal, signed zeros, non-finite values, exponent 15 and 16
+#: boundaries, a rounding to an integer, and one that rounds past the
+#: largest float.
+NAMED_FLOATS = [
+    5e-324, 2.2250738585072014e-308, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    999999999999999.6, 1e15, 9999999999999998.0, 1e16, 2.9999999999999996,
+    1.7976931348623157e308,
+]
+
+
+def test_json_float_texts_match_the_repr_of_the_rounding():
+    # the named values, their nearest neighbours, and random bit patterns
+    named = np.array(NAMED_FLOATS).view(np.int64)
+    neighbours = (named[:, None] + np.arange(-3, 4)).ravel()
+    info = np.iinfo(np.int64)
+    drawn = np.random.default_rng(64).integers(info.min, info.max, 10**5, np.int64, True)
+    values = np.concatenate((neighbours, drawn)).view(float).tolist()
+    # the repr of each 15-digit rounding, as json spells it
+    rounded = map(float.__repr__, map(float, map("{:.15g}".format, values)))
+    spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    assert cli._json_floats(values) == [spelled.get(text, text) for text in rounded]

@@ -15,6 +15,7 @@ from branekit import (
     sample_curve,
     tachyon_potential,
 )
+from branekit.condensation import ASYMPTOTES, BRANCHES
 from helpers import potential_value
 
 PI_THIRD = math.pi / 3
@@ -148,8 +149,8 @@ def test_hyperbola_mismatched_branch_flags():
 
 def test_sample_curve_residuals_and_routes():
     curve = sample_curve(-3.0, 3.0, 101, PI_THIRD, 1.0)
-    assert len(curve.points) == 202
-    assert len(curve.asymptotes) == 202
+    assert curve.x_d.size == curve.y_d.size == curve.residual.size == 202
+    assert curve.asym_x.size == curve.asym_y.size == 202
     assert curve.max_residual <= 1e-10
     assert curve.max_eigensolve_gap <= 1e-12
 
@@ -164,11 +165,9 @@ def test_sample_curve_guards():
 def test_tiny_flux_curve_coincides_with_asymptotes():
     # each branch degenerates onto the nearer asymptote half-line
     curve = sample_curve(-2.0, 2.0, 21, PI_THIRD, 1e-12)
-    for point in curve.points:
-        assert abs(point.x_d - point.x0 * math.sin(PI_THIRD)) <= 1e-5
-        nearest = min(
-            abs(point.y_d - sign * point.x0 * math.cos(PI_THIRD)) for sign in (-1.0, 1.0)
-        )
+    for x0, x_d, y_d in zip(np.repeat(curve.grid, 2), curve.x_d.ravel(), curve.y_d.ravel()):
+        assert abs(x_d - x0 * math.sin(PI_THIRD)) <= 1e-5
+        nearest = min(abs(y_d - sign * x0 * math.cos(PI_THIRD)) for sign in (-1.0, 1.0))
         assert nearest <= 1e-5
 
 
@@ -290,6 +289,18 @@ def scalar_curve(x0_min, x0_max, n_points, theta, z2):
     return points + asymptotes, max_residual, max(gaps), asymmetry
 
 
+def curve_rows(curve):
+    """The curve's arrays as rows (x0, branch, x_d, y_d, residual), branches then asymptotes."""
+    x0 = np.repeat(curve.grid, 2).tolist()
+    n = curve.grid.size
+    columns = (curve.x_d, curve.y_d, curve.residual, curve.asym_x, curve.asym_y)
+    x_d, y_d, residual, asym_x, asym_y = (column.ravel().tolist() for column in columns)
+    return [
+        *zip(x0, BRANCHES * n, x_d, y_d, residual),
+        *zip(x0, ASYMPTOTES * n, asym_x, asym_y, [0.0] * len(x0)),
+    ]
+
+
 def _bits(rows):
     """Rows with every float spelled out bit for bit (keeps the sign of zero)."""
     return [
@@ -313,8 +324,8 @@ def _oracle_grids():
 def test_sample_curve_matches_per_point_oracle_bitwise(grid):
     rows, max_residual, max_gap, asymmetry = scalar_curve(*grid)
     curve = sample_curve(*grid)
-    assert len(curve.points) == 2 * grid[2]
-    assert _bits(curve.points + curve.asymptotes) == _bits(rows)
+    assert curve.x_d.shape == curve.asym_x.shape == (grid[2], 2)
+    assert _bits(curve_rows(curve)) == _bits(rows)
     assert curve.max_residual == max_residual
     assert curve.max_eigensolve_gap == max_gap
     assert asymmetry_gap(curve) == asymmetry
