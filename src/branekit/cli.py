@@ -80,7 +80,7 @@ class Report:
     ``data`` holds one sequence of raw scalars per named column, a row per
     index.  A float64 array is formatted once per bit pattern (-0.0 apart
     from 0.0), any other array once per value, so equal values must have
-    equal texts there (an object array holds no floats, nor bools by ints),
+    equal texts there (an object array holds no floats, nor bools beside ints),
     and a list value by value.  ``extras``, if given, is one more column of
     ``(name, value)`` pairs or falsy values, written only in the structured
     format.  ``fields`` are the ordered summary entries of the structured
