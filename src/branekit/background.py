@@ -54,25 +54,25 @@ def build_background(theta: float, z2: float, R: float, n_levels: int) -> BraneB
 
 @dataclass(frozen=True, eq=False)
 class OffDiagonalFluctuation:
-    """Off-diagonal interaction blocks T_1, T_2, T_3 between the two branes, as (3, N, N)."""
+    """Off-diagonal interaction blocks T_1, T_2, T_3 between the two branes, (3, N, N) per trial."""
 
     ts: np.ndarray
 
     def __post_init__(self) -> None:
         shape = self.ts.shape
-        if len(shape) != 3 or shape[0] != 3 or shape[1] != shape[2]:
-            raise ValueError(f"fluctuation blocks must be a (3, N, N) stack, got {shape}")
+        if len(shape) < 3 or shape[-3] != 3 or shape[-2] != shape[-1]:
+            raise ValueError(f"fluctuation blocks must be a (3, N, N) stack per trial, got {shape}")
 
     @property
     def dim(self) -> int:
-        return self.ts.shape[1]
+        return self.ts.shape[-1]
 
     def block_matrices(self) -> np.ndarray:
-        """The Hermitian 2N x 2N matrices [[0, T_i], [T_i^dag, 0]], stacked as (3, 2N, 2N)."""
+        """The Hermitian 2N x 2N matrices [[0, T_i], [T_i^dag, 0]], stacked as (..., 3, 2N, 2N)."""
         n = self.dim
-        out = np.zeros((3, 2 * n, 2 * n), dtype=complex)
-        out[:, :n, n:] = self.ts
-        out[:, n:, :n] = self.ts.conj().transpose(0, 2, 1)
+        out = np.zeros((*self.ts.shape[:-2], 2 * n, 2 * n), dtype=complex)
+        out[..., :n, n:] = self.ts
+        out[..., n:, :n] = self.ts.conj().swapaxes(-1, -2)
         return out
 
 

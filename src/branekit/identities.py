@@ -45,39 +45,60 @@ def _tr(x: np.ndarray) -> complex:
     return complex(np.trace(x))
 
 
-def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The nine commutators [x_i, y_j] of two (3, n, n) stacks, as a (3, 3, n, n) array."""
-    return x[:, None] @ y[None] - y[None] @ x[:, None]
+#: The pairs (i, j), i != j, in the per-pair loop's order.  For each pair: where
+#: (j, i) is, where its pair with i < j is, and the sign that turns a commutator
+#: within one stack at that pair into its own, as [x_j, x_i] = -[x_i, x_j].
+_I, _J, _SWAP, _SYM = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1], [2, 4, 0, 5, 1, 3], [0, 1, 0, 2, 1, 2]
+_SIGN = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
 
 
-def _trace_sum(*terms: np.ndarray) -> complex:
-    """Sum of the terms' traces over the nine (i, j) pairs, in the per-pair loop's order.
+def _upper(x: np.ndarray) -> np.ndarray:
+    """[x_i, x_j], i < j, of a (..., 3, n, n) stack, from one product x_i x_j per pair i != j."""
+    p = x[..., _I, :, :] @ x[..., _J, :, :]
+    return p[..., [0, 1, 3], :, :] - p[..., [2, 4, 5], :, :]
 
-    Each pair adds its traces left to right, and the pairs accumulate in (i, j)
-    order into a Python complex.  A power-of-two factor on a term scales its
-    trace exactly, so it may sit on the matrix instead of the trace.
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x_i, y_j] for the pairs i != j of two (..., 3, n, n) stacks."""
+    xi, yj = x[..., _I, :, :], y[..., _J, :, :]
+    return xi @ yj - yj @ xi
+
+
+def _traces(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1)
+
+
+def _sum(values: np.ndarray) -> list[complex]:
+    """Each trial's (T, 6) pair values added in pair order to +0.
+
+    That sum, like the per-pair loop's Python complex, never becomes -0, so the
+    exact zeros of the pairs i = j would leave it unchanged.
     """
-    traces = [np.trace(term, axis1=2, axis2=3) for term in terms]
-    total = 0.0 + 0.0j
-    for value in sum(traces[1:], traces[0]).ravel().tolist():
-        total += value
-    return total
+    total = 0j
+    for column in values.T:
+        total = total + column
+    return total.tolist()
 
 
-def _scale(x: np.ndarray, y: np.ndarray) -> float:
-    """Largest max|x_ij| * max|y_ij| over the pairs, as Python floats: past the range is inf."""
-    x_max, y_max = (np.abs(c).max(axis=(2, 3)).ravel().tolist() for c in (x, y))
-    return float(np.max([a * b for a, b in zip(x_max, y_max)]))
+def _scale(x_max: np.ndarray, y_max: np.ndarray) -> list[float]:
+    """Per trial, the largest x_max * y_max over the pairs, in Python floats: inf past range."""
+    rows = zip(x_max.tolist(), y_max.tolist())
+    return np.max([[a * b for a, b in zip(*row)] for row in rows], axis=-1).tolist()
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=(-2, -1))
 
 
 def _holds(residual: float, tol: float, *scales: complex) -> bool:
     """Whether residual <= tol * max(1, |scales|), failing on anything non-finite.
 
-    ``np.max`` keeps a NaN scale, and a bound that is not finite fails, so an
-    infinite residual cannot pass an infinite bound.
+    A NaN scale fails, which ``max`` alone could pass over, and a bound that
+    is not finite fails, so an infinite residual cannot pass an infinite bound.
     """
-    bound = tol * float(np.max([1.0, *(abs(v) for v in scales)]))
-    return math.isfinite(bound) and residual <= bound
+    magnitudes = [abs(v) for v in scales]
+    bound = tol * max(1.0, *magnitudes)
+    return math.isfinite(bound) and residual <= bound and not any(map(math.isnan, magnitudes))
 
 
 def _agree(lhs: complex, rhs: complex) -> bool:
@@ -92,18 +113,19 @@ def _report(
     return IdentityReport(identity, seed, dim, lhs.real, rhs.real, abs(lhs - rhs), verdict, extra)
 
 
-def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Standard-normal real and imaginary parts, independently."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_complex(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
+    """``count`` arrays of ``shape`` from one draw, each its real part, then its imaginary part."""
+    g = rng.standard_normal((count, 2, *shape))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = random_complex(rng, n)
-    return (g + g.conj().T) / 2.0
+    g = random_complex(rng, 3, n, n)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
 def random_fluctuation(rng: np.random.Generator, n: int) -> OffDiagonalFluctuation:
-    return OffDiagonalFluctuation(np.stack([random_complex(rng, n) for _ in range(3)]))
+    return OffDiagonalFluctuation(random_complex(rng, 3, n, n))
 
 
 def momentum_polynomial_fluctuation(
@@ -113,30 +135,37 @@ def momentum_polynomial_fluctuation(
     powers = [np.eye(bg.n_levels, dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ bg.p_rel)
-    coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-    blocks = [sum(c * p for c, p in zip(cs, powers)) for cs in coeffs]
-    return OffDiagonalFluctuation(np.stack(blocks))
+    terms = random_complex(rng, 3, 4)[:, :, None, None] * np.stack(powers)
+    return OffDiagonalFluctuation(sum(terms[:, k] for k in range(4)))
 
 
 def check_expansion(
-    xs: np.ndarray, fluct: OffDiagonalFluctuation, seed: int | None = None
-) -> IdentityReport:
-    """Expand Tr[(X_i+A_i),(X_j+A_j)]^2 and compare term by term.
+    xs: np.ndarray, ts: np.ndarray, seeds: list[int | None]
+) -> tuple[IdentityReport, ...]:
+    """Expand Tr[(X_i+A_i),(X_j+A_j)]^2 and compare term by term, one report per trial.
 
-    xs is the (3, 2N, 2N) background stack.  Holds for every input; a
-    violation beyond rounding is reported as such.
+    xs stacks the trials' backgrounds as (T, 3, 2N, 2N), ts their blocks T_i as (T, 3, N, N).
+    Each product is formed once: the pairs i = j add exact zeros, and a term of i > j is that
+    of j < i or its negation.  Holds for every input; a violation beyond rounding is reported.
     """
-    a = fluct.block_matrices()
-    if xs.shape != a.shape:
+    a = OffDiagonalFluctuation(ts).block_matrices()
+    if xs.ndim != 4 or xs.shape != a.shape:
         raise ValueError(f"background/fluctuation shape mismatch: {xs.shape} vs {a.shape}")
-    full = _pairs(xs + a, xs + a)
-    k, l, m, nn = _pairs(xs, xs), _pairs(xs, a), _pairs(a, xs), _pairs(a, a)
-    lhs = _trace_sum(full @ full)
-    rhs = _trace_sum(
-        k @ k, 4.0 * (k @ l), 2.0 * (k @ nn), 2.0 * (l @ (l + m)), 4.0 * (l @ nn), nn @ nn
+    k, nn, full, l = _upper(xs), _upper(a), _upper(xs + a), _cross(xs, a)
+    lhs = _sum(_traces(full @ full)[..., _SYM])
+    rhs = _sum(
+        _traces(k @ k)[..., _SYM]
+        + 4.0 * _SIGN * _traces(k[..., _SYM, :, :] @ l)
+        + 2.0 * _traces(k @ nn)[..., _SYM]
+        + 2.0 * _traces(l @ (l - l[..., _SWAP, :, :]))  # [A_i, X_j] is -[X_j, A_i]
+        + 4.0 * _SIGN * _traces(l @ nn[..., _SYM, :, :])
+        + _traces(nn @ nn)[..., _SYM]
     )
-    verdict = VERDICT_EXACT if _agree(lhs, rhs) else VERDICT_VIOLATED
-    return _report("expansion", seed, fluct.dim, lhs, rhs, verdict)
+    reports = []
+    for seed, left, right in zip(seeds, lhs, rhs, strict=True):
+        verdict = VERDICT_EXACT if _agree(left, right) else VERDICT_VIOLATED
+        reports.append(_report("expansion", seed, ts.shape[-1], left, right, verdict))
+    return tuple(reports)
 
 
 def _quartic_block_trace(fluct: OffDiagonalFluctuation) -> complex:
@@ -202,36 +231,42 @@ def check_quartic_ttilde(fluct: OffDiagonalFluctuation, seed: int | None = None)
 
 
 def check_cross_terms(
-    bg: BraneBackground, fluct: OffDiagonalFluctuation, fluctuation_class: str = "generic"
-) -> tuple[IdentityReport, IdentityReport]:
-    """Cross terms between background and fluctuation.
+    xs: np.ndarray, ts: np.ndarray, fluctuation_class: str = "generic"
+) -> tuple[IdentityReport, ...]:
+    """Cross terms between background and fluctuation, stacked as for ``check_expansion``.
 
     The linear term sum Tr[X_i,X_j][X_i,A_j] vanishes exactly at finite
     dimension (the integrand is block-off-diagonal).  The cubic term
     sum Tr[X_i,A_j][A_i,A_j] is asserted at the pass tolerance only for
     fluctuations built from the relative momentum
     (fluctuation_class="momentum-polynomial"); for "generic" ones it is
-    recorded without a claim.  Any other class is an error.
+    recorded without a claim.  Any other class is an error.  Returns each
+    trial's linear report, then its cubic one.
     """
     if fluctuation_class not in ("generic", "momentum-polynomial"):
         raise ValueError(f"unknown fluctuation class {fluctuation_class!r}")
-    if fluct.dim != bg.n_levels:
-        raise ValueError(f"fluctuation dim {fluct.dim} does not match background {bg.n_levels}")
-    x, a = bg.xs, fluct.block_matrices()
-    kx, la, nn = _pairs(x, x), _pairs(x, a), _pairs(a, a)
-    linear = _trace_sum(kx @ la)
-    cubic = _trace_sum(la @ nn)
-    dim = 2 * bg.n_levels
-    lin_ok = _holds(abs(linear), EXACT_TOL, _scale(kx, la) * dim)
-    momentum = fluctuation_class == "momentum-polynomial"
+    a = OffDiagonalFluctuation(ts).block_matrices()
+    if xs.ndim != 4 or xs.shape != a.shape:
+        raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
+    kx, la, nn = _upper(xs), _cross(xs, a), _upper(a)
+    linear = _sum(_SIGN * _traces(kx[..., _SYM, :, :] @ la))
+    cubic = _sum(_SIGN * _traces(la @ nn[..., _SYM, :, :]))
+    momentum, n, dim = fluctuation_class == "momentum-polynomial", ts.shape[-1], xs.shape[-1]
+    la_max = _max_abs(la)
+    lin_scales = _scale(_max_abs(kx)[..., _SYM], la_max)
+    lin_ok = [_holds(abs(v), EXACT_TOL, s * dim) for v, s in zip(linear, lin_scales)]
     if momentum:
-        cub_ok = _holds(abs(cubic), PASS_TOL, _scale(la, nn) * dim)
-        cub_verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
-    else:
-        cub_verdict = VERDICT_RECORDED
-    lin_verdict = VERDICT_EXACT if lin_ok else VERDICT_VIOLATED
+        cub_scales = _scale(la_max, _max_abs(nn)[..., _SYM])
+        cub_ok = [_holds(abs(v), PASS_TOL, s * dim) for v, s in zip(cubic, cub_scales)]
     extra = (("fluctuation_class", float(momentum)),)
-    return (
-        _report("cross-linear", None, bg.n_levels, linear, 0.0, lin_verdict),
-        _report("cross-cubic", None, bg.n_levels, cubic, 0.0, cub_verdict, extra),
-    )
+    reports = []
+    for t, (lin, cub) in enumerate(zip(linear, cubic)):
+        lin_verdict = VERDICT_EXACT if lin_ok[t] else VERDICT_VIOLATED
+        cub_verdict = VERDICT_RECORDED
+        if momentum:
+            cub_verdict = VERDICT_PASS if cub_ok[t] else VERDICT_VIOLATED
+        reports += (
+            _report("cross-linear", None, n, lin, 0.0, lin_verdict),
+            _report("cross-cubic", None, n, cub, 0.0, cub_verdict, extra),
+        )
+    return tuple(reports)

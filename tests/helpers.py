@@ -1,9 +1,10 @@
-"""Operators and closed forms that only the tests call.
+"""Operators, closed forms and draws that only the tests call.
 
 The Bogoliubov mode is the dense Fock oracle's mode; the interior residual
 states the canonical relations on the interior levels; the potential and the
 eigenvectors are the closed forms the tests check the program's routes
-against.  Each validates its inputs as the program does.
+against.  Each validates its inputs as the program does.  The per-matrix
+draws are the oracle of the identity suite's one-call draws.
 """
 
 import math
@@ -65,3 +66,13 @@ def level_eigenvectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.array([0.0, 0.0, math.sqrt(n)]),
         np.array([math.sqrt(n * (n - 1.0)), float(n), 0.0]),
     )
+
+
+def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One n x n matrix: a standard-normal draw for its real part, then one for its imaginary part."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_hermitian_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = random_complex_matrix(rng, n)
+    return (g + g.conj().T) / 2.0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -332,6 +333,52 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert len(err.splitlines()) == 1 and error in err
 
 
+@pytest.mark.parametrize(
+    "z2,code,error",
+    [
+        # the first overflow in the trials, and the last z2 before and the
+        # first past the quartic checks' trace overflow at the defaults
+        ("1e80", 2, "error: FloatingPointError: overflow encountered in matmul\n"),
+        ("4.4512365766170546e+49", 0, ""),
+        ("4.451236576619968e+49", 2, "error: FloatingPointError: overflow encountered in reduce\n"),
+    ],
+)
+def test_identities_overflow_edges(capsys, z2, code, error):
+    got_code, out, err = run(capsys, "identities", "--z2", z2)
+    assert got_code == code
+    if code == 2:
+        assert (out, err) == ("", error)
+    else:
+        assert out.count("\n") == 506 + 2 and "violated" not in out
+
+
+def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
+    # a stack holds the trials 35 apart, so it meets trial 35 before trial 1
+    build = cli.momentum_polynomial_fluctuation
+
+    def failing(bg, rng):
+        trial = rng.bit_generator.seed_seq.entropy  # the seed is 0
+        if trial in (1, 35):
+            raise FloatingPointError(f"overflow in trial {trial}")
+        return build(bg, rng)
+
+    monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing)
+    code, out, err = run(capsys, "identities", "--seed", "0")
+    assert (code, out, err) == (2, "", "error: FloatingPointError: overflow in trial 1\n")
+
+
+def test_identities_peak_memory_stays_small(capsys):
+    # the trials run at most three to a stack: about 0.7 MB at the defaults
+    tracemalloc.start()
+    try:
+        assert main(["identities"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 3_000_000
+
+
 def test_underflowing_mass_scale_is_invalid_input(capsys):
     code, out, err = run(capsys, "spectrum", "--z2", "1e-300", "--R", "1e-300")
     assert (code, out) == (2, "")
@@ -612,8 +659,9 @@ def test_writers_match_the_oracle_on_edge_values():
     ]
     n = len(floats)
     labels = ['say "hi"', "caf\u00e9 \u2013 \\", "plain"]
-    # falsy extras, and named values
-    extras = [None, (), (("matched", -0.0), ("note", "t\u00e9"), ("flag", True))]
+    # falsy extras, and named values of every kind, one name given twice
+    named = (("matched", -0.0), ("note", "t\u00e9"), ("flag", True), ("n", 3), ("none", None))
+    extras = [None, (), (*named, ("matched", 2.5), ("gap", 1e16))]
     report = Report(
         kind="edge \u00e9",
         columns=("value", "finite", "level", "flag", "label", "seed", "kinds", "mixed"),

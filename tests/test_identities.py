@@ -26,16 +26,33 @@ from branekit.identities import (
     _holds,
     random_complex,
 )
+from helpers import random_complex_matrix, random_hermitian_matrix
 
 
 def zero_fluct(n):
     return OffDiagonalFluctuation(np.zeros((3, n, n), dtype=complex))
 
 
+def stacked(*flucts):
+    """The fluctuations' blocks as one stack of trials."""
+    return np.stack([f.ts for f in flucts])
+
+
+def expansion(xs, fluct, seed=None):
+    """``check_expansion`` on one trial."""
+    (report,) = check_expansion(xs[None], fluct.ts[None], [seed])
+    return report
+
+
+def cross_terms(bg, fluct, fluctuation_class="generic"):
+    """``check_cross_terms`` on one trial."""
+    return check_cross_terms(bg.xs[None], fluct.ts[None], fluctuation_class)
+
+
 def test_expansion_with_zero_fluctuation():
     rng = np.random.default_rng(0)
-    xs = np.stack([random_hermitian(rng, 8) for _ in range(3)])
-    report = check_expansion(xs, zero_fluct(4))
+    xs = random_hermitian(rng, 8)
+    report = expansion(xs, zero_fluct(4))
     assert report.verdict == VERDICT_EXACT
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
     # both sides collapse to the pure-background double trace
@@ -51,7 +68,7 @@ def test_expansion_with_zero_background():
     rng = np.random.default_rng(1)
     fluct = random_fluctuation(rng, 5)
     xs = np.zeros((3, 10, 10), dtype=complex)
-    report = check_expansion(xs, fluct)
+    report = expansion(xs, fluct)
     assert report.verdict == VERDICT_EXACT
 
 
@@ -59,31 +76,39 @@ def test_expansion_with_zero_background():
 def test_expansion_property(trial):
     rng = np.random.default_rng(1000 + trial)
     dim = 2 + trial % 7
-    xs = np.stack([random_hermitian(rng, 2 * dim) for _ in range(3)])
-    report = check_expansion(xs, random_fluctuation(rng, dim), seed=1000 + trial)
+    xs = random_hermitian(rng, 2 * dim)
+    report = expansion(xs, random_fluctuation(rng, dim), seed=1000 + trial)
     assert report.verdict == VERDICT_EXACT
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs), abs(report.rhs))
 
 
 def test_expansion_shape_mismatch():
     rng = np.random.default_rng(2)
-    xs = np.stack([random_hermitian(rng, 6) for _ in range(3)])
+    xs = random_hermitian(rng, 6)
     with pytest.raises(ValueError):
-        check_expansion(xs, random_fluctuation(rng, 5))
+        expansion(xs, random_fluctuation(rng, 5))
+
+
+def test_expansion_rejects_a_seed_count_that_is_not_the_trial_count():
+    rng = np.random.default_rng(2)
+    xs = np.stack([random_hermitian(rng, 6)] * 2)
+    fluct = stacked(random_fluctuation(rng, 3), random_fluctuation(rng, 3))
+    with pytest.raises(ValueError):
+        check_expansion(xs, fluct, [1])
 
 
 @pytest.mark.parametrize("coords", [1, 2])
 def test_expansion_rejects_a_short_background(coords):
     # one or two coordinates must not broadcast into all three
     rng = np.random.default_rng(13)
-    xs = np.stack([random_hermitian(rng, 8) for _ in range(3)])
+    xs = random_hermitian(rng, 8)
     with pytest.raises(ValueError, match="shape mismatch"):
-        check_expansion(xs[:coords], random_fluctuation(rng, 4))
+        expansion(xs[:coords], random_fluctuation(rng, 4))
 
 
 def test_quartic_direct_equal_fields_vanish():
     rng = np.random.default_rng(3)
-    t = random_complex(rng, 5)
+    t = random_complex(rng, 1, 5, 5)[0]
     report = check_quartic_t(OffDiagonalFluctuation(np.stack([t, t, t])))
     assert report.lhs == pytest.approx(0.0, abs=1e-12)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
@@ -160,7 +185,7 @@ def test_cross_terms_linear_always_exact():
     rng = np.random.default_rng(9)
     for theta in (0.0, 0.5, 1.2):
         bg = build_background(theta, 1.0, 1.0, 5)
-        linear, _ = check_cross_terms(bg, random_fluctuation(rng, 5))
+        linear, _ = cross_terms(bg, random_fluctuation(rng, 5))
         assert linear.verdict == VERDICT_EXACT
         assert linear.residual <= 1e-13
 
@@ -168,16 +193,14 @@ def test_cross_terms_linear_always_exact():
 def test_cross_terms_momentum_class():
     bg = build_background(0.9, 1.0, 1.0, 6)
     rng = np.random.default_rng(10)
-    _, cubic = check_cross_terms(
-        bg, momentum_polynomial_fluctuation(bg, rng), fluctuation_class="momentum-polynomial"
-    )
+    _, cubic = cross_terms(bg, momentum_polynomial_fluctuation(bg, rng), "momentum-polynomial")
     assert cubic.verdict == VERDICT_PASS
 
 
 def test_cross_terms_generic_recorded():
     bg = build_background(0.9, 1.0, 1.0, 6)
     rng = np.random.default_rng(11)
-    _, cubic = check_cross_terms(bg, random_fluctuation(rng, 6))
+    _, cubic = cross_terms(bg, random_fluctuation(rng, 6))
     assert cubic.verdict == VERDICT_RECORDED
 
 
@@ -186,14 +209,14 @@ def test_cross_terms_reject_an_unknown_class():
     bg = build_background(0.9, 1.0, 1.0, 6)
     fluct = momentum_polynomial_fluctuation(bg, np.random.default_rng(14))
     with pytest.raises(ValueError, match="unknown fluctuation class"):
-        check_cross_terms(bg, fluct, fluctuation_class="momentum_polynomial")
+        cross_terms(bg, fluct, "momentum_polynomial")
 
 
 def test_cross_terms_dimension_mismatch():
     bg = build_background(0.9, 1.0, 1.0, 6)
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
-        check_cross_terms(bg, random_fluctuation(rng, 5))
+        cross_terms(bg, random_fluctuation(rng, 5))
 
 
 @pytest.mark.parametrize(
@@ -202,11 +225,12 @@ def test_cross_terms_dimension_mismatch():
         (0.5, 1.0, (0.2,), True),  # the bound is at least tol
         (2.0, 1e-10, (3e10, -1e9), True),  # scales count by magnitude
         (2.0, 1e-10, (1e10,), False),
-        (0.0, 1e-10, (math.nan,), False),  # np.max keeps the NaN scale
+        (0.0, 1e-10, (math.nan,), False),  # a NaN scale fails
         (math.nan, 1e-10, (1.0,), False),
         (math.inf, 1e-10, (1.0,), False),
         (math.inf, 1e-10, (math.inf,), False),  # inf <= tol * inf must not pass
         (1.0, 1e-10, (math.inf,), False),
+        (0.0, 1e-10, (2.0, math.nan), False),  # also where max(2.0, nan) is 2.0
     ],
 )
 def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expected):
@@ -304,52 +328,134 @@ def _with_nan(fluct):
 EXPANSION_KINDS = ("generic", "generic", "generic", "zero-x", "zero-a", "real-x", "nan")
 
 
-@pytest.mark.parametrize("draw", range(175))
-def test_expansion_matches_per_pair_oracle_bitwise(draw):
-    rng = np.random.default_rng(20031005 + draw)
-    dim = 2 + draw % 15
-    kind = EXPANSION_KINDS[draw % len(EXPANSION_KINDS)]
+def _expansion_draw(rng, dim, kind, real):
+    """One trial's background stack and fluctuation; a real background if ``real``."""
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    if kind == "real-x":
-        xs = np.stack([scale * rng.standard_normal((2 * dim, 2 * dim)) for _ in range(3)])
+    if real:
+        xs = scale * rng.standard_normal((3, 2 * dim, 2 * dim))
     else:
-        xs = np.stack([scale * random_hermitian(rng, 2 * dim) for _ in range(3)])
+        xs = scale * random_hermitian(rng, 2 * dim)
     if kind == "zero-x":
         xs = np.zeros_like(xs)
     fluct = zero_fluct(dim) if kind == "zero-a" else random_fluctuation(rng, dim)
-    if kind == "nan":
-        fluct = _with_nan(fluct)
-    report = check_expansion(xs, fluct, seed=draw)
-    assert _report_bits(report) == _bits(pairwise_expansion(xs, fluct))
+    return xs, _with_nan(fluct) if kind == "nan" else fluct
 
 
-@pytest.mark.parametrize("draw", range(50))
+def _assert_nan_stays_in_its_trial(kinds, reports, per_trial):
+    # the batch holds a NaN trial; every other trial's verdict is its own
+    assert "nan" in kinds
+    for kind, trial_reports in zip(kinds, zip(*[iter(reports)] * per_trial)):
+        if kind != "nan":
+            assert all(math.isfinite(r.lhs) and r.verdict != VERDICT_VIOLATED for r in trial_reports)
+
+
+# draws 0-174 are one trial each; from 175 on, one stacked batch of every
+# kind at one dimension, whose backgrounds are all real on every third draw
+@pytest.mark.parametrize("draw", range(200))
+def test_expansion_matches_per_pair_oracle_bitwise(draw):
+    rng = np.random.default_rng(20031005 + draw)
+    dim = 2 + draw % 15
+    if draw < 175:
+        kinds = [EXPANSION_KINDS[draw % len(EXPANSION_KINDS)]]
+    else:
+        kinds = list(rng.permutation(EXPANSION_KINDS))
+    real = draw >= 175 and draw % 3 == 0
+    draws = [_expansion_draw(rng, dim, kind, real or kind == "real-x") for kind in kinds]
+    xs = np.stack([x for x, _ in draws])
+    seeds = list(range(draw, draw + len(kinds)))
+    reports = check_expansion(xs, stacked(*[f for _, f in draws]), seeds)
+    assert [r.seed for r in reports] == seeds
+    for t, (_, fluct) in enumerate(draws):
+        assert _report_bits(reports[t]) == _bits(pairwise_expansion(xs[t], fluct))
+    if len(kinds) > 1:
+        _assert_nan_stays_in_its_trial(kinds, reports, 1)
+
+
+# draws 0-49 are one trial each; from 50 on, one stacked batch of five
+# trials at one dimension, each on its own background, one of them with a NaN
+@pytest.mark.parametrize("draw", range(70))
 def test_cross_terms_match_per_pair_oracle_bitwise(draw):
     rng = np.random.default_rng(20240817 + draw)
     n = 4 + draw % 13
-    bg = build_background(float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0), 1.0, n)
     momentum = draw % 2 == 1
-    fluct = momentum_polynomial_fluctuation(bg, rng) if momentum else random_fluctuation(rng, n)
-    if draw % 5 == 2:
-        fluct = zero_fluct(n)
-    elif draw % 5 == 4:
-        fluct = _with_nan(fluct)
+    if draw < 50:
+        kinds = [("generic", "generic", "zero", "generic", "nan")[draw % 5]]
+    else:
+        kinds = list(rng.permutation(["generic", "generic", "zero", "nan", "generic"]))
+    bgs, flucts = [], []
+    for kind in kinds:
+        bg = build_background(float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0), 1.0, n)
+        fluct = momentum_polynomial_fluctuation(bg, rng) if momentum else random_fluctuation(rng, n)
+        if kind == "zero":
+            fluct = zero_fluct(n)
+        elif kind == "nan":
+            fluct = _with_nan(fluct)
+        bgs.append(bg)
+        flucts.append(fluct)
     fluctuation_class = "momentum-polynomial" if momentum else "generic"
-    reports = check_cross_terms(bg, fluct, fluctuation_class=fluctuation_class)
-    assert _report_bits(*reports) == _bits(pairwise_cross_terms(bg, fluct, momentum))
+    xs = np.stack([bg.xs for bg in bgs])
+    reports = check_cross_terms(xs, stacked(*flucts), fluctuation_class=fluctuation_class)
+    assert len(reports) == 2 * len(kinds)
+    for t, (bg, fluct) in enumerate(zip(bgs, flucts)):
+        expected = pairwise_cross_terms(bg, fluct, momentum)
+        assert _report_bits(*reports[2 * t : 2 * t + 2]) == _bits(expected)
+    if len(kinds) > 1:
+        _assert_nan_stays_in_its_trial(kinds, reports, 2)
 
 
-@pytest.mark.parametrize("draw", range(50))
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_one_draw_per_stack_matches_the_per_matrix_draws_bitwise(n):
+    # a (3, 2, n, n) draw is the six n x n draws of three matrices in order
+    one, per_matrix = np.random.default_rng(n), np.random.default_rng(n)
+    pairs = [
+        (random_complex(one, 3, n, n), [random_complex_matrix(per_matrix, n) for _ in range(3)]),
+        (random_hermitian(one, n), [random_hermitian_matrix(per_matrix, n) for _ in range(3)]),
+        (
+            random_complex(one, 3, 4),
+            [per_matrix.standard_normal(4) + 1j * per_matrix.standard_normal(4) for _ in range(3)],
+        ),
+    ]
+    for got, expected in pairs:
+        expected = np.stack(expected)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    # both generators are left at the same state
+    assert one.standard_normal() == per_matrix.standard_normal()
+
+
+# draws 0-49 are one fluctuation each; from 50 on, a stack of three trials
+@pytest.mark.parametrize("draw", range(60))
 def test_block_matrices_match_per_block_assembly_bitwise(draw):
     rng = np.random.default_rng(20260117 + draw)
     n = 1 + draw % 12
-    if draw % 5 == 2:
-        fluct = zero_fluct(n)
-    elif draw % 5 == 4:
-        fluct = _with_nan(random_fluctuation(rng, n))
-    else:
-        fluct = random_fluctuation(rng, n)
-    expected = np.stack(_pair_blocks(fluct))
+    flucts = []
+    for k in range(1 if draw < 50 else 3):
+        if (draw + k) % 5 == 2:
+            flucts.append(zero_fluct(n))
+        elif (draw + k) % 5 == 4:
+            flucts.append(_with_nan(random_fluctuation(rng, n)))
+        else:
+            flucts.append(random_fluctuation(rng, n))
+    expected = np.stack([np.stack(_pair_blocks(f)) for f in flucts])
+    fluct = OffDiagonalFluctuation(stacked(*flucts))
+    if draw < 50:
+        fluct, expected = flucts[0], expected[0]
     got = fluct.block_matrices()
     assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("draw", range(20))
+def test_momentum_polynomial_matches_the_per_coefficient_sum_bitwise(draw):
+    rng = np.random.default_rng(20260301 + draw)
+    theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0)
+    bg = build_background(theta, z2, 1.0, 4 + draw % 13)
+    got = momentum_polynomial_fluctuation(bg, np.random.default_rng(draw)).ts
+    # each block's cubic in P, its terms added to 0 in order, from one draw per part
+    powers = [np.eye(bg.n_levels, dtype=complex)]
+    for _ in range(3):
+        powers.append(powers[-1] @ bg.p_rel)
+    per_part = np.random.default_rng(draw)
+    coeffs = [per_part.standard_normal(4) + 1j * per_part.standard_normal(4) for _ in range(3)]
+    expected = np.stack([sum(c * p for c, p in zip(cs, powers)) for cs in coeffs])
     assert got.tobytes() == expected.tobytes()
