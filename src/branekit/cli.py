@@ -9,6 +9,7 @@ configuration (including the seed) produces byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -130,7 +131,7 @@ def _json_floats(values: list[float]) -> list[str]:
     """
     return [
         t if "." in t and not ("e+15" in t or "e-3" in t or "e+308" in t) else json.dumps(float(t))
-        for t in map("{:.15g}".format, values)
+        for t in map("%.15g".__mod__, values)
     ]
 
 
@@ -158,7 +159,7 @@ def _delimited(report: Report, config: RunConfig) -> str:
         f"# columns: {','.join(report.columns)}",
     ]
     lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
-    g15 = "{:.15g}".format
+    g15 = "%.15g".__mod__
     lines.extend(_rows(report, ",", [""] * len(report.columns), lambda v: map(g15, v), _text))
     return "\n".join(lines) + "\n"
 
@@ -437,7 +438,9 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="branekit",
         description="Fluctuation spectra and tachyon-condensation geometry of "

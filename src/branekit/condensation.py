@@ -210,8 +210,8 @@ def sample_curve(
     x_d, y_d = recombined_eigenvalues(grid, theta, z2)
     residual = hyperbola_residual(x_d, y_d, theta, z2)
     blocks = condensed_blocks(grid, theta, z2)
-    x_vals = np.linalg.eigh(blocks.m1).eigenvalues
-    y_vals = np.linalg.eigh(blocks.m2).eigenvalues
+    x_vals = np.linalg.eigvalsh(blocks.m1)
+    y_vals = np.linalg.eigvalsh(blocks.m2)
     return RecombinationCurve(
         theta=theta,
         z2=z2,

@@ -4,7 +4,8 @@ The Bogoliubov mode is the dense Fock oracle's mode; the interior residual
 states the canonical relations on the interior levels; the potential and the
 eigenvectors are the closed forms the tests check the program's routes
 against.  Each validates its inputs as the program does.  The per-matrix
-draws are the oracle of the identity suite's one-call draws.
+draws are the oracle of the identity suite's one-call draws, and the
+per-block route check that of the row-wise one.
 """
 
 import math
@@ -18,6 +19,7 @@ from branekit.oscillator import (
     make_ladder,
     validate_params,
 )
+from branekit.spectrum import OFFSETS, rotation_u
 
 
 def bogoliubov(dim: int, theta: float) -> np.ndarray:
@@ -76,3 +78,29 @@ def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_hermitian_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     g = random_complex_matrix(rng, n)
     return (g + g.conj().T) / 2.0
+
+
+def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
+    """The route check one field block (a, b) at a time, each sum a Python ``sum``.
+
+    X_ad = sum_c U[a,c] M_cd, then sum_d X_ad conj(U[b,d]) on the masked
+    band diagonals, with the largest of the nine block maxima relative to the
+    scale: the form ``route_equivalence_residual`` had before it went row-wise.
+    """
+    if op_qp.n_levels != op_fock.n_levels:
+        raise ValueError("operators live on different truncations")
+    n = op_qp.n_levels
+    k = InteriorProjector(n, margin).interior_dim
+    levels = np.arange(n)
+    columns = levels + np.array(OFFSETS)[:, None]
+    interior = (levels < k) & (columns >= 0) & (columns < k)
+    m = np.where(interior, op_qp.matrix, 0.0)
+    f = np.where(interior, op_fock.matrix, 0.0)
+    u = rotation_u()
+    x = [[sum(u[a, c] * m[c, d] for c in range(3)) for d in range(3)] for a in range(3)]
+    block_residuals = [
+        np.max(np.abs(sum(x[a][d] * u[b, d].conjugate() for d in range(3)) - f[a, b]))
+        for a in range(3)
+        for b in range(3)
+    ]
+    return float(np.max(block_residuals) / op_fock.scale)

@@ -464,6 +464,21 @@ def test_curve_nan_residual_fails_closed(capsys, monkeypatch):
     assert "max hyperbola residual = nan (FAIL" in err
 
 
+def test_route_nan_in_one_field_row_fails_closed(capsys, monkeypatch):
+    # a NaN in the third field row alone must reach the route gate as a failure
+    build = cli.build_mass_operator_qp
+
+    def nan_row(*args):
+        op = build(*args)
+        op.matrix[2, 2, 1, 3] = math.nan
+        return op
+
+    monkeypatch.setattr(cli, "build_mass_operator_qp", nan_row)
+    code, _, err = run(capsys, "spectrum")
+    assert code == 1
+    assert "route equivalence residual = nan (FAIL at 1.0e-10)" in err
+
+
 def test_two_point_curve_passes(capsys):
     # a single grid step, from x0 = -3 across 0 to 3
     code, out, _ = run(capsys, "curve", "--points", "2", "--format", "structured")
@@ -512,6 +527,63 @@ def test_report_matches_golden(name, fmt, suffix, capsys):
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
     assert err.encode("utf-8") == (GOLDEN / f"{name}.err").read_bytes()
+
+
+# ------------------------------------------------------------ cached parser
+# The parser is built on the first ``main`` call of a process and reused.
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--N", "12"],
+        ["identities", "--N", "8", "--format", "structured"],
+        ["condense", "--theta", "0.4"],
+        ["curve", "--points", "7", "--format", "structured"],
+        ["spectrum", "--N", "x"],
+        ["--version"],
+    ],
+    ids=" ".join,
+)
+def test_repeated_calls_match_the_first(argv, capsys):
+    first = outcome(capsys, argv)
+    misses = cli._build_parser.cache_info().misses
+    assert [outcome(capsys, argv) for _ in range(3)] == [first] * 3
+    assert cli._build_parser.cache_info().misses == misses == 1
+
+
+def test_no_option_leaks_into_the_next_call(tmp_path, capsys):
+    rows = outcome(capsys, ["curve", "--points", "7"])[1].splitlines()
+    plain = outcome(capsys, ["curve"])
+    assert sum(not line.startswith("#") for line in rows) == 4 * 7
+    assert sum(not line.startswith("#") for line in plain[1].splitlines()) == 4 * 101
+    path = tmp_path / "curve.csv"
+    assert outcome(capsys, ["curve", "--out", str(path)]) == (0, "", plain[2])
+    assert path.read_text() == plain[1]
+    assert outcome(capsys, ["curve"]) == plain
+
+
+def test_import_builds_no_parser():
+    src = str(Path(branekit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import branekit.cli as c; print(c._build_parser.cache_info())"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "currsize=0)" in done.stdout
 
 
 # ------------------------------------------------------------ writer oracle
@@ -709,12 +781,15 @@ NAMED_FLOATS = [
 
 
 def test_json_float_texts_match_the_repr_of_the_rounding():
-    # the named values, their nearest neighbours, and random bit patterns
-    named = np.array(NAMED_FLOATS).view(np.int64)
+    # the named values and their negations, their nearest neighbours, and random bit patterns
+    named = np.array(NAMED_FLOATS + [-x for x in NAMED_FLOATS]).view(np.int64)
     neighbours = (named[:, None] + np.arange(-3, 4)).ravel()
     info = np.iinfo(np.int64)
-    drawn = np.random.default_rng(64).integers(info.min, info.max, 10**5, np.int64, True)
+    drawn = np.random.default_rng(64).integers(info.min, info.max, 4 * 10**5, np.int64, True)
     values = np.concatenate((neighbours, drawn)).view(float).tolist()
+    # the writers' printf-style conversion spells each float as format() does
+    assert list(map("%.15g".__mod__, values)) == list(map("{:.15g}".format, values))
+    values = values[: neighbours.size + 10**5]
     # the repr of each 15-digit rounding, as json spells it
     rounded = map(float.__repr__, map(float, map("{:.15g}".format, values)))
     spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -130,6 +130,23 @@ def test_eigensolve_agrees_with_closed_forms(x0):
     np.testing.assert_allclose(sorted(closed_y), y_vals, atol=1e-12)
 
 
+def test_eigenvalues_only_solve_matches_eigh_bitwise():
+    # the curve solves its blocks for eigenvalues alone; eigh, which also
+    # forms the eigenvectors, is the oracle, on grids with |x0| in 1e-3-1e4
+    rng = np.random.default_rng(20031007)
+    for _ in range(300):
+        theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-8.0, 8.0)
+        x0_max = 10.0 ** rng.uniform(-3.0, 4.0)
+        x0_min = -x0_max if rng.random() < 0.5 else x0_max - 10.0 ** rng.uniform(-3.0, 4.0)
+        curve = sample_curve(x0_min, x0_max, int(rng.integers(2, 202)), theta, z2)
+        blocks = condensed_blocks(curve.grid, theta, z2)
+        x_vals, y_vals = (np.linalg.eigh(m).eigenvalues for m in (blocks.m1, blocks.m2))
+        for m, vals in ((blocks.m1, x_vals), (blocks.m2, y_vals)):
+            assert np.array_equal(np.linalg.eigvalsh(m).view(np.int64), vals.view(np.int64))
+        gap = np.max(np.abs([x_vals - curve.x_d, y_vals - curve.y_d]))
+        assert curve.max_eigensolve_gap == gap
+
+
 def test_hyperbola_identity_both_sides():
     x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
     t = condensate_amplitude(PI_THIRD, 1.0)

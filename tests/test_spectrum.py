@@ -33,7 +33,7 @@ from branekit.spectrum import (
     MassOperator,
     TowerMatch,
 )
-from helpers import bogoliubov, level_eigenvectors
+from helpers import bogoliubov, level_eigenvectors, route_residual_by_blocks
 
 PI_THIRD = math.pi / 3
 
@@ -749,6 +749,31 @@ def test_route_residual_equals_dense_oracle(theta, z2, R, n_levels, margin):
     assert route_equivalence_residual(op_qp, op_fock, margin) == (
         dense_route_equivalence_residual(op_qp, op_fock, margin)
     )
+
+
+def test_row_wise_route_check_matches_per_block_oracle_bitwise():
+    # N log-uniform in 4-3000, z2 and R across 10^+-300 and 10^+-15, any margin;
+    # the last draws overflow the scale, or put a NaN in one field row alone
+    rng = np.random.default_rng(20030414)
+    draws = [
+        (
+            float(rng.uniform(0.0, 1.5)),
+            10.0 ** rng.uniform(-300.0, 300.0),
+            10.0 ** rng.uniform(-15.0, 15.0),
+            int(np.exp(rng.uniform(math.log(4), math.log(3001)))),
+        )
+        for _ in range(300)
+    ]
+    draws += [(0.3, 1e300, 1e15, 50), (1.2, 1e305, 1e10, 9)] + [(0.7, 1.9, 0.4, 30)] * 3
+    with np.errstate(all="ignore"):
+        for i, params in enumerate(draws):
+            op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
+            if i >= len(draws) - 3:
+                op_qp.matrix[i % 3, 1, 1, 0] = math.nan
+            margin = int(rng.integers(1, params[3]))
+            residual = route_equivalence_residual(op_qp, op_fock, margin)
+            assert repr(residual) == repr(route_residual_by_blocks(op_qp, op_fock, margin)), params
+            assert math.isnan(residual) or i < len(draws) - 5, params
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.5, 1.0])
