@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .background import (
-    BackgroundCommutatorReport,
     BraneBackground,
     OffDiagonalFluctuation,
     build_background,
-    check_background_commutators,
 )
 from .condensation import (
     CondensedBlocks,
@@ -45,7 +43,6 @@ from .identities import (
 )
 from .oscillator import (
     DEFAULT_ANGLE_GUARD,
-    InteriorProjector,
     bogoliubov_coefficients,
     commutator,
     make_ladder,

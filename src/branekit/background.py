@@ -1,4 +1,4 @@
-"""Intersecting-brane background matrices and their block commutators."""
+"""Intersecting-brane background matrices and the off-diagonal fluctuation between them."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import InteriorProjector, commutator, make_qp
-from .oscillator import validate_levels, validate_params
+from .oscillator import make_qp, validate_levels, validate_params
 
 #: Largest truncation of the dense 2N x 2N background; ``identities`` builds
 #: one at N // 4, and ``identities --N 4003`` peaks at 666 MB resident.
@@ -74,51 +73,3 @@ class OffDiagonalFluctuation:
         out[..., :n, n:] = self.ts
         out[..., n:, :n] = self.ts.conj().swapaxes(-1, -2)
         return out
-
-
-@dataclass(frozen=True)
-class BlockConstant:
-    """Identity-proportionality of one block of one background commutator."""
-
-    pair: tuple[int, int]
-    block: str  # "upper" | "lower"
-    constant: complex
-    residual: float
-
-
-@dataclass(frozen=True)
-class BackgroundCommutatorReport:
-    """Per-block commutator constants plus the squared-sum coefficient.
-
-    squared_sum is 2 * sum over i<j of the upper-block constants squared,
-    the per-interior-level coefficient of the squared-commutator trace; it
-    equals -8 pi^2 z2^2 independently of the angle.
-    """
-
-    checks: tuple[BlockConstant, ...]
-    squared_sum: complex
-    max_residual: float
-
-
-def check_background_commutators(bg: BraneBackground) -> BackgroundCommutatorReport:
-    """Verify each [X_i, X_j] block is proportional to the identity below the top level."""
-    n = bg.n_levels
-    proj = InteriorProjector(n, 1)
-    checks: list[BlockConstant] = []
-    squared_sum = 0.0 + 0.0j
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        comm = commutator(bg.xs[i - 1], bg.xs[j - 1])
-        for name, sl in (("upper", slice(0, n)), ("lower", slice(n, 2 * n))):
-            block = comm[sl, sl]
-            interior = proj.apply(block)
-            constant = complex(np.trace(interior) / proj.interior_dim)
-            residual = float(np.max(np.abs(proj.apply(block - constant * np.eye(n)))))
-            checks.append(BlockConstant((i, j), name, constant, residual))
-            if name == "upper":
-                squared_sum += 2.0 * constant**2
-    return BackgroundCommutatorReport(
-        checks=tuple(checks),
-        squared_sum=squared_sum,
-        # np.max, unlike the builtin, keeps a NaN residual
-        max_residual=float(np.max([check.residual for check in checks])),
-    )

@@ -5,13 +5,12 @@ states; the mass operators of :mod:`branekit.spectrum` are banded and are
 built from the ladder entries alone (:func:`ladder_entries`).  A hard cutoff
 corrupts the ladder algebra only near the top of the truncation, so every
 canonical relation is stated on the *interior*: the levels that remain after
-masking the top few with an :class:`InteriorProjector`.
+the top few are masked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,41 +99,3 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x @ y - y @ x
-
-
-@dataclass(frozen=True)
-class InteriorProjector:
-    """Diagonal projector keeping levels 0..dim-1-margin.
-
-    Truncation artifacts live within the top ``margin`` levels; masking them
-    makes the canonical relations literally assertable.
-    """
-
-    dim: int
-    margin: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"projector dimension must be >= 2, got {self.dim}")
-        if not 0 <= self.margin < self.dim:
-            raise ValueError(
-                f"margin must satisfy 0 <= margin < dim, got {self.margin} for dim {self.dim}"
-            )
-
-    @property
-    def interior_dim(self) -> int:
-        return self.dim - self.margin
-
-    def mask(self) -> np.ndarray:
-        m = np.ones(self.dim)
-        if self.margin:
-            m[self.dim - self.margin :] = 0.0
-        return m
-
-    def apply(self, op: np.ndarray) -> np.ndarray:
-        """Interior part P op P (entrywise masking, no basis change)."""
-        if op.shape != (self.dim, self.dim):
-            raise ValueError(f"operator shape {op.shape} does not match dim {self.dim}")
-        m = self.mask()
-        return op * np.outer(m, m)
-

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import InteriorProjector, bogoliubov_coefficients, ladder_entries
+from .oscillator import bogoliubov_coefficients, ladder_entries
 from .oscillator import validate_levels, validate_params
 
 SECTOR_TACHYON = "offdiag-tachyon"
@@ -206,7 +206,9 @@ def route_equivalence_residual(
     if op_qp.n_levels != op_fock.n_levels:
         raise ValueError("operators live on different truncations")
     n = op_qp.n_levels
-    k = InteriorProjector(n, margin).interior_dim
+    if not 0 <= margin < n:
+        raise ValueError(f"margin must satisfy 0 <= margin < {n}, got {margin}")
+    k = n - margin
     levels = np.arange(n)
     columns = levels + np.array(OFFSETS)[:, None]
     interior = (levels < k) & (columns >= 0) & (columns < k)

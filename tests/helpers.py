@@ -1,7 +1,9 @@
 """Operators, closed forms and draws that only the tests call.
 
-The Bogoliubov mode is the dense Fock oracle's mode; the interior residual
-states the canonical relations on the interior levels; the potential and the
+The interior projector masks the top levels of a truncation, where the
+cutoff corrupts the ladder algebra; the interior residual and the background
+commutator check state the canonical relations on the levels it keeps.  The
+Bogoliubov mode is the dense Fock oracle's mode; the potential and the
 eigenvectors are the closed forms the tests check the program's routes
 against.  Each validates its inputs as the program does.  The per-matrix
 draws are the oracle of the identity suite's one-call draws, and the
@@ -9,17 +11,104 @@ per-block route check that of the row-wise one.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from branekit.background import BraneBackground
 from branekit.condensation import _scaled_potential
 from branekit.oscillator import (
-    InteriorProjector,
     bogoliubov_coefficients,
+    commutator,
     make_ladder,
     validate_params,
 )
 from branekit.spectrum import OFFSETS, rotation_u
+
+
+@dataclass(frozen=True)
+class InteriorProjector:
+    """Diagonal projector keeping levels 0..dim-1-margin.
+
+    Truncation artifacts live within the top ``margin`` levels; masking them
+    makes the canonical relations literally assertable.
+    """
+
+    dim: int
+    margin: int
+
+    def __post_init__(self) -> None:
+        if self.dim < 2:
+            raise ValueError(f"projector dimension must be >= 2, got {self.dim}")
+        if not 0 <= self.margin < self.dim:
+            raise ValueError(
+                f"margin must satisfy 0 <= margin < dim, got {self.margin} for dim {self.dim}"
+            )
+
+    @property
+    def interior_dim(self) -> int:
+        return self.dim - self.margin
+
+    def mask(self) -> np.ndarray:
+        m = np.ones(self.dim)
+        if self.margin:
+            m[self.dim - self.margin :] = 0.0
+        return m
+
+    def apply(self, op: np.ndarray) -> np.ndarray:
+        """Interior part P op P (entrywise masking, no basis change)."""
+        if op.shape != (self.dim, self.dim):
+            raise ValueError(f"operator shape {op.shape} does not match dim {self.dim}")
+        m = self.mask()
+        return op * np.outer(m, m)
+
+
+@dataclass(frozen=True)
+class BlockConstant:
+    """Identity-proportionality of one block of one background commutator."""
+
+    pair: tuple[int, int]
+    block: str  # "upper" | "lower"
+    constant: complex
+    residual: float
+
+
+@dataclass(frozen=True)
+class BackgroundCommutatorReport:
+    """Per-block commutator constants plus the squared-sum coefficient.
+
+    squared_sum is 2 * sum over i<j of the upper-block constants squared,
+    the per-interior-level coefficient of the squared-commutator trace; it
+    equals -8 pi^2 z2^2 independently of the angle.
+    """
+
+    checks: tuple[BlockConstant, ...]
+    squared_sum: complex
+    max_residual: float
+
+
+def check_background_commutators(bg: BraneBackground) -> BackgroundCommutatorReport:
+    """Verify each [X_i, X_j] block is proportional to the identity below the top level."""
+    n = bg.n_levels
+    proj = InteriorProjector(n, 1)
+    checks: list[BlockConstant] = []
+    squared_sum = 0.0 + 0.0j
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        comm = commutator(bg.xs[i - 1], bg.xs[j - 1])
+        for name, sl in (("upper", slice(0, n)), ("lower", slice(n, 2 * n))):
+            block = comm[sl, sl]
+            interior = proj.apply(block)
+            constant = complex(np.trace(interior) / proj.interior_dim)
+            residual = float(np.max(np.abs(proj.apply(block - constant * np.eye(n)))))
+            checks.append(BlockConstant((i, j), name, constant, residual))
+            if name == "upper":
+                squared_sum += 2.0 * constant**2
+    return BackgroundCommutatorReport(
+        checks=tuple(checks),
+        squared_sum=squared_sum,
+        # np.max, unlike the builtin, keeps a NaN residual
+        max_residual=float(np.max([check.residual for check in checks])),
+    )
 
 
 def bogoliubov(dim: int, theta: float) -> np.ndarray:

@@ -4,12 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from branekit import (
-    OffDiagonalFluctuation,
-    build_background,
-    check_background_commutators,
-    make_qp,
-)
+from branekit import OffDiagonalFluctuation, build_background, make_qp
+from helpers import check_background_commutators
 
 
 def _block_diag(upper, lower):

@@ -21,7 +21,6 @@ from branekit import (
     transverse_interior_gap,
     transverse_spectrum,
 )
-from branekit.oscillator import InteriorProjector
 from branekit.spectrum import (
     BASIS_LEVELS,
     MAX_BAND_LEVELS,
@@ -33,7 +32,7 @@ from branekit.spectrum import (
     MassOperator,
     TowerMatch,
 )
-from helpers import bogoliubov, level_eigenvectors, route_residual_by_blocks
+from helpers import InteriorProjector, bogoliubov, level_eigenvectors, route_residual_by_blocks
 
 PI_THIRD = math.pi / 3
 
@@ -338,6 +337,21 @@ def test_route_equivalence_rejects_mixed_truncations():
             build_mass_operator_fock(*default_params(10)),
             margin=2,
         )
+
+
+@pytest.mark.parametrize("margin", [-1, 8])
+def test_route_equivalence_rejects_bad_margin(margin):
+    ops = build_mass_operator_qp(*default_params(8)), build_mass_operator_fock(*default_params(8))
+    with pytest.raises(ValueError, match="margin must satisfy 0 <= margin < 8"):
+        route_equivalence_residual(*ops, margin=margin)
+
+
+def test_route_equivalence_accepts_zero_margin():
+    # margin 0 compares every level, the cutoff rows too, as the dense check does
+    params = default_params(8)
+    op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
+    residual = route_equivalence_residual(op_qp, op_fock, margin=0)
+    assert residual == dense_route_equivalence_residual(op_qp, op_fock, 0)
 
 
 # ----------------------------------------------------------- numeric spectrum
