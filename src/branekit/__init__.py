@@ -62,7 +62,7 @@ from .spectrum import (
     numeric_spectrum,
     rotation_u,
     route_equivalence_residual,
-    transverse_interior_gap,
+    transverse_gap,
     transverse_spectrum,
 )
 

@@ -59,7 +59,7 @@ from .spectrum import (
     match_tower,
     numeric_spectrum,
     route_equivalence_residual,
-    transverse_interior_gap,
+    transverse_gap,
     transverse_spectrum,
 )
 
@@ -230,10 +230,9 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     trusted_negative = modes.units[modes.trusted & (modes.units < -match_tol)].tolist()
     tachyon_ok = len(trusted_negative) == 1 and abs(trusted_negative[0] + 1.0) <= match_tol
 
+    field3_gap = transverse_gap(op_levels, config.margin_k)
+    transverse_ok = field3_gap <= match_tol
     transverse_horizon = config.N - 1 - config.margin_k
-    transverse_gap = transverse_interior_gap(config.N, config.margin_k, config.theta)
-    transverse_tol = 1e-10 * max(1.0, math.cos(config.theta) * config.N)
-    transverse_ok = transverse_gap <= transverse_tol
 
     # a line is trusted up to its horizon; the fermion table is analytic only
     tables = (
@@ -267,8 +266,8 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
             f"trust horizon n <= {match.horizon} with {match.trusted_count} trusted eigenvalues"
             f" ({'all matched' if match.all_matched else 'UNMATCHED PRESENT'})",
             f"tachyon line: {'unique trusted negative at -scale' if tachyon_ok else 'MISSING OR NOT UNIQUE'}",
-            f"transverse interior gap = {transverse_gap:.3e} "
-            f"({'pass' if transverse_ok else 'FAIL'} at {transverse_tol:.1e})",
+            f"transverse field-3 gap = {field3_gap:.3e} "
+            f"({'pass' if transverse_ok else 'FAIL'} at {match_tol:.1e})",
         ),
     )
 

@@ -274,18 +274,17 @@ def transverse_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     ]
 
 
-def transverse_interior_gap(n_levels: int, margin: int, theta: float) -> float:
-    """Worst interior gap of the truncated transverse operator to (2n+1)cos(theta).
+def transverse_gap(op: MassOperator, margin: int) -> float:
+    """Worst interior gap of field block 3 to the transverse line (2n+1), in scale units.
 
-    The operator cos(theta)(2 a^dag a + 1) is diagonal in the number basis,
-    so its eigenvalues are read off the diagonal, with a^dag a formed as
-    sqrt(n)^2 the way the ladder product forms it; levels 0..n_levels-1-margin
-    are compared.
+    Field block 3 of the number-basis operator is scale*(2 a^dag a + 1), the
+    transverse operator.  Its diagonal entries are 1x1 level blocks, read as
+    ``numeric_spectrum`` reads them (real part over the scale) and compared
+    on the levels n < N - margin.  A NaN entry gives a NaN gap.
     """
-    cos_t = math.cos(theta)
-    levels = np.arange(n_levels - margin, dtype=float)
-    diagonal = cos_t * (2.0 * np.sqrt(levels) ** 2 + 1.0)
-    return float(np.max(np.abs(diagonal - (2.0 * levels + 1.0) * cos_t)))
+    levels = np.arange(op.n_levels - margin)
+    units = op.matrix[2, 2, 1, : levels.size].real / op.scale
+    return float(np.max(np.abs(units - (2.0 * levels + 1.0))))
 
 
 def fermion_spectrum(n_max: int, theta: float) -> list[ModeRecord]:

@@ -479,6 +479,23 @@ def test_route_nan_in_one_field_row_fails_closed(capsys, monkeypatch):
     assert "route equivalence residual = nan (FAIL at 1.0e-10)" in err
 
 
+def test_perturbed_field_3_fails_the_transverse_line(capsys, monkeypatch):
+    # one interior level of field block 3 off its (2n+1) * scale must reach the verdict
+    build = cli.build_mass_operator_levels
+
+    def perturbed(*args):
+        op = build(*args)
+        op.matrix[2, 2, 1, 5] += 1e-3 * op.scale
+        return op
+
+    monkeypatch.setattr(cli, "build_mass_operator_levels", perturbed)
+    code, out, err = run(capsys, "spectrum")
+    assert code == 1
+    assert err.splitlines()[-1] == "transverse field-3 gap = 1.000e-03 (FAIL at 1.0e-06)"
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("transverse,")]
+    assert rows and all(row[-1] == "false" for row in rows)
+
+
 def test_two_point_curve_passes(capsys):
     # a single grid step, from x0 = -3 across 0 to 3
     code, out, _ = run(capsys, "curve", "--points", "2", "--format", "structured")

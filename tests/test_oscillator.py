@@ -162,5 +162,6 @@ def test_every_public_def_is_on_a_program_path():
         "BlockConstant",
         "BackgroundCommutatorReport",
         "check_background_commutators",
+        "transverse_interior_gap",
     }
     assert not moved & set(branekit.__all__)

@@ -18,7 +18,7 @@ from branekit import (
     numeric_spectrum,
     rotation_u,
     route_equivalence_residual,
-    transverse_interior_gap,
+    transverse_gap,
     transverse_spectrum,
 )
 from branekit.spectrum import (
@@ -564,23 +564,33 @@ def test_transverse_matches_interior_eigensolve():
     assert np.max(np.abs(values[: n - 2] - expected[: n - 2])) <= 1e-10
 
 
-def dense_transverse_interior_gap(n_levels, margin, theta):
-    """The gap from a dense eigensolve of cos(theta)(2 a^dag a + 1)."""
-    a, a_dag = make_ladder(n_levels)
-    op = math.cos(theta) * (2.0 * a_dag @ a + np.eye(n_levels, dtype=complex))
-    values = np.linalg.eigvalsh(op)
-    return max(
-        abs(float(values[m]) - (2.0 * m + 1.0) * math.cos(theta))
-        for m in range(n_levels - margin)
-    )
+def dense_transverse_gap(op, margin):
+    """The gap from a dense eigensolve of field block 3 of the whole operator."""
+    n = op.n_levels
+    values = np.linalg.eigvalsh(to_dense(op)[2 * n :, 2 * n :])[: n - margin] / op.scale
+    return float(np.max(np.abs(values - (2.0 * np.arange(n - margin) + 1.0))))
 
 
 @pytest.mark.parametrize("n_levels", [8, 24, 200])
 @pytest.mark.parametrize("theta", [0.0, 0.3, PI_THIRD, 1.4])
 def test_transverse_gap_matches_dense_eigensolve(n_levels, theta):
-    assert transverse_interior_gap(n_levels, 4, theta) == dense_transverse_interior_gap(
-        n_levels, 4, theta
-    )
+    op = build_mass_operator_levels(*default_params(n_levels, theta))
+    assert transverse_gap(op, 4) == dense_transverse_gap(op, 4)
+
+
+def test_transverse_gap_reads_the_solved_field_3_singles():
+    # field block 3 holds the last N of numeric_spectrum's 1x1 blocks, read the same way
+    op = build_mass_operator_levels(*default_params(24))
+    op.matrix[2, 2, 1, 5] += 1e-3 * op.scale
+    units = op.matrix[2, 2, 1].real / op.scale
+    assert transverse_gap(op, 2) == pytest.approx(1e-3, rel=1e-9)
+    assert set(units.tolist()) <= set(numeric_spectrum(op, 2).units.tolist())
+
+
+def test_transverse_gap_keeps_nan():
+    op = build_mass_operator_levels(*default_params(24))
+    op.matrix[2, 2, 1, 3] = math.nan
+    assert math.isnan(transverse_gap(op, 2))
 
 
 def test_fermion_table():
