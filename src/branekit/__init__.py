@@ -16,7 +16,6 @@ from .background import (
     build_background,
 )
 from .condensation import (
-    CondensedBlocks,
     RecombinationCurve,
     TachyonPotential,
     analytic_minimum,

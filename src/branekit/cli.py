@@ -78,21 +78,21 @@ _RECORD_PAD = "\n      "
 class Report:
     """What one command found, before it is written in either format.
 
-    ``data`` holds one sequence of raw scalars per named column, a row per
+    ``data`` holds one array of raw scalars per named column, a row per
     index.  A float64 array is formatted once per bit pattern (-0.0 apart
     from 0.0), any other array once per value, so equal values must have
-    equal texts there (an object array holds no floats, nor bools beside ints),
-    and a list value by value.  ``extras``, if given, is one more column of
-    ``(name, value)`` pairs or falsy values, written only in the structured
-    format.  ``fields`` are the ordered summary entries of the structured
-    document, where a ``slice`` stands for those rows written as records;
-    those named in ``headers`` also head the delimited table as
-    ``# name: value``.  ``notes`` are the stderr lines.
+    equal texts there (an object array holds no floats, nor bools beside
+    ints).  ``extras``, if given, is one more column of ``(name, float)``
+    pairs or falsy values, written only in the structured format.
+    ``fields`` are the ordered summary entries of the structured document,
+    where a ``slice`` stands for those rows written as records; those named
+    in ``headers`` also head the delimited table as ``# name: value``.
+    ``notes`` are the stderr lines.
     """
 
     kind: str
     columns: tuple[str, ...]
-    data: tuple[Sequence, ...]
+    data: tuple[np.ndarray, ...]
     fields: tuple[tuple[str, object], ...]
     passed: bool
     notes: tuple[str, ...]
@@ -139,9 +139,7 @@ def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list
     """Each row's texts, each behind its column's prefix, then its ``tails``, joined by ``sep``."""
     columns = []
     for prefix, values in zip(prefixes, report.data):
-        if not isinstance(values, np.ndarray):
-            columns.append([prefix + text(v) for v in values])
-        elif values.dtype == float:
+        if values.dtype == float:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
             texts = list(map(prefix.__add__, float_texts(bits.view(float).tolist())))
             columns.append(list(map(texts.__getitem__, index.tolist())))
@@ -174,9 +172,7 @@ def _structured(report: Report, config: RunConfig) -> str:
     prefixes = [f'{"," * bool(i)}{_RECORD_PAD}{name}: ' for i, name in enumerate(names)]
     # each extra's dict as ``json.dumps(indent=2)`` writes it in a record, its floats in one call
     dicts = [dict(extra) for extra in report.extras if extra]
-    values = [v for d in dicts for v in d.values()]
-    floats = iter(_json_floats([v for v in values if isinstance(v, float)]))
-    texts = iter([next(floats) if isinstance(v, float) else json.dumps(v) for v in values])
+    texts = iter(_json_floats([v for d in dicts for v in d.values()]))
     keys = {n: f"{_RECORD_PAD}  {json.dumps(n)}: " for d in dicts for n in d}
     bodies = iter([",".join(keys[n] + next(texts) for n in d) for d in dicts])
     extras = [

@@ -98,26 +98,20 @@ def numeric_minimum(theta: float, z2: float, R: float) -> float:
     return (coarse - slope / curvature) * math.sqrt(2.0 * math.pi * z2)
 
 
-@dataclass(frozen=True, eq=False)
-class CondensedBlocks:
-    """Post-condensation 2x2 blocks at brane coordinate x0.
-
-    m1 is real symmetric, m2 Hermitian with purely imaginary off-diagonal;
-    both off-diagonal magnitudes square to pi*z2*cos(theta).  An array of
-    x0 gives blocks stacked along its shape: x0.shape + (2, 2).
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-
-
 def condensate_amplitude(theta: float, z2: float) -> float:
     """Off-diagonal magnitude sqrt(pi*z2*cos(theta)) of the condensed blocks."""
     validate_params(theta, z2)
     return math.sqrt(math.pi * z2 * math.cos(theta))
 
 
-def condensed_blocks(x0: float | np.ndarray, theta: float, z2: float) -> CondensedBlocks:
+def condensed_blocks(
+    x0: float | np.ndarray, theta: float, z2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Post-condensation 2x2 blocks (m1, m2) at x0, stacked as x0.shape + (2, 2).
+
+    m1 is real symmetric, m2 Hermitian with purely imaginary off-diagonal;
+    both off-diagonal magnitudes square to pi*z2*cos(theta).
+    """
     t = condensate_amplitude(theta, z2)
     x_diag = np.multiply(x0, math.sin(theta))
     y_diag = np.multiply(x0, math.cos(theta))
@@ -127,7 +121,7 @@ def condensed_blocks(x0: float | np.ndarray, theta: float, z2: float) -> Condens
     m1[..., 0, 1] = m1[..., 1, 0] = t
     m2[..., 0, 0], m2[..., 1, 1] = y_diag, -y_diag
     m2[..., 0, 1], m2[..., 1, 0] = 1j * t, -1j * t
-    return CondensedBlocks(m1=m1, m2=m2)
+    return m1, m2
 
 
 def recombined_eigenvalues(
@@ -172,8 +166,6 @@ class RecombinationCurve:
     and ``asym_x``, ``asym_y`` likewise in ASYMPTOTES order.
     """
 
-    theta: float
-    z2: float
     grid: np.ndarray
     x_d: np.ndarray
     y_d: np.ndarray
@@ -209,12 +201,8 @@ def sample_curve(
     grid = np.linspace(x0_min, x0_max, n_points)
     x_d, y_d = recombined_eigenvalues(grid, theta, z2)
     residual = hyperbola_residual(x_d, y_d, theta, z2)
-    blocks = condensed_blocks(grid, theta, z2)
-    x_vals = np.linalg.eigvalsh(blocks.m1)
-    y_vals = np.linalg.eigvalsh(blocks.m2)
+    x_vals, y_vals = map(np.linalg.eigvalsh, condensed_blocks(grid, theta, z2))
     return RecombinationCurve(
-        theta=theta,
-        z2=z2,
         grid=grid,
         x_d=x_d,
         y_d=y_d,
@@ -230,15 +218,12 @@ def sample_curve(
 def asymmetry_gap(curve: RecombinationCurve) -> float:
     """Distance witnessing that the curve is not reflection symmetric.
 
-    For every grid point, reflect (x_d -> -x_d while x0 -> -x0) and measure
-    the Chebyshev distance to the same-x0 points of both branches; the
-    minimum over the curve is 2*sqrt(pi*z2*cos(theta)) for nonzero flux and
-    collapses to zero with it, where the branches degenerate to the
-    symmetric asymptote pair.
+    Reflecting a branch point (x_d -> -x_d while x0 -> -x0) lands exactly on
+    the other branch at the same x0, as x_d is odd and y_d even in x0, in
+    floats too; its Chebyshev distance to the curve is the smaller branch
+    separation, x_+ - x_- = 2t or y_+ - y_- >= 2t.  The minimum over the curve
+    is 2*sqrt(pi*z2*cos(theta)) for nonzero flux and collapses to zero with
+    it, where the branches degenerate to the symmetric asymptote pair.
     """
-    mirrored = recombined_eigenvalues(-curve.grid, curve.theta, curve.z2)
-    # axes: grid point, reflected branch, compared branch
-    mirrored_x, mirrored_y = (column[:, :, None] for column in mirrored)
-    here_x, here_y = curve.x_d[:, None], curve.y_d[:, None]
-    distance = np.maximum(np.abs(-mirrored_x - here_x), np.abs(mirrored_y - here_y))
-    return float(np.min(distance))
+    # np.min, unlike the builtin, keeps a NaN gap
+    return float(np.min(np.abs(np.diff([curve.x_d, curve.y_d]))))

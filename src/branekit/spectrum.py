@@ -197,11 +197,12 @@ def route_equivalence_residual(
     """Interior max-residual of the field rotation, relative to the scale.
 
     Conjugates the unrotated-field operator by (U x interior projector) and
-    compares against the rotated-field operator masked to the same interior.
-    The rotation only mixes the nine field blocks, so the conjugate is formed
-    on their masked diagonals, a field row a at a time: X_ad = sum_c U[a,c]
-    M_cd, then sum_d X_ad conj(U[b,d]).  That is the grouping of the dense
-    product (U x P) M (U x P)^dag, which keeps the residual identical to it.
+    compares against the rotated-field operator on the same interior.  Each
+    slot of the result reads only its own slot of the nine field blocks, so
+    the bands are read in place on the interior levels, a field row a at a
+    time: X_ad = sum_c U[a,c] M_cd, then sum_d X_ad conj(U[b,d]), the grouping
+    of the dense product (U x P) M (U x P)^dag, which keeps the residual
+    identical to it.  The slots whose column leaves the interior are zeroed.
     """
     if op_qp.n_levels != op_fock.n_levels:
         raise ValueError("operators live on different truncations")
@@ -209,17 +210,15 @@ def route_equivalence_residual(
     if not 0 <= margin < n:
         raise ValueError(f"margin must satisfy 0 <= margin < {n}, got {margin}")
     k = n - margin
-    levels = np.arange(n)
-    columns = levels + np.array(OFFSETS)[:, None]
-    interior = (levels < k) & (columns >= 0) & (columns < k)
-    m = np.where(interior, op_qp.matrix, 0.0)
-    f = np.where(interior, op_fock.matrix, 0.0)
+    m, f = op_qp.matrix[..., :k], op_fock.matrix[..., :k]
     u = rotation_u()
     u_dag = u.conj().T[:, :, None, None]
     row_residuals = []
     for a in range(3):
         row = u[a, 0] * m[0] + u[a, 1] * m[1] + u[a, 2] * m[2]
         row = row[0] * u_dag[0] + row[1] * u_dag[1] + row[2] * u_dag[2] - f[a]
+        # columns below 0 (offset -2) and from k on (offset +2)
+        row[:, 0, :2] = row[:, 2, max(0, k - 2) :] = 0.0
         row_residuals.append(np.max(np.abs(row)))
     # np.max, unlike the builtin, keeps a NaN residual
     return float(np.max(row_residuals) / op_fock.scale)
@@ -335,9 +334,8 @@ def numeric_spectrum(
     if not herm <= 1e-10 * op.scale:
         raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
     # everything else must be zero, the past-edge slots of the coupling bands too
-    rest = band.copy()
-    rest[[0, 1, 2], [0, 1, 2], 1] = rest[0, 1, 0, 2:] = rest[1, 0, 2, :-2] = 0.0
-    if np.any(rest):
+    kept = sum(map(np.count_nonzero, (diagonals, upper, lower)))
+    if np.count_nonzero(band) != kept:
         raise ValueError(f"the {op.basis} operator couples levels outside its level blocks")
     if not 0 < margin < n:
         raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")

@@ -75,22 +75,22 @@ def test_stationarity_at_analytic_minimum():
 
 
 def test_condensed_blocks_structure():
-    blocks = condensed_blocks(0.0, PI_THIRD, 1.0)
+    m1, m2 = condensed_blocks(0.0, PI_THIRD, 1.0)
     t = math.sqrt(math.pi / 2.0)
-    assert blocks.m1[0, 1] == pytest.approx(t, abs=1e-14)
-    np.testing.assert_array_equal(blocks.m1.imag, np.zeros((2, 2)))
-    np.testing.assert_array_equal(blocks.m1, blocks.m1.conj().T)
-    np.testing.assert_array_equal(blocks.m2, blocks.m2.conj().T)
-    np.testing.assert_array_equal(blocks.m2.real, np.diag(blocks.m2.real.diagonal()))
-    assert blocks.m2[0, 1] == pytest.approx(1j * t, abs=1e-14)
+    assert m1[0, 1] == pytest.approx(t, abs=1e-14)
+    np.testing.assert_array_equal(m1.imag, np.zeros((2, 2)))
+    np.testing.assert_array_equal(m1, m1.conj().T)
+    np.testing.assert_array_equal(m2, m2.conj().T)
+    np.testing.assert_array_equal(m2.real, np.diag(m2.real.diagonal()))
+    assert m2[0, 1] == pytest.approx(1j * t, abs=1e-14)
     # equal condensate magnitude in both blocks
-    assert abs(blocks.m1[0, 1]) == pytest.approx(abs(blocks.m2[0, 1]), abs=1e-15)
+    assert abs(m1[0, 1]) == pytest.approx(abs(m2[0, 1]), abs=1e-15)
 
 
 def test_condensate_vanishes_with_flux():
-    blocks = condensed_blocks(1.0, PI_THIRD, 1e-14)
-    assert abs(blocks.m1[0, 1]) <= 1e-6
-    assert abs(blocks.m2[0, 1]) <= 1e-6
+    m1, m2 = condensed_blocks(1.0, PI_THIRD, 1e-14)
+    assert abs(m1[0, 1]) <= 1e-6
+    assert abs(m2[0, 1]) <= 1e-6
 
 
 def test_recombined_eigenvalues_frozen_point():
@@ -123,9 +123,9 @@ def test_tiny_flux_recovers_intersecting_lines():
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 0.7, 3.0])
 def test_eigensolve_agrees_with_closed_forms(x0):
     closed_x, closed_y = recombined_eigenvalues(x0, PI_THIRD, 1.0)
-    blocks = condensed_blocks(x0, PI_THIRD, 1.0)
-    x_vals = np.linalg.eigh(blocks.m1).eigenvalues
-    y_vals = np.linalg.eigh(blocks.m2).eigenvalues
+    m1, m2 = condensed_blocks(x0, PI_THIRD, 1.0)
+    x_vals = np.linalg.eigh(m1).eigenvalues
+    y_vals = np.linalg.eigh(m2).eigenvalues
     np.testing.assert_allclose(sorted(closed_x), x_vals, atol=1e-12)
     np.testing.assert_allclose(sorted(closed_y), y_vals, atol=1e-12)
 
@@ -139,9 +139,9 @@ def test_eigenvalues_only_solve_matches_eigh_bitwise():
         x0_max = 10.0 ** rng.uniform(-3.0, 4.0)
         x0_min = -x0_max if rng.random() < 0.5 else x0_max - 10.0 ** rng.uniform(-3.0, 4.0)
         curve = sample_curve(x0_min, x0_max, int(rng.integers(2, 202)), theta, z2)
-        blocks = condensed_blocks(curve.grid, theta, z2)
-        x_vals, y_vals = (np.linalg.eigh(m).eigenvalues for m in (blocks.m1, blocks.m2))
-        for m, vals in ((blocks.m1, x_vals), (blocks.m2, y_vals)):
+        m1, m2 = condensed_blocks(curve.grid, theta, z2)
+        x_vals, y_vals = (np.linalg.eigh(m).eigenvalues for m in (m1, m2))
+        for m, vals in ((m1, x_vals), (m2, y_vals)):
             assert np.array_equal(np.linalg.eigvalsh(m).view(np.int64), vals.view(np.int64))
         gap = np.max(np.abs([x_vals - curve.x_d, y_vals - curve.y_d]))
         assert curve.max_eigensolve_gap == gap
@@ -333,6 +333,15 @@ def _oracle_grids():
         hi = lo + float(rng.uniform(0.01, 10.0))
         theta = (0.05, 1.45, float(rng.uniform(0.0, 1.5)))[i % 3]
         z2 = 1e-12 if i % 4 == 0 else float(rng.uniform(0.25, 4.0))
+        grids.append((lo, hi, (2, 3, 11, 101, 1001)[i % 5], theta, z2))
+    # the flux at 10^+-300 and |x0| up to 10^6, where a reflected point's
+    # rounding is most fragile; the symmetric ranges put x0 = 0 on odd grids
+    rng = np.random.default_rng(20031006)
+    for i in range(20):
+        hi = 10.0 ** rng.uniform(-3.0, 6.0)
+        lo = -hi if i % 2 else hi - 10.0 ** rng.uniform(-3.0, 6.0)
+        theta = (0.05, 1.45, float(rng.uniform(0.0, 1.5)))[i % 3]
+        z2 = 10.0 ** (rng.uniform(290.0, 300.0) * (1 if i % 4 < 2 else -1))
         grids.append((lo, hi, (2, 3, 11, 101, 1001)[i % 5], theta, z2))
     return grids
 

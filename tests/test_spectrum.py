@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,25 +493,43 @@ def test_numeric_spectrum_rejects_other_bases(build):
         numeric_spectrum(build(*default_params(8)), 2)
 
 
+def with_entries(op, entries, value):
+    """``op`` with ``value`` written at each band slot of ``entries``."""
+    matrix = op.matrix.copy()
+    for entry in entries:
+        matrix[entry] = value
+    return MassOperator(op.basis, matrix, op.scale, op.n_levels)
+
+
+#: A Hermitian coupling of field 3 to field 1 that no level block holds.
+OFF_BLOCK_PAIR = ((0, 2, 1, 3), (2, 0, 1, 3))
+#: The slots of the field 1 to field 2 coupling bands past the block edge.
+PAST_EDGE = [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 2, -2), (1, 0, 2, -1)]
+
+
 def test_numeric_spectrum_rejects_couplings_outside_level_blocks():
-    # a Hermitian coupling of field 3 to field 1 that no level block holds
     op = build_mass_operator_levels(*default_params(8))
-    matrix = op.matrix.copy()
-    matrix[0, 2, 1, 3] = matrix[2, 0, 1, 3] = 0.5
-    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
-    with pytest.raises(ValueError, match="outside its level blocks"):
-        numeric_spectrum(broken, 2)
+    for value in (0.5, math.nan):
+        with pytest.raises(ValueError, match="outside its level blocks"):
+            numeric_spectrum(with_entries(op, OFF_BLOCK_PAIR, value), 2)
 
 
-@pytest.mark.parametrize("entry", [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 2, -2), (1, 0, 2, -1)])
+@pytest.mark.parametrize("entry", PAST_EDGE)
 def test_numeric_spectrum_rejects_past_edge_couplings(entry):
-    # the slots of the field 1 to field 2 coupling bands past the block edge
     op = build_mass_operator_levels(*default_params(8))
-    matrix = op.matrix.copy()
-    matrix[entry] = 1e-12
-    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
-    with pytest.raises(ValueError, match="outside its level blocks"):
-        numeric_spectrum(broken, 2)
+    for value in (1e-12, math.nan, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="outside its level blocks"):
+            numeric_spectrum(with_entries(op, [entry], value), 2)
+
+
+@pytest.mark.parametrize("entries", [OFF_BLOCK_PAIR, *([entry] for entry in PAST_EDGE)])
+def test_numeric_spectrum_accepts_negative_zero_outside_level_blocks(entries):
+    # a signed zero is zero: the solve is the clean one, bit for bit
+    op = build_mass_operator_levels(*default_params(8))
+    clean = numeric_spectrum(op, 2)
+    for value in (-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)):
+        modes = numeric_spectrum(with_entries(op, entries, value), 2)
+        assert modes.tobytes() == clean.tobytes()
 
 
 @pytest.mark.parametrize("margin", [0, 8])
@@ -798,6 +817,50 @@ def test_row_wise_route_check_matches_per_block_oracle_bitwise():
             residual = route_equivalence_residual(op_qp, op_fock, margin)
             assert repr(residual) == repr(route_residual_by_blocks(op_qp, op_fock, margin)), params
             assert math.isnan(residual) or i < len(draws) - 5, params
+
+    # the boundary slots: a NaN in every slot whose column leaves the interior,
+    # in all nine field blocks of both bands, is ignored; one in the last
+    # interior slot at offset +2 (level k - 3) is not
+    params = (0.7, 1.9, 0.4, 12)
+    n = params[3]
+    op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
+    levels = np.arange(n)
+    columns = levels + np.array(OFFSETS)[:, None]
+    for margin in (0, 1, n - 2, n - 1):
+        k = n - margin
+        clean = route_equivalence_residual(op_qp, op_fock, margin)
+        assert repr(clean) == repr(route_residual_by_blocks(op_qp, op_fock, margin))
+        excluded = ~((levels < k) & (columns >= 0) & (columns < k))
+        for j, i in zip(*np.nonzero(excluded)):
+            slots = [(a, b, j, i) for a in range(3) for b in range(3)]
+            qp, fock = (with_entries(op, slots, math.nan) for op in (op_qp, op_fock))
+            residual = route_equivalence_residual(qp, fock, margin)
+            assert repr(residual) == repr(route_residual_by_blocks(qp, fock, margin))
+            assert repr(residual) == repr(clean), (margin, j, i)
+        for a, b in (np.ndindex(3, 3) if k >= 3 else ()):
+            qp = with_entries(op_qp, [(a, b, 2, k - 3)], math.nan)
+            residual = route_equivalence_residual(qp, op_fock, margin)
+            assert repr(residual) == repr(route_residual_by_blocks(qp, op_fock, margin)) == "nan"
+
+
+def test_band_checks_read_the_bands_in_place():
+    # neither the route check nor the outside-block check copies a band:
+    # each peaks under 1.5 bands of storage at N = 20000
+    params = default_params(20000)
+    op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
+    op_levels = build_mass_operator_levels(*params)
+    checks = {
+        "route_equivalence_residual": lambda: route_equivalence_residual(op_qp, op_fock, 2),
+        "numeric_spectrum": lambda: numeric_spectrum(op_levels, 2),
+    }
+    for name, check in checks.items():
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * op_levels.matrix.nbytes, (name, peak / op_levels.matrix.nbytes)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.5, 1.0])
