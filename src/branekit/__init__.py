@@ -43,7 +43,6 @@ from .identities import (
 from .oscillator import (
     DEFAULT_ANGLE_GUARD,
     bogoliubov_coefficients,
-    commutator,
     make_ladder,
     make_qp,
 )

@@ -10,7 +10,7 @@ import numpy as np
 from .oscillator import make_qp, validate_levels, validate_params
 
 #: Largest truncation of the dense 2N x 2N background; ``identities`` builds
-#: one at N // 4, and ``identities --N 4003`` peaks at 666 MB resident.
+#: one at N // 4, and ``identities --N 4003`` peaks at 405 MB resident.
 MAX_DENSE_LEVELS = 1000
 
 

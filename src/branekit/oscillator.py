@@ -93,9 +93,3 @@ def bogoliubov_coefficients(theta: float) -> tuple[float, float]:
     denom = math.sqrt(4.0 * cos_t)
     return (1.0 - cos_t) / denom, (1.0 + cos_t) / denom
 
-
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """XY - YX for square operators of matching dimension."""
-    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x @ y - y @ x

@@ -7,7 +7,8 @@ Bogoliubov mode is the dense Fock oracle's mode; the potential and the
 eigenvectors are the closed forms the tests check the program's routes
 against.  Each validates its inputs as the program does.  The per-matrix
 draws are the oracle of the identity suite's one-call draws, and the
-per-block route check that of the row-wise one.
+per-block route check that of the row-wise one, and the dense nine-commutator
+trace that of the quartic checks' block trace.
 """
 
 import math
@@ -15,15 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branekit.background import BraneBackground
+from branekit.background import BraneBackground, OffDiagonalFluctuation
 from branekit.condensation import _scaled_potential
 from branekit.oscillator import (
     bogoliubov_coefficients,
-    commutator,
     make_ladder,
     validate_params,
 )
 from branekit.spectrum import OFFSETS, rotation_u
+
+
+def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """XY - YX for square operators of matching dimension."""
+    if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return x @ y - y @ x
 
 
 @dataclass(frozen=True)
@@ -193,3 +200,18 @@ def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
         for b in range(3)
     ]
     return float(np.max(block_residuals) / op_fock.scale)
+
+
+def dense_quartic_block_trace(ts: np.ndarray) -> complex:
+    """Sum over i, j of Tr [A_i, A_j][A_i, A_j] from the dense 2N x 2N matrices A_i.
+
+    All nine commutators, one at a time: the form the quartic checks' block
+    trace had before it read the N x N blocks.
+    """
+    a_mats = OffDiagonalFluctuation(ts).block_matrices()
+    total = 0.0 + 0.0j
+    for i in range(3):
+        for j in range(3):
+            c = commutator(a_mats[i], a_mats[j])
+            total += complex(np.trace(c @ c))
+    return total

@@ -63,8 +63,7 @@ def test_zero_angle_is_brane_antibrane():
 
 def test_relative_pair_commutator():
     bg = build_background(0.4, 0.5, 2.0, 10)
-    from branekit import commutator
-    from helpers import max_interior_residual
+    from helpers import commutator, max_interior_residual
 
     assert (
         max_interior_residual(commutator(bg.q_rel, bg.p_rel), 2.0j * math.pi * 0.5, margin=1)

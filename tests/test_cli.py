@@ -339,8 +339,12 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
         # the first overflow in the trials, and the last z2 before and the
         # first past the quartic checks' trace overflow at the defaults
         ("1e80", 2, "error: FloatingPointError: overflow encountered in matmul\n"),
-        ("4.4512365766170546e+49", 0, ""),
-        ("4.451236576619968e+49", 2, "error: FloatingPointError: overflow encountered in reduce\n"),
+        ("3.723149543575863e+49", 0, ""),
+        (
+            "3.7231495435758633e+49",
+            2,
+            "error: FloatingPointError: overflow encountered in scalar multiply\n",
+        ),
     ],
 )
 def test_identities_overflow_edges(capsys, z2, code, error):
@@ -350,6 +354,7 @@ def test_identities_overflow_edges(capsys, z2, code, error):
         assert (out, err) == ("", error)
     else:
         assert out.count("\n") == 506 + 2 and "violated" not in out
+        assert "inf" not in out and "nan" not in out
 
 
 def test_identities_names_the_first_failing_trial(capsys, monkeypatch):

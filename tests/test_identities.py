@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from branekit import (
     check_expansion,
     check_quartic_t,
     check_quartic_ttilde,
-    commutator,
     momentum_polynomial_fluctuation,
     random_fluctuation,
     random_hermitian,
@@ -24,9 +24,15 @@ from branekit.identities import (
     VERDICT_RECORDED,
     VERDICT_VIOLATED,
     _holds,
+    _quartic_block_trace,
     random_complex,
 )
-from helpers import random_complex_matrix, random_hermitian_matrix
+from helpers import (
+    commutator,
+    dense_quartic_block_trace,
+    random_complex_matrix,
+    random_hermitian_matrix,
+)
 
 
 def zero_fluct(n):
@@ -459,3 +465,60 @@ def test_momentum_polynomial_matches_the_per_coefficient_sum_bitwise(draw):
     coeffs = [per_part.standard_normal(4) + 1j * per_part.standard_normal(4) for _ in range(3)]
     expected = np.stack([sum(c * p for c, p in zip(cs, powers)) for cs in coeffs])
     assert got.tobytes() == expected.tobytes()
+
+
+def _peak_bytes(call):
+    """The ``tracemalloc`` peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_momentum_polynomial_keeps_no_stack_of_powers():
+    # four powers and the (3, n, n) sum: the (3, 4, n, n) terms stack read 20 n^2 entries
+    n = 400
+    bg = build_background(0.7, 1.3, 1.0, n)
+    peak = _peak_bytes(lambda: momentum_polynomial_fluctuation(bg, np.random.default_rng(0)))
+    assert peak < 12 * n * n * 16
+
+
+# the fluctuation classes ``cmd_identities`` checks the quartic forms on
+QUARTIC_CLASSES = ("equal", "rank-one", "momentum-polynomial", "generic", "zero")
+
+
+def _quartic_draw(draw):
+    """One draw's blocks T_i: each class at N 1-60 (4-60 for momentum), scale 10^+-3."""
+    rng = np.random.default_rng(20261019 + draw)
+    kind, n = QUARTIC_CLASSES[draw % 5], 1 + draw // 5 % 60
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "momentum-polynomial":
+        bg = build_background(float(rng.uniform(0.0, 1.5)), scale, 1.0, max(n, 4))
+        return momentum_polynomial_fluctuation(bg, rng).ts
+    if kind == "equal":
+        ts = random_complex(rng, 1, n, n)[[0, 0, 0]]
+    elif kind == "rank-one":
+        ts = np.stack([np.outer(*rng.standard_normal((2, n))) for _ in range(3)]).astype(complex)
+    elif kind == "generic":
+        ts = random_complex(rng, 3, n, n)
+    else:
+        ts = np.zeros((3, n, n), dtype=complex)
+    return scale * ts
+
+
+@pytest.mark.parametrize("draw", range(300))
+def test_quartic_block_trace_matches_the_dense_nine_commutator_trace(draw):
+    # each Tr [A_i, A_j]^2 is -||[A_i, A_j]||_F^2, so the sum cannot cancel
+    ts = _quartic_draw(draw)
+    block, dense = _quartic_block_trace(ts), dense_quartic_block_trace(ts)
+    assert abs(block - dense) <= 1e-14 * abs(dense)
+    assert block.real <= 0.0
+
+
+def test_quartic_block_trace_forms_no_doubled_matrix():
+    # the dense 2N x 2N matrices and their commutators read 24 n^2 entries
+    n = 400
+    fluct = random_fluctuation(np.random.default_rng(0), n)
+    assert _peak_bytes(lambda: check_quartic_t(fluct)) <= 8 * n * n * 16
