@@ -205,8 +205,7 @@ def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
 def dense_quartic_block_trace(ts: np.ndarray) -> complex:
     """Sum over i, j of Tr [A_i, A_j][A_i, A_j] from the dense 2N x 2N matrices A_i.
 
-    All nine commutators, one at a time: the form the quartic checks' block
-    trace had before it read the N x N blocks.
+    All nine commutators, one at a time, with no use of the block structure.
     """
     a_mats = OffDiagonalFluctuation(ts).block_matrices()
     total = 0.0 + 0.0j
