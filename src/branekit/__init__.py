@@ -10,11 +10,7 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .background import (
-    BraneBackground,
-    OffDiagonalFluctuation,
-    build_background,
-)
+from .background import block_matrices, build_background
 from .condensation import (
     RecombinationCurve,
     TachyonPotential,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .background import OffDiagonalFluctuation, build_background
+from .background import MAX_DENSE_LEVELS, build_background
 from .condensation import (
     ASYMPTOTES,
     BRANCHES,
@@ -49,6 +49,7 @@ from .identities import (
     random_fluctuation,
     random_hermitian,
 )
+from .oscillator import make_qp, validate_levels
 from .spectrum import (
     analytic_spectrum,
     build_mass_operator_fock,
@@ -287,14 +288,14 @@ def _trial_reports(config: RunConfig, period: int) -> list:
         rngs = [np.random.default_rng(config.seed + t) for t in trials]
         dim, bg_dim = 2 + first % 7, 4 + first % 5
         xs = np.stack([random_hermitian(rng, 2 * dim) for rng in rngs])
-        ts = np.stack([random_fluctuation(rng, dim).ts for rng in rngs])
+        ts = np.stack([random_fluctuation(rng, dim) for rng in rngs])
         expansion = check_expansion(xs, ts, [config.seed + t for t in trials])
         thetas = [float(rng.uniform(0.0, math.pi / 2 - 0.2)) for rng in rngs]
-        bgs = [build_background(theta, config.z2, config.R, bg_dim) for theta in thetas]
-        xs = np.stack([bg.xs for bg in bgs])
-        ts = np.stack([random_fluctuation(rng, bg_dim).ts for rng in rngs])
+        xs = np.stack([build_background(theta, config.z2, bg_dim) for theta in thetas])
+        ts = np.stack([random_fluctuation(rng, bg_dim) for rng in rngs])
         generic = check_cross_terms(xs, ts)
-        ts = np.stack([momentum_polynomial_fluctuation(bg, rng).ts for bg, rng in zip(bgs, rngs)])
+        _, p = make_qp(bg_dim, config.z2)
+        ts = np.stack([momentum_polynomial_fluctuation(p, rng) for rng in rngs])
         momentum = check_cross_terms(xs, ts, "momentum-polynomial")
         for k, trial in enumerate(trials):
             rows[trial] = (expansion[k], *generic[2 * k : 2 * k + 2], *momentum[2 * k : 2 * k + 2])
@@ -302,8 +303,10 @@ def _trial_reports(config: RunConfig, period: int) -> list:
 
 
 def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
-    # built first, so a size past the dense bound fails before any trial runs
-    config_bg = build_background(config.theta, config.z2, config.R, max(config.N // 4, 4))
+    # checked and built first, so a bad size or an overflowing P fails before any trial runs
+    n_levels = max(config.N // 4, 4)
+    validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
+    _, p = make_qp(n_levels, config.z2)
     try:
         reports = _trial_reports(config, 35)
     except FloatingPointError:
@@ -312,19 +315,15 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
 
     rng = np.random.default_rng(config.seed)
     dim = 5
-    equal = OffDiagonalFluctuation(random_complex(rng, 1, dim, dim)[[0, 0, 0]])
+    equal = random_complex(rng, 1, dim, dim)[[0, 0, 0]]
     reports.append(check_quartic_t(equal, seed=config.seed))
-    rank_one = [
-        np.outer(rng.standard_normal(dim), rng.standard_normal(dim)).astype(complex)
-        for _ in range(3)
-    ]
-    reports.append(check_quartic_t(OffDiagonalFluctuation(np.stack(rank_one)), seed=config.seed))
-    momentum = momentum_polynomial_fluctuation(config_bg, rng)
-    reports.append(check_quartic_t(momentum, seed=config.seed))
+    rank_one = np.stack([np.outer(*rng.standard_normal((2, dim))) for _ in range(3)])
+    reports.append(check_quartic_t(rank_one.astype(complex), seed=config.seed))
+    reports.append(check_quartic_t(momentum_polynomial_fluctuation(p, rng), seed=config.seed))
     generic = random_fluctuation(rng, dim)
     reports.append(check_quartic_t(generic, seed=config.seed))
     reports.append(check_quartic_ttilde(generic, seed=config.seed))
-    zero = OffDiagonalFluctuation(np.zeros((3, dim, dim), dtype=complex))
+    zero = np.zeros((3, dim, dim), dtype=complex)
     reports.append(check_quartic_ttilde(zero, seed=config.seed))
 
     violated = [r for r in reports if r.verdict == VERDICT_VIOLATED]
@@ -354,10 +353,15 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
 
 def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
     pot = tachyon_potential(config.theta, config.z2, config.R)
-    tmin_numeric = numeric_minimum(config.theta, config.z2, config.R)
-    stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
     stationarity_scale = 2.0 * mass_scale(config.theta, config.z2, config.R) * pot.tmin
     stationarity_tol = config.tol("stationarity") * max(1.0, stationarity_scale)
+    # Python floats overflow to inf silently, and no verdict can rest on an infinite bound
+    closed_forms = ("quad", pot.quad), ("tmin_analytic", pot.tmin), ("vmin", pot.vmin)
+    for name, value in (*closed_forms, ("stationarity bound", stationarity_tol)):
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} overflows to {value!r}")
+    tmin_numeric = numeric_minimum(config.theta, config.z2, config.R)
+    stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
     minimizer_gap = abs(tmin_numeric - pot.tmin)
     # relative below tmin = 1, where an absolute bound could not see a miss
     minimizer_tol = config.tol("minimizer") * min(1.0, pot.tmin)

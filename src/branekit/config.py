@@ -51,6 +51,8 @@ class RunConfig:
             raise ValueError(f"margin_k must be in (0, N), got {self.margin_k}")
         if not 0 <= self.n_max <= MAX_BAND_LEVELS:
             raise ValueError(f"n_max must be in [0, {MAX_BAND_LEVELS}], got {self.n_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
@@ -83,6 +85,14 @@ def default_config_path() -> str | None:
     return os.environ.get(ENV_CONFIG_PATH) or None
 
 
+def _parse(key: str, raw: str, kind: type) -> float | int:
+    """``kind(raw)``, or a ValueError that names the config key."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} must be {kind.__name__}, got {raw!r}") from None
+
+
 def build_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, object] | None = None,
@@ -94,13 +104,13 @@ def build_config(
         tolerances = dict(config.tolerances)
         for key, raw in file_values.items():
             if key in _FLOAT_KEYS:
-                updates[key] = float(raw)
+                updates[key] = _parse(key, raw, float)
             elif key in _INT_KEYS:
-                updates[key] = int(raw)
+                updates[key] = _parse(key, raw, int)
             elif key == "format":
                 updates["output_format"] = raw
             elif key.startswith("tol_"):
-                tolerances[key[4:]] = float(raw)
+                tolerances[key[4:]] = _parse(key, raw, float)
             else:
                 raise ValueError(f"unknown config key {key!r}")
         updates["tolerances"] = tolerances

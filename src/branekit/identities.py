@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BraneBackground, OffDiagonalFluctuation
+from .background import block_matrices, validate_blocks
 from .spectrum import rotation_u
 
 VERDICT_EXACT = "exact"
@@ -38,10 +38,6 @@ class IdentityReport:
     residual: float
     verdict: str
     extra: tuple[tuple[str, float], ...] = ()
-
-
-def _tr(x: np.ndarray) -> complex:
-    return complex(np.trace(x))
 
 
 #: The pairs (i, j), i != j, in the per-pair loop's order.  For each pair: where
@@ -123,19 +119,17 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
-def random_fluctuation(rng: np.random.Generator, n: int) -> OffDiagonalFluctuation:
-    return OffDiagonalFluctuation(random_complex(rng, 3, n, n))
+def random_fluctuation(rng: np.random.Generator, n: int) -> np.ndarray:
+    return random_complex(rng, 3, n, n)
 
 
-def momentum_polynomial_fluctuation(
-    bg: BraneBackground, rng: np.random.Generator
-) -> OffDiagonalFluctuation:
-    """Fluctuation whose blocks are complex cubic polynomials of the relative P."""
-    powers = [np.eye(bg.n_levels, dtype=complex)]
+def momentum_polynomial_fluctuation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Blocks T_1, T_2, T_3, (3, N, N), each a complex cubic polynomial of the N x N relative P."""
+    powers = [np.eye(p.shape[-1], dtype=complex)]
     for _ in range(3):
-        powers.append(powers[-1] @ bg.p_rel)
+        powers.append(powers[-1] @ p)
     coeffs = random_complex(rng, 3, 4)[:, :, None, None]
-    return OffDiagonalFluctuation(sum(coeffs[:, k] * powers[k] for k in range(4)))
+    return sum(coeffs[:, k] * powers[k] for k in range(4))
 
 
 def check_expansion(
@@ -147,7 +141,7 @@ def check_expansion(
     Each product is formed once: the pairs i = j add exact zeros, and a term of i > j is that
     of j < i or its negation.  Holds for every input; a violation beyond rounding is reported.
     """
-    a = OffDiagonalFluctuation(ts).block_matrices()
+    a = block_matrices(ts)
     if xs.ndim != 4 or xs.shape != a.shape:
         raise ValueError(f"background/fluctuation shape mismatch: {xs.shape} vs {a.shape}")
     k, nn, full, l = _upper(xs), _upper(a), _upper(xs + a), _cross(xs, a)
@@ -167,45 +161,40 @@ def check_expansion(
     return tuple(reports)
 
 
-def _quartic_block_trace(ts: np.ndarray) -> complex:
-    """Direct oracle: sum over i,j of Tr [A_i, A_j][A_i, A_j], A_i = [[0, T_i], [T_i^dag, 0]].
+def _quartic_traces(ts: np.ndarray) -> tuple[complex, complex]:
+    """The direct oracle and the unrotated-field closed form, from the same blocks.
 
-    [A_i, A_j] is block-diagonal, with blocks T_i T_j^dag - T_j T_i^dag and
+    The oracle is the sum over i,j of Tr [A_i, A_j][A_i, A_j], A_i = [[0, T_i], [T_i^dag, 0]].
+    [A_i, A_j] is block-diagonal, with blocks D = T_i T_j^dag - T_j T_i^dag and
     T_i^dag T_j - T_j^dag T_i.  The pairs i = j add zero and (j, i) repeats
     (i, j), so the sum is twice both blocks' traces over the pairs i < j.
     Summed as numpy scalars, so a sum past the float range raises, not inf.
+    The closed form is 4 sum_{i<j} Tr D^2.
     """
-    total = np.complex128(0.0)
+    total, direct = np.complex128(0.0), 0.0 + 0.0j
     for i, j in ((0, 1), (0, 2), (1, 2)):
         upper = ts[i] @ ts[j].conj().T - ts[j] @ ts[i].conj().T
         lower = ts[i].conj().T @ ts[j] - ts[j].conj().T @ ts[i]
-        total += np.trace(upper @ upper) + np.trace(lower @ lower)
-    return complex(2.0 * total)
+        square = np.trace(upper @ upper)
+        total += square + np.trace(lower @ lower)
+        direct += 4.0 * complex(square)
+    return complex(2.0 * total), direct
 
 
-def _direct_form_rhs(ts: np.ndarray) -> complex:
-    """Unrotated-field closed form 4 sum_{i<j} Tr (T_i T_j^dag - T_j T_i^dag)^2."""
-    rhs = 0.0 + 0.0j
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        d = ts[i] @ ts[j].conj().T - ts[j] @ ts[i].conj().T
-        rhs += 4.0 * _tr(d @ d)
-    return rhs
-
-
-def check_quartic_t(fluct: OffDiagonalFluctuation, seed: int | None = None) -> IdentityReport:
+def check_quartic_t(ts: np.ndarray, seed: int | None = None) -> IdentityReport:
     """Quartic trace in the unrotated fields, against the block-trace oracle.
 
     rhs follows the stated closed form
     4[(T1 T2^dag - T2 T1^dag)^2 + (T1 T3^dag - T3 T1^dag)^2 + (T2 T3^dag - T3 T2^dag)^2]
     taken literally; the report records how it compares.
     """
-    lhs = _quartic_block_trace(fluct.ts)
-    rhs = _direct_form_rhs(fluct.ts)
+    validate_blocks(ts)
+    lhs, rhs = _quartic_traces(ts)
     matched = (("matched", float(_agree(lhs, rhs))),)
-    return _report("quartic-direct", seed, fluct.dim, lhs, rhs, VERDICT_RECORDED, matched)
+    return _report("quartic-direct", seed, ts.shape[-1], lhs, rhs, VERDICT_RECORDED, matched)
 
 
-def check_quartic_ttilde(fluct: OffDiagonalFluctuation, seed: int | None = None) -> IdentityReport:
+def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> IdentityReport:
     """Quartic trace in the rotated fields, against the same oracle.
 
     Rotates the fields, evaluates the stated rotated-field closed form
@@ -213,21 +202,21 @@ def check_quartic_ttilde(fluct: OffDiagonalFluctuation, seed: int | None = None)
     and also records the gap to the unrotated-field closed form so the two
     conventions can be compared on identical inputs.
     """
-    lhs = _quartic_block_trace(fluct.ts)
+    validate_blocks(ts)
+    lhs, direct = _quartic_traces(ts)
     u = rotation_u()
-    ts = fluct.ts
     tt = [sum(u[i, j] * ts[j] for j in range(3)) for i in range(3)]
     quad = tt[0].conj().T @ tt[0] + tt[1].conj().T @ tt[1]
     cross1 = tt[0].conj().T @ tt[2] - tt[2].conj().T @ tt[0]
     cross2 = tt[1].conj().T @ tt[2] - tt[2].conj().T @ tt[1]
-    rhs = -4.0 * (_tr(quad @ quad) + 2.0 * _tr(cross1 @ cross2))
-    direct_rhs = _direct_form_rhs(ts).real
+    rhs = -4.0 * (complex(np.trace(quad @ quad)) + 2.0 * complex(np.trace(cross1 @ cross2)))
+    direct_rhs = direct.real
     extra = (
         ("matched", float(_agree(lhs, rhs))),
         ("direct_form_rhs", direct_rhs),
         ("form_gap", abs(rhs - direct_rhs)),
     )
-    return _report("quartic-rotated", seed, fluct.dim, lhs, rhs, VERDICT_RECORDED, extra)
+    return _report("quartic-rotated", seed, ts.shape[-1], lhs, rhs, VERDICT_RECORDED, extra)
 
 
 def check_cross_terms(
@@ -245,7 +234,7 @@ def check_cross_terms(
     """
     if fluctuation_class not in ("generic", "momentum-polynomial"):
         raise ValueError(f"unknown fluctuation class {fluctuation_class!r}")
-    a = OffDiagonalFluctuation(ts).block_matrices()
+    a = block_matrices(ts)
     if xs.ndim != 4 or xs.shape != a.shape:
         raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
     kx, la, nn = _upper(xs), _cross(xs, a), _upper(a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branekit.background import BraneBackground, OffDiagonalFluctuation
+from branekit.background import block_matrices
 from branekit.condensation import _scaled_potential
 from branekit.oscillator import (
     bogoliubov_coefficients,
@@ -94,14 +94,17 @@ class BackgroundCommutatorReport:
     max_residual: float
 
 
-def check_background_commutators(bg: BraneBackground) -> BackgroundCommutatorReport:
-    """Verify each [X_i, X_j] block is proportional to the identity below the top level."""
-    n = bg.n_levels
+def check_background_commutators(xs: np.ndarray) -> BackgroundCommutatorReport:
+    """Verify each [X_i, X_j] block is proportional to the identity below the top level.
+
+    xs is the (3, 2N, 2N) background stack.
+    """
+    n = xs.shape[-1] // 2
     proj = InteriorProjector(n, 1)
     checks: list[BlockConstant] = []
     squared_sum = 0.0 + 0.0j
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        comm = commutator(bg.xs[i - 1], bg.xs[j - 1])
+        comm = commutator(xs[i - 1], xs[j - 1])
         for name, sl in (("upper", slice(0, n)), ("lower", slice(n, 2 * n))):
             block = comm[sl, sl]
             interior = proj.apply(block)
@@ -207,7 +210,7 @@ def dense_quartic_block_trace(ts: np.ndarray) -> complex:
 
     All nine commutators, one at a time, with no use of the block structure.
     """
-    a_mats = OffDiagonalFluctuation(ts).block_matrices()
+    a_mats = block_matrices(ts)
     total = 0.0 + 0.0j
     for i in range(3):
         for j in range(3):

@@ -124,14 +124,14 @@ def test_criterion_05_algebraic_identities():
         rng = np.random.default_rng(seed)
         dim = 2 + trial % 7
         xs = random_hermitian(rng, 2 * dim)
-        (expansion,) = check_expansion(xs[None], random_fluctuation(rng, dim).ts[None], [seed])
+        (expansion,) = check_expansion(xs[None], random_fluctuation(rng, dim)[None], [seed])
         rel = expansion.residual / max(1.0, abs(expansion.lhs), abs(expansion.rhs))
         worst_expansion = max(worst_expansion, rel)
 
         bg_dim = 4 + trial % 5
         theta = float(rng.uniform(0.0, math.pi / 2 - 0.2))
-        bg = build_background(theta, Z2, R, bg_dim)
-        linear, _ = check_cross_terms(bg.xs[None], random_fluctuation(rng, bg_dim).ts[None])
+        xs = build_background(theta, Z2, bg_dim)
+        linear, _ = check_cross_terms(xs[None], random_fluctuation(rng, bg_dim)[None])
         worst_linear = max(worst_linear, linear.residual)
     report(
         "criterion 5 (expansion and linear cross term, 100 seeded instances)",

@@ -314,6 +314,25 @@ def test_non_finite_parameters_are_invalid_input(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["spectrum", "identities", "condense", "curve"])
+def test_negative_seed_is_invalid_input_that_names_the_seed(capsys, command):
+    assert run(capsys, command, "--seed", "-5") == (2, "", "error: seed must be >= 0, got -5\n")
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("N = 24.0", "config key 'N' must be int, got '24.0'"),
+        ("theta = abc", "config key 'theta' must be float, got 'abc'"),
+        ("tol_hyperbola = 1e-10x", "config key 'tol_hyperbola' must be float, got '1e-10x'"),
+    ],
+)
+def test_config_value_that_is_no_number_names_its_key(tmp_path, capsys, line, error):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run(capsys, "condense", "--config", str(cfg)) == (2, "", f"error: {error}\n")
+
+
 def test_infinite_tolerance_is_invalid_input(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("tol_route_equivalence = inf\n")
@@ -331,6 +350,20 @@ def test_overflowing_parameters_are_invalid_input(capsys, command, error):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and error in err
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        # 2 * scale * tmin, the bound's scale, overflows while every closed form is finite
+        (("--R", "1e307"), "error: OverflowError: stationarity bound overflows to inf\n"),
+        (("--R", "1e308"), "error: OverflowError: quad overflows to -inf\n"),
+        (("--z2", "1e308"), "error: OverflowError: quad overflows to -inf\n"),
+    ],
+)
+def test_overflowing_potential_is_invalid_input(capsys, argv, error):
+    # Python floats overflow to inf without raising; condense checks its closed forms
+    assert run(capsys, "condense", *argv) == (2, "", error)
 
 
 @pytest.mark.parametrize(
@@ -361,11 +394,11 @@ def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
     # a stack holds the trials 35 apart, so it meets trial 35 before trial 1
     build = cli.momentum_polynomial_fluctuation
 
-    def failing(bg, rng):
+    def failing(p, rng):
         trial = rng.bit_generator.seed_seq.entropy  # the seed is 0
         if trial in (1, 35):
             raise FloatingPointError(f"overflow in trial {trial}")
-        return build(bg, rng)
+        return build(p, rng)
 
     monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing)
     code, out, err = run(capsys, "identities", "--seed", "0")
@@ -373,15 +406,20 @@ def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
 
 
 def test_identities_peak_memory_stays_small(capsys):
-    # the trials run at most three to a stack: about 0.7 MB at the defaults
-    tracemalloc.start()
-    try:
-        assert main(["identities"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert peak < 3_000_000
+    # the trials run at most three to a stack: about 0.7 MB at the defaults.
+    # At N // 4 = 200 levels only the n x n momentum P, its powers and its
+    # quartic check are formed: about 12 n^2 complex entries, where a
+    # (3, 2n, 2n) background would hold 12 n^2 on its own
+    sizes = ((["identities"], 3_000_000), (["identities", "--N", "803"], 16 * 200**2 * 16))
+    for argv, bound in sizes:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < bound, argv
 
 
 def test_underflowing_mass_scale_is_invalid_input(capsys):
@@ -433,7 +471,7 @@ def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     "command,n_levels,site,bound",
     [
         ("spectrum", MAX_BAND_LEVELS + 1, "mass operator", MAX_BAND_LEVELS),
-        # identities builds its dense background at N // 4
+        # identities builds its relative momentum P at N // 4 levels, under the dense bound
         ("identities", 4 * (MAX_DENSE_LEVELS + 1), "dense background", MAX_DENSE_LEVELS),
     ],
 )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branekit import (
-    OffDiagonalFluctuation,
+    block_matrices,
     build_background,
     check_cross_terms,
     check_expansion,
@@ -13,6 +13,7 @@ from branekit import (
     check_quartic_ttilde,
     momentum_polynomial_fluctuation,
     random_fluctuation,
+    make_qp,
     random_hermitian,
     rotation_u,
 )
@@ -24,7 +25,7 @@ from branekit.identities import (
     VERDICT_RECORDED,
     VERDICT_VIOLATED,
     _holds,
-    _quartic_block_trace,
+    _quartic_traces,
     random_complex,
 )
 from helpers import (
@@ -36,23 +37,28 @@ from helpers import (
 
 
 def zero_fluct(n):
-    return OffDiagonalFluctuation(np.zeros((3, n, n), dtype=complex))
+    return np.zeros((3, n, n), dtype=complex)
 
 
 def stacked(*flucts):
     """The fluctuations' blocks as one stack of trials."""
-    return np.stack([f.ts for f in flucts])
+    return np.stack(flucts)
 
 
 def expansion(xs, fluct, seed=None):
     """``check_expansion`` on one trial."""
-    (report,) = check_expansion(xs[None], fluct.ts[None], [seed])
+    (report,) = check_expansion(xs[None], fluct[None], [seed])
     return report
 
 
-def cross_terms(bg, fluct, fluctuation_class="generic"):
+def cross_terms(xs, fluct, fluctuation_class="generic"):
     """``check_cross_terms`` on one trial."""
-    return check_cross_terms(bg.xs[None], fluct.ts[None], fluctuation_class)
+    return check_cross_terms(xs[None], fluct[None], fluctuation_class)
+
+
+def momentum_fluct(n, z2, rng):
+    """``momentum_polynomial_fluctuation`` of the n-level relative P at z2."""
+    return momentum_polynomial_fluctuation(make_qp(n, z2)[1], rng)
 
 
 def test_expansion_with_zero_fluctuation():
@@ -115,7 +121,7 @@ def test_expansion_rejects_a_short_background(coords):
 def test_quartic_direct_equal_fields_vanish():
     rng = np.random.default_rng(3)
     t = random_complex(rng, 1, 5, 5)[0]
-    report = check_quartic_t(OffDiagonalFluctuation(np.stack([t, t, t])))
+    report = check_quartic_t(np.stack([t, t, t]))
     assert report.lhs == pytest.approx(0.0, abs=1e-12)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -128,7 +134,7 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
         np.outer(rng.standard_normal(5), rng.standard_normal(5)).astype(complex)
         for _ in range(3)
     ]
-    report = check_quartic_t(OffDiagonalFluctuation(np.stack(ts)))
+    report = check_quartic_t(np.stack(ts))
     zero = np.zeros((5, 5), dtype=complex)
     oracle = 0.0
     for i in range(3):
@@ -143,10 +149,7 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
 
 
 def test_quartic_direct_momentum_class_matches():
-    bg = build_background(0.7, 1.0, 1.0, 6)
-    rng = np.random.default_rng(5)
-    fluct = momentum_polynomial_fluctuation(bg, rng)
-    report = check_quartic_t(fluct)
+    report = check_quartic_t(momentum_fluct(6, 1.0, np.random.default_rng(5)))
     assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
 
 
@@ -170,7 +173,7 @@ def test_quartic_rotated_single_field_direction():
     tilde = np.array([t_amp * np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, dim))])
     u = rotation_u()
     ts = [sum(u.conj().T[i, j] * tilde[j] for j in range(3)) for i in range(3)]
-    report = check_quartic_ttilde(OffDiagonalFluctuation(np.stack(ts)))
+    report = check_quartic_ttilde(np.stack(ts))
     expected = -4.0 * t_amp**4 * dim
     assert report.rhs == pytest.approx(expected, rel=1e-12)
     assert report.lhs == pytest.approx(expected, rel=1e-12)
@@ -190,39 +193,39 @@ def test_quartic_rotated_records_form_gap():
 def test_cross_terms_linear_always_exact():
     rng = np.random.default_rng(9)
     for theta in (0.0, 0.5, 1.2):
-        bg = build_background(theta, 1.0, 1.0, 5)
-        linear, _ = cross_terms(bg, random_fluctuation(rng, 5))
+        xs = build_background(theta, 1.0, 5)
+        linear, _ = cross_terms(xs, random_fluctuation(rng, 5))
         assert linear.verdict == VERDICT_EXACT
         assert linear.residual <= 1e-13
 
 
 def test_cross_terms_momentum_class():
-    bg = build_background(0.9, 1.0, 1.0, 6)
+    xs = build_background(0.9, 1.0, 6)
     rng = np.random.default_rng(10)
-    _, cubic = cross_terms(bg, momentum_polynomial_fluctuation(bg, rng), "momentum-polynomial")
+    _, cubic = cross_terms(xs, momentum_fluct(6, 1.0, rng), "momentum-polynomial")
     assert cubic.verdict == VERDICT_PASS
 
 
 def test_cross_terms_generic_recorded():
-    bg = build_background(0.9, 1.0, 1.0, 6)
+    xs = build_background(0.9, 1.0, 6)
     rng = np.random.default_rng(11)
-    _, cubic = cross_terms(bg, random_fluctuation(rng, 6))
+    _, cubic = cross_terms(xs, random_fluctuation(rng, 6))
     assert cubic.verdict == VERDICT_RECORDED
 
 
 def test_cross_terms_reject_an_unknown_class():
     # a misspelled class must not turn the pass-gated cubic check into a record
-    bg = build_background(0.9, 1.0, 1.0, 6)
-    fluct = momentum_polynomial_fluctuation(bg, np.random.default_rng(14))
+    xs = build_background(0.9, 1.0, 6)
+    fluct = momentum_fluct(6, 1.0, np.random.default_rng(14))
     with pytest.raises(ValueError, match="unknown fluctuation class"):
-        cross_terms(bg, fluct, "momentum_polynomial")
+        cross_terms(xs, fluct, "momentum_polynomial")
 
 
 def test_cross_terms_dimension_mismatch():
-    bg = build_background(0.9, 1.0, 1.0, 6)
+    xs = build_background(0.9, 1.0, 6)
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
-        cross_terms(bg, random_fluctuation(rng, 5))
+        cross_terms(xs, random_fluctuation(rng, 5))
 
 
 @pytest.mark.parametrize(
@@ -247,8 +250,8 @@ def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expect
 
 
 def _pair_blocks(fluct):
-    zero = np.zeros((fluct.dim, fluct.dim), dtype=complex)
-    return [np.block([[zero, t], [t.conj().T, zero]]) for t in fluct.ts]
+    zero = np.zeros(fluct.shape[-2:], dtype=complex)
+    return [np.block([[zero, t], [t.conj().T, zero]]) for t in fluct]
 
 
 def _tr(x):
@@ -280,9 +283,8 @@ def pairwise_expansion(xs, fluct):
     return [(lhs.real, rhs.real, residual, verdict)]
 
 
-def pairwise_cross_terms(bg, fluct, momentum):
+def pairwise_cross_terms(xs, fluct, momentum):
     """``check_cross_terms`` one (i, j) pair at a time, with per-pair scale lists."""
-    xs = bg.xs
     a = _pair_blocks(fluct)
     linear = cubic = 0.0 + 0.0j
     scales_lin, scales_cub = [], []
@@ -295,7 +297,7 @@ def pairwise_cross_terms(bg, fluct, momentum):
             cubic += _tr(la @ nn)
             scales_lin.append(float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
             scales_cub.append(float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
-    dim = 2 * bg.n_levels
+    dim = xs.shape[-1]
     lin_ok = _holds(abs(linear), EXACT_TOL, float(np.max(scales_lin)) * dim)
     if momentum:
         cub_ok = _holds(abs(cubic), PASS_TOL, float(np.max(scales_cub)) * dim)
@@ -324,9 +326,9 @@ def _bits(rows):
 
 
 def _with_nan(fluct):
-    ts = fluct.ts.copy()
+    ts = fluct.copy()
     ts[0, 0, -1] = math.nan
-    return OffDiagonalFluctuation(ts)
+    return ts
 
 
 # kinds of expansion draw: generic (weighted), zero background, zero
@@ -390,16 +392,16 @@ def test_cross_terms_match_per_pair_oracle_bitwise(draw):
         kinds = list(rng.permutation(["generic", "generic", "zero", "nan", "generic"]))
     bgs, flucts = [], []
     for kind in kinds:
-        bg = build_background(float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0), 1.0, n)
-        fluct = momentum_polynomial_fluctuation(bg, rng) if momentum else random_fluctuation(rng, n)
+        theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0)
+        fluct = momentum_fluct(n, z2, rng) if momentum else random_fluctuation(rng, n)
         if kind == "zero":
             fluct = zero_fluct(n)
         elif kind == "nan":
             fluct = _with_nan(fluct)
-        bgs.append(bg)
+        bgs.append(build_background(theta, z2, n))
         flucts.append(fluct)
     fluctuation_class = "momentum-polynomial" if momentum else "generic"
-    xs = np.stack([bg.xs for bg in bgs])
+    xs = np.stack(bgs)
     reports = check_cross_terms(xs, stacked(*flucts), fluctuation_class=fluctuation_class)
     assert len(reports) == 2 * len(kinds)
     for t, (bg, fluct) in enumerate(zip(bgs, flucts)):
@@ -443,10 +445,10 @@ def test_block_matrices_match_per_block_assembly_bitwise(draw):
         else:
             flucts.append(random_fluctuation(rng, n))
     expected = np.stack([np.stack(_pair_blocks(f)) for f in flucts])
-    fluct = OffDiagonalFluctuation(stacked(*flucts))
+    fluct = stacked(*flucts)
     if draw < 50:
         fluct, expected = flucts[0], expected[0]
-    got = fluct.block_matrices()
+    got = block_matrices(fluct)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -455,12 +457,13 @@ def test_block_matrices_match_per_block_assembly_bitwise(draw):
 def test_momentum_polynomial_matches_the_per_coefficient_sum_bitwise(draw):
     rng = np.random.default_rng(20260301 + draw)
     theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0)
-    bg = build_background(theta, z2, 1.0, 4 + draw % 13)
-    got = momentum_polynomial_fluctuation(bg, np.random.default_rng(draw)).ts
+    n = 4 + draw % 13
+    _, p = make_qp(n, z2)
+    got = momentum_polynomial_fluctuation(p, np.random.default_rng(draw))
     # each block's cubic in P, its terms added to 0 in order, from one draw per part
-    powers = [np.eye(bg.n_levels, dtype=complex)]
+    powers = [np.eye(n, dtype=complex)]
     for _ in range(3):
-        powers.append(powers[-1] @ bg.p_rel)
+        powers.append(powers[-1] @ p)
     per_part = np.random.default_rng(draw)
     coeffs = [per_part.standard_normal(4) + 1j * per_part.standard_normal(4) for _ in range(3)]
     expected = np.stack([sum(c * p for c, p in zip(cs, powers)) for cs in coeffs])
@@ -480,8 +483,8 @@ def _peak_bytes(call):
 def test_momentum_polynomial_keeps_no_stack_of_powers():
     # four powers and the (3, n, n) sum: the (3, 4, n, n) terms stack read 20 n^2 entries
     n = 400
-    bg = build_background(0.7, 1.3, 1.0, n)
-    peak = _peak_bytes(lambda: momentum_polynomial_fluctuation(bg, np.random.default_rng(0)))
+    _, p = make_qp(n, 1.3)
+    peak = _peak_bytes(lambda: momentum_polynomial_fluctuation(p, np.random.default_rng(0)))
     assert peak < 12 * n * n * 16
 
 
@@ -495,8 +498,8 @@ def _quartic_draw(draw):
     kind, n = QUARTIC_CLASSES[draw % 5], 1 + draw // 5 % 60
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     if kind == "momentum-polynomial":
-        bg = build_background(float(rng.uniform(0.0, 1.5)), scale, 1.0, max(n, 4))
-        return momentum_polynomial_fluctuation(bg, rng).ts
+        rng.uniform(0.0, 1.5)  # the background's angle, which P does not depend on
+        return momentum_fluct(max(n, 4), scale, rng)
     if kind == "equal":
         ts = random_complex(rng, 1, n, n)[[0, 0, 0]]
     elif kind == "rank-one":
@@ -512,7 +515,7 @@ def _quartic_draw(draw):
 def test_quartic_block_trace_matches_the_dense_nine_commutator_trace(draw):
     # each Tr [A_i, A_j]^2 is -||[A_i, A_j]||_F^2, so the sum cannot cancel
     ts = _quartic_draw(draw)
-    block, dense = _quartic_block_trace(ts), dense_quartic_block_trace(ts)
+    block, dense = _quartic_traces(ts)[0], dense_quartic_block_trace(ts)
     assert abs(block - dense) <= 1e-14 * abs(dense)
     assert block.real <= 0.0
 

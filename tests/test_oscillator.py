@@ -187,4 +187,6 @@ def test_every_public_def_is_on_a_program_path():
         "transverse_interior_gap",
         "commutator",
     }
-    assert not moved & set(branekit.__all__)
+    # the identity suite passes plain arrays; these wrappers are gone
+    gone = {"BraneBackground", "OffDiagonalFluctuation"}
+    assert not (moved | gone) & set(branekit.__all__)

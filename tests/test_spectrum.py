@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from branekit import (
-    build_background,
     build_mass_operator_fock,
     build_mass_operator_levels,
     build_mass_operator_qp,
     analytic_spectrum,
     fermion_spectrum,
     make_ladder,
+    make_qp,
     mass_scale,
     match_tower,
     numeric_spectrum,
@@ -64,19 +64,20 @@ def dense_assemble(b11, b12, b21, b22, b33):
     return np.block([[b11, b12, zero], [b21, b22, zero], [zero, zero, b33]])
 
 
-def dense_operator_qp(bg):
+def dense_operator_qp(theta, z2, R, n_levels):
     """Unrotated-field operator from dense matrix products of Q and P."""
-    cos_t = math.cos(bg.theta)
-    q = math.sqrt(2.0) * bg.q_rel
-    p = math.sqrt(2.0) * bg.p_rel
-    sigma = 4.0 * math.pi * bg.z2
-    eye = np.eye(bg.n_levels, dtype=complex)
+    cos_t = math.cos(theta)
+    q_rel, p_rel = make_qp(n_levels, z2)
+    q = math.sqrt(2.0) * q_rel
+    p = math.sqrt(2.0) * p_rel
+    sigma = 4.0 * math.pi * z2
+    eye = np.eye(n_levels, dtype=complex)
     b11 = cos_t**2 * (p @ p)
     b12 = -cos_t * (p @ q - 1j * sigma * eye)
     b21 = -cos_t * (q @ p + 1j * sigma * eye)
     b22 = q @ q
     b33 = cos_t**2 * (p @ p) + q @ q
-    return bg.R * dense_assemble(b11, b12, b21, b22, b33)
+    return R * dense_assemble(b11, b12, b21, b22, b33)
 
 
 def dense_rotated_blocks(mode, scale):
@@ -93,16 +94,16 @@ def dense_rotated_blocks(mode, scale):
     )
 
 
-def dense_operator_fock(bg):
+def dense_operator_fock(theta, z2, R, n_levels):
     """Rotated-field operator from dense products of the Bogoliubov mode."""
-    scale = mass_scale(bg.theta, bg.z2, bg.R)
-    return dense_rotated_blocks(bogoliubov(bg.n_levels, bg.theta), scale)
+    scale = mass_scale(theta, z2, R)
+    return dense_rotated_blocks(bogoliubov(n_levels, theta), scale)
 
 
-def dense_operator_levels(bg):
+def dense_operator_levels(theta, z2, R, n_levels):
     """Rotated-field operator in the number basis, from the dense ladder."""
-    scale = mass_scale(bg.theta, bg.z2, bg.R)
-    return dense_rotated_blocks(make_ladder(bg.n_levels)[0], scale)
+    scale = mass_scale(theta, z2, R)
+    return dense_rotated_blocks(make_ladder(n_levels)[0], scale)
 
 
 ASSEMBLIES = {
@@ -126,7 +127,7 @@ def test_band_assembly_matches_dense_builder(assembly):
         z2, R = (float(v) for v in rng.uniform(0.25, 4.0, size=2))
         n_levels = int(rng.integers(5, 301))
         band = to_dense(build(theta, z2, R, n_levels))
-        dense = dense_build(build_background(theta, z2, R, n_levels))
+        dense = dense_build(theta, z2, R, n_levels)
         if assembly == "levels":
             assert np.array_equal(band, dense)
         else:
@@ -292,11 +293,11 @@ def test_qp_operator_exactly_hermitian():
 
 
 def test_qp_operator_zero_angle_blocks():
-    bg = build_background(0.0, 1.0, 1.0, 8)
+    q, p = make_qp(8, 1.0)
     matrix = to_dense(build_mass_operator_qp(0.0, 1.0, 1.0, 8))
     n = 8
-    p2 = 2.0 * bg.p_rel @ bg.p_rel
-    q2 = 2.0 * bg.q_rel @ bg.q_rel
+    p2 = 2.0 * p @ p
+    q2 = 2.0 * q @ q
     np.testing.assert_allclose(matrix[:n, :n], p2, atol=1e-12)
     np.testing.assert_allclose(matrix[n : 2 * n, n : 2 * n], q2, atol=1e-12)
     np.testing.assert_allclose(matrix[2 * n :, 2 * n :], p2 + q2, atol=1e-12)
