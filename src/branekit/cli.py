@@ -272,34 +272,39 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------- identities
 
 
-#: Trials per identities run; the sizes of a trial's inputs repeat every 35.
+#: Trials per identities run.  Expansion sizes repeat every 7 trials and background
+#: sizes every 5; one stack per size would peak at 3.2 MB, so the stacks are twice as far apart.
 N_TRIALS = 100
 
 
-def _trial_reports(config: RunConfig, period: int) -> list:
-    """Each trial's expansion and cross-term reports, in trial order.
+def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> list:
+    """Each of the ``trials``' expansion and cross-term reports, in trial order.
 
-    Trials ``period`` apart share their sizes and run as one stack.  Each
-    draws from its own generator, so the stacks may run in any order.
+    The trials 14 apart share their expansion size and run as one stack, then
+    those 10 apart their background, with its P and its powers built once.
+    Each trial draws from its own generator, the expansion first, so the
+    stacks may run in any order.
     """
+    rngs = {t: np.random.default_rng(config.seed + t) for t in trials}
     rows = {}
-    for first in range(period):
-        trials = range(first, N_TRIALS, period)
-        rngs = [np.random.default_rng(config.seed + t) for t in trials]
-        dim, bg_dim = 2 + first % 7, 4 + first % 5
-        xs = np.stack([random_hermitian(rng, 2 * dim) for rng in rngs])
-        ts = np.stack([random_fluctuation(rng, dim) for rng in rngs])
-        expansion = check_expansion(xs, ts, [config.seed + t for t in trials])
-        thetas = [float(rng.uniform(0.0, math.pi / 2 - 0.2)) for rng in rngs]
-        xs = np.stack([build_background(theta, config.z2, bg_dim) for theta in thetas])
-        ts = np.stack([random_fluctuation(rng, bg_dim) for rng in rngs])
+    for stack in (trials[k::14] for k in range(min(14, len(trials)))):
+        dim = 2 + stack[0] % 7
+        xs = np.stack([random_hermitian(rngs[t], 2 * dim) for t in stack])
+        ts = np.stack([random_fluctuation(rngs[t], dim) for t in stack])
+        for t, report in zip(stack, check_expansion(xs, ts, [config.seed + t for t in stack])):
+            rows[t] = [report]
+    for stack in (trials[k::10] for k in range(min(10, len(trials)))):
+        bg_dim = 4 + stack[0] % 5
+        thetas = [float(rngs[t].uniform(0.0, math.pi / 2 - 0.2)) for t in stack]
+        q, p = make_qp(bg_dim, config.z2)
+        xs = build_background(thetas, config.z2, bg_dim, (q, p))
+        ts = np.stack([random_fluctuation(rngs[t], bg_dim) for t in stack])
         generic = check_cross_terms(xs, ts)
-        _, p = make_qp(bg_dim, config.z2)
-        ts = np.stack([momentum_polynomial_fluctuation(p, rng) for rng in rngs])
+        ts = momentum_polynomial_fluctuation(p, [rngs[t] for t in stack])
         momentum = check_cross_terms(xs, ts, "momentum-polynomial")
-        for k, trial in enumerate(trials):
-            rows[trial] = (expansion[k], *generic[2 * k : 2 * k + 2], *momentum[2 * k : 2 * k + 2])
-    return [report for trial in sorted(rows) for report in rows[trial]]
+        for k, t in enumerate(stack):
+            rows[t] += (*generic[2 * k : 2 * k + 2], *momentum[2 * k : 2 * k + 2])
+    return [report for t in trials for report in rows[t]]
 
 
 def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
@@ -308,10 +313,11 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
     _, p = make_qp(n_levels, config.z2)
     try:
-        reports = _trial_reports(config, 35)
+        reports = _trial_reports(config)
     except FloatingPointError:
-        # a stack can meet a later trial's overflow first; one trial at a time, the first is raised
-        reports = _trial_reports(config, N_TRIALS)
+        # a stack can meet a later trial's overflow first, and runs every expansion
+        # before any cross term; one whole trial at a time, the first is raised
+        reports = [r for t in range(N_TRIALS) for r in _trial_reports(config, range(t, t + 1))]
 
     rng = np.random.default_rng(config.seed)
     dim = 5

@@ -30,8 +30,8 @@ def _scaled_potential(s: float, cos_t: float) -> float:
 
 
 def potential_derivative(t: float, theta: float, z2: float, R: float) -> float:
-    """Exact first derivative -8*pi*z2*R*cos(theta) t + 4 R t^3."""
-    return -2.0 * mass_scale(theta, z2, R) * t + 4.0 * R * t**3
+    """Exact first derivative -8*pi*z2*R*cos(theta) t + 4 (R t^3), where 4 R alone can overflow."""
+    return -2.0 * mass_scale(theta, z2, R) * t + 4.0 * (R * t**3)
 
 
 @dataclass(frozen=True)

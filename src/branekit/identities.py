@@ -123,13 +123,18 @@ def random_fluctuation(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_complex(rng, 3, n, n)
 
 
-def momentum_polynomial_fluctuation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Blocks T_1, T_2, T_3, (3, N, N), each a complex cubic polynomial of the N x N relative P."""
+def momentum_polynomial_fluctuation(p: np.ndarray, rng: np.random.Generator | list) -> np.ndarray:
+    """Blocks T_1, T_2, T_3, (3, N, N), each a complex cubic polynomial of the N x N relative P.
+
+    A list of generators gives one such stack each, (T, 3, N, N), from one set of powers.
+    """
     powers = [np.eye(p.shape[-1], dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ p)
-    coeffs = random_complex(rng, 3, 4)[:, :, None, None]
-    return sum(coeffs[:, k] * powers[k] for k in range(4))
+    one = isinstance(rng, np.random.Generator)
+    coeffs = np.stack([random_complex(r, 3, 4) for r in ([rng] if one else rng)])[..., None, None]
+    blocks = sum(coeffs[:, :, k] * powers[k] for k in range(4))
+    return blocks[0] if one else blocks
 
 
 def check_expansion(

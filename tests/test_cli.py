@@ -390,14 +390,20 @@ def test_identities_overflow_edges(capsys, z2, code, error):
         assert "inf" not in out and "nan" not in out
 
 
+def _entropies(rng):
+    """The seed of one generator, or of each in a list: its trial number, at --seed 0."""
+    return [r.bit_generator.seed_seq.entropy for r in (rng if isinstance(rng, list) else [rng])]
+
+
 def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
-    # a stack holds the trials 35 apart, so it meets trial 35 before trial 1
+    # a cross-term stack holds the trials 10 apart, so it meets trial 10 before
+    # trial 1; its momentum blocks are formed once per stack, for every trial in it
     build = cli.momentum_polynomial_fluctuation
 
     def failing(p, rng):
-        trial = rng.bit_generator.seed_seq.entropy  # the seed is 0
-        if trial in (1, 35):
-            raise FloatingPointError(f"overflow in trial {trial}")
+        for trial in _entropies(rng):
+            if trial in (1, 10):
+                raise FloatingPointError(f"overflow in trial {trial}")
         return build(p, rng)
 
     monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing)
@@ -405,10 +411,62 @@ def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: FloatingPointError: overflow in trial 1\n")
 
 
+def test_identities_names_the_first_failing_trial_across_stages(capsys, monkeypatch):
+    # the stacks run every expansion before any cross term, so they meet trial 2's
+    # expansion first; trial by trial, trial 1's momentum cross terms fail before it
+    expand, build = cli.check_expansion, cli.momentum_polynomial_fluctuation
+
+    def failing_expansion(xs, ts, seeds):
+        if 2 in seeds:
+            raise FloatingPointError("overflow in the expansion of trial 2")
+        return expand(xs, ts, seeds)
+
+    def failing_momentum(p, rng):
+        if 1 in _entropies(rng):
+            raise FloatingPointError("overflow in the momentum cross terms of trial 1")
+        return build(p, rng)
+
+    monkeypatch.setattr(cli, "check_expansion", failing_expansion)
+    monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing_momentum)
+    code, out, err = run(capsys, "identities", "--seed", "0")
+    error = "error: FloatingPointError: overflow in the momentum cross terms of trial 1\n"
+    assert (code, out, err) == (2, "", error)
+
+
+def _report_bits(reports):
+    """Each report's fields, its extras flattened, every float spelled out bit for bit."""
+    rows = [(*dataclasses.astuple(r)[:-1], *(v for pair in r.extra for v in pair)) for r in reports]
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+# seeds drawn, z2 over 10^+-8 in even draws and up to 1e40 in odd ones, N 4-1200
+@pytest.mark.parametrize("draw", range(40))
+def test_stacked_trials_match_one_trial_at_a_time_bitwise(capsys, monkeypatch, draw):
+    rng = np.random.default_rng(20261020 + draw)
+    z2 = 10.0 ** rng.uniform(-8.0, 8.0) if draw % 2 == 0 else 10.0 ** rng.uniform(8.0, 40.0)
+    seed, n = int(rng.integers(0, 2**31)), int(rng.integers(4, 1201))
+    trial_reports, calls = cli._trial_reports, []
+
+    def forcing_the_fallback(config, trials=range(cli.N_TRIALS)):
+        calls.append(trial_reports(config, trials))
+        if len(calls) == 1:
+            raise FloatingPointError("forces the one-trial-at-a-time rerun")
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "_trial_reports", forcing_the_fallback)
+    argv = ("identities", "--seed", str(seed), "--z2", repr(z2), "--N", str(n))
+    assert run(capsys, *argv)[0] == 0
+    stacked, *one_at_a_time = calls
+    assert len(one_at_a_time) == cli.N_TRIALS
+    assert [len(reports) for reports in one_at_a_time] == [5] * cli.N_TRIALS
+    assert _report_bits(stacked) == _report_bits(r for rs in one_at_a_time for r in rs)
+
+
 def test_identities_peak_memory_stays_small(capsys):
-    # the trials run at most three to a stack: about 0.7 MB at the defaults.
-    # At N // 4 = 200 levels only the n x n momentum P, its powers and its
-    # quartic check are formed: about 12 n^2 complex entries, where a
+    # the trials run about seven to an expansion stack and ten to a cross-term
+    # stack: about 1.85 MB at the defaults once the parser is built, 2.8 MB on a
+    # first call.  At N // 4 = 200 levels only the n x n momentum P, its powers
+    # and its quartic check are formed: about 12 n^2 complex entries, where a
     # (3, 2n, 2n) background would hold 12 n^2 on its own
     sizes = ((["identities"], 3_000_000), (["identities", "--N", "803"], 16 * 200**2 * 16))
     for argv, bound in sizes:
@@ -441,6 +499,22 @@ def test_tiny_flux_condenses(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["tmin_numeric"] == pytest.approx(doc["tmin_analytic"], rel=1e-14)
+    assert err.splitlines()[-1] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--R", "1e308", "--z2", "1e-10"),
+        ("--R", "5e307", "--z2", "1e-20"),
+        ("--R", "1.7e308", "--z2", "1e-12", "--theta", "1.2"),
+    ],
+)
+def test_huge_tension_condenses(capsys, argv):
+    # 4 R overflows above R = 4.5e307, while the cubic term 4 (R t^3) is finite
+    code, out, err = run(capsys, "condense", *argv, "--format", "structured")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["stationarity_residual"])
     assert err.splitlines()[-1] == "pass"
 
 
