@@ -3,7 +3,8 @@
 Each command returns a :class:`Report`; ``main`` renders it once, in the
 configured format, to --out (or stdout) and writes its notes to stderr.
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  Identical
-configuration (including the seed) produces byte-identical reports.
+configuration (including the seed) produces byte-identical reports on one BLAS
+kernel; another may move the last digits of ``identities`` residuals, never a verdict.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .condensation import (
 from .config import (
     FORMAT_DELIMITED,
     FORMAT_STRUCTURED,
+    Gate,
     RunConfig,
     build_config,
     default_config_path,
@@ -88,17 +90,22 @@ class Report:
     ``fields`` are the ordered summary entries of the structured document,
     where a ``slice`` stands for those rows written as records; those named
     in ``headers`` also head the delimited table as ``# name: value``.
-    ``notes`` are the stderr lines.
+    ``gates`` are the verdicts that decide the exit code, and ``passed``
+    holds when every one of them does.  ``notes`` are the stderr lines.
     """
 
     kind: str
     columns: tuple[str, ...]
     data: tuple[np.ndarray, ...]
     fields: tuple[tuple[str, object], ...]
-    passed: bool
+    gates: tuple[Gate, ...]
     notes: tuple[str, ...]
     headers: tuple[str, ...] = ()
     extras: Sequence = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(gate.ok for gate in self.gates)
 
 
 def _text(value) -> str:
@@ -225,24 +232,25 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     match = match_tower(modes, tol_units=match_tol)
 
     trusted_negative = modes.units[modes.trusted & (modes.units < -match_tol)].tolist()
-    tachyon_ok = len(trusted_negative) == 1 and abs(trusted_negative[0] + 1.0) <= match_tol
-
-    field3_gap = transverse_gap(op_levels, config.margin_k)
-    transverse_ok = field3_gap <= match_tol
+    tachyon_gap = abs(trusted_negative[0] + 1.0) if len(trusted_negative) == 1 else math.nan
+    route, tower, tachyon, transverse = gates = (
+        Gate("route equivalence residual", route_residual, config.tol("route_equivalence")),
+        Gate("tower", len(match.unmatched), 0),
+        Gate("tachyon line", tachyon_gap, match_tol),
+        Gate("transverse field-3 gap", transverse_gap(op_levels, config.margin_k), match_tol),
+    )
     transverse_horizon = config.N - 1 - config.margin_k
 
     # a line is trusted up to its horizon; the fermion table is analytic only
     tables = (
         (analytic_spectrum(config.n_max, config.theta, config.z2, config.R), match.horizon),
-        (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse_ok else -1),
+        (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse.ok else -1),
         (fermion_spectrum(config.n_max, config.theta), -1),
     )
     records = [r for table, _ in tables for r in table]
     horizons = [horizon for table, horizon in tables for _ in table]
     columns = ("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity")
     data = _columns(records, columns)
-
-    route_ok = route_residual <= config.tol("route_equivalence")
     return Report(
         kind="spectrum",
         columns=(*columns, "trusted"),
@@ -255,16 +263,14 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
             ("records", RECORDS),
         ),
         headers=("scale", "route_equivalence_residual", "trust_horizon"),
-        passed=match.all_matched and tachyon_ok and route_ok and transverse_ok,
+        gates=gates,
         notes=(
             f"scale 4*pi*z2*R*cos(theta) = {op_levels.scale:.6g}",
-            f"route equivalence residual = {route_residual:.3e} "
-            f"({'pass' if route_ok else 'FAIL'} at {config.tol('route_equivalence'):.1e})",
+            f"{route.name} = {route}",
             f"trust horizon n <= {match.horizon} with {match.trusted_count} trusted eigenvalues"
-            f" ({'all matched' if match.all_matched else 'UNMATCHED PRESENT'})",
-            f"tachyon line: {'unique trusted negative at -scale' if tachyon_ok else 'MISSING OR NOT UNIQUE'}",
-            f"transverse field-3 gap = {field3_gap:.3e} "
-            f"({'pass' if transverse_ok else 'FAIL'} at {match_tol:.1e})",
+            f" ({'all matched' if tower.ok else 'UNMATCHED PRESENT'})",
+            f"tachyon line: {'unique trusted negative at -scale' if tachyon.ok else 'MISSING OR NOT UNIQUE'}",
+            f"{transverse.name} = {transverse}",
         ),
     )
 
@@ -332,7 +338,7 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     zero = np.zeros((3, dim, dim), dtype=complex)
     reports.append(check_quartic_ttilde(zero, seed=config.seed))
 
-    violated = [r for r in reports if r.verdict == VERDICT_VIOLATED]
+    violated = Gate("violated identities", sum(r.verdict == VERDICT_VIOLATED for r in reports), 0)
     by_verdict = Counter(r.verdict for r in reports)
     notes = (
         f"{len(reports)} identity evaluations: "
@@ -340,16 +346,16 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         "quartic closed forms are recorded against the block-trace oracle; "
         "see the 'matched' extras for which convention holds on which inputs",
     )
-    if violated:
-        notes += (f"FAIL: {len(violated)} exact/pass identities violated",)
+    if not violated.ok:
+        notes += (f"FAIL: {violated.value} exact/pass identities violated",)
     columns = ("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict")
     return Report(
         kind="identities",
         columns=columns,
         data=_columns(reports, columns),
         extras=[r.extra for r in reports],
-        fields=(("trials", N_TRIALS), ("records", RECORDS), ("violations", len(violated))),
-        passed=not violated,
+        fields=(("trials", N_TRIALS), ("records", RECORDS), ("violations", violated.value)),
+        gates=(violated,),
         notes=notes,
     )
 
@@ -368,17 +374,13 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
             raise OverflowError(f"{name} overflows to {value!r}")
     tmin_numeric = numeric_minimum(config.theta, config.z2, config.R)
     stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
-    minimizer_gap = abs(tmin_numeric - pot.tmin)
     # relative below tmin = 1, where an absolute bound could not see a miss
-    minimizer_tol = config.tol("minimizer") * min(1.0, pot.tmin)
-
-    gap_failed = not minimizer_gap <= minimizer_tol
-    stationarity_failed = not stationarity <= stationarity_tol
-    gates = (
-        ("analytic/numeric minimizer disagreement", gap_failed),
-        ("stationarity residual at the analytic minimum", stationarity_failed),
+    gap_tol = config.tol("minimizer") * min(1.0, pot.tmin)
+    gap, stationary = gates = (
+        Gate("analytic/numeric minimizer disagreement", abs(tmin_numeric - pot.tmin), gap_tol),
+        Gate("stationarity residual at the analytic minimum", stationarity, stationarity_tol),
     )
-    failed = [gate for gate, bad in gates if bad]
+    failed = [gate.name for gate in gates if not gate.ok]
     columns = ("quad", "quart", "tmin_analytic", "tmin_numeric", "vmin", "stationarity_residual")
     values = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
     return Report(
@@ -386,13 +388,10 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
         columns=columns,
         data=tuple(np.array([v]) for v in values),
         fields=tuple(zip(columns, values)),
-        passed=not failed,
+        gates=gates,
         notes=(
-            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g}, "
-            f"gap {minimizer_gap:.3e} "
-            f"({'FAIL' if gap_failed else 'pass'} at {minimizer_tol:.1e})",
-            f"vmin = {pot.vmin:.6g}, stationarity residual {stationarity:.3e} "
-            f"({'FAIL' if stationarity_failed else 'pass'} at {stationarity_tol:.1e})",
+            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g}, gap {gap}",
+            f"vmin = {pot.vmin:.6g}, stationarity residual {stationary}",
             f"FAIL: {'; '.join(failed)}" if failed else "pass",
         ),
     )
@@ -403,10 +402,11 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
 
 def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
     curve = sample_curve(args.x0_min, args.x0_max, args.points, config.theta, config.z2)
-    gap = asymmetry_gap(curve)
-
-    hyperbola_failed = not curve.max_residual <= config.tol("hyperbola")
-    eigensolve_failed = not curve.max_eigensolve_gap <= config.tol("block_eigensolve")
+    gap, tol = asymmetry_gap(curve), config.tol
+    gates = (
+        Gate("max hyperbola residual", curve.max_residual, tol("hyperbola")),
+        Gate("max closed-form/eigensolve gap", curve.max_eigensolve_gap, tol("block_eigensolve")),
+    )
     split = curve.x_d.size
     return Report(
         kind="curve",
@@ -429,14 +429,8 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
             ("points", slice(0, split)),
             ("asymptotes", slice(split, None)),
         ),
-        passed=not (hyperbola_failed or eigensolve_failed),
-        notes=(
-            f"max hyperbola residual = {curve.max_residual:.3e} "
-            f"({'FAIL' if hyperbola_failed else 'pass'} at {config.tol('hyperbola'):.1e})",
-            f"max closed-form/eigensolve gap = {curve.max_eigensolve_gap:.3e} "
-            f"({'FAIL' if eigensolve_failed else 'pass'} at {config.tol('block_eigensolve'):.1e})",
-            f"asymmetry gap = {gap:.6g}",
-        ),
+        gates=gates,
+        notes=(*(f"{gate.name} = {gate}" for gate in gates), f"asymmetry gap = {gap:.6g}"),
     )
 
 

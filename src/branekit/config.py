@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .oscillator import validate_params, validate_positive
-from .spectrum import MAX_BAND_LEVELS
+from .spectrum import MAX_BAND_LEVELS, TRUST_MASS_THRESHOLD
 
 ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 
@@ -18,12 +18,29 @@ FORMAT_STRUCTURED = "structured"
 DEFAULT_TOLERANCES = {
     "route_equivalence": 1e-10,
     "eigenvalue_match": 1e-6,
-    "trust_mass": 1e-6,
+    "trust_mass": TRUST_MASS_THRESHOLD,
     "minimizer": 1e-8,
     "stationarity": 1e-12,
     "block_eigensolve": 1e-12,
     "hyperbola": 1e-10,
 }
+
+
+@dataclass(frozen=True, slots=True)
+class Gate:
+    """``value`` against ``bound``: NaN or a non-finite bound fails.  ``str`` is the stderr tail."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return math.isfinite(self.bound) and self.value <= self.bound
+
+    def __str__(self) -> str:
+        return f"{self.value:.3e} ({'pass' if self.ok else 'FAIL'} at {self.bound:.1e})"
+
 
 _INT_KEYS = {"N", "margin_k", "n_max", "seed"}
 _FLOAT_KEYS = {"theta", "z2", "R"}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import block_matrices, validate_blocks
+from .config import Gate
 from .spectrum import rotation_u
 
 VERDICT_EXACT = "exact"
@@ -92,13 +93,8 @@ def _holds(residual: float, tol: float, *scales: complex) -> bool:
     is not finite fails, so an infinite residual cannot pass an infinite bound.
     """
     magnitudes = [abs(v) for v in scales]
-    bound = tol * max(1.0, *magnitudes)
-    return math.isfinite(bound) and residual <= bound and not any(map(math.isnan, magnitudes))
-
-
-def _agree(lhs: complex, rhs: complex) -> bool:
-    """Whether |lhs - rhs| <= PASS_TOL * max(1, |lhs|, |rhs|)."""
-    return _holds(abs(lhs - rhs), PASS_TOL, lhs, rhs)
+    gate = Gate("residual", residual, tol * max(1.0, *magnitudes))
+    return gate.ok and not any(map(math.isnan, magnitudes))
 
 
 def _report(
@@ -161,7 +157,8 @@ def check_expansion(
     )
     reports = []
     for seed, left, right in zip(seeds, lhs, rhs, strict=True):
-        verdict = VERDICT_EXACT if _agree(left, right) else VERDICT_VIOLATED
+        agree = _holds(abs(left - right), PASS_TOL, left, right)
+        verdict = VERDICT_EXACT if agree else VERDICT_VIOLATED
         reports.append(_report("expansion", seed, ts.shape[-1], left, right, verdict))
     return tuple(reports)
 
@@ -195,7 +192,7 @@ def check_quartic_t(ts: np.ndarray, seed: int | None = None) -> IdentityReport:
     """
     validate_blocks(ts)
     lhs, rhs = _quartic_traces(ts)
-    matched = (("matched", float(_agree(lhs, rhs))),)
+    matched = (("matched", float(_holds(abs(lhs - rhs), PASS_TOL, lhs, rhs))),)
     return _report("quartic-direct", seed, ts.shape[-1], lhs, rhs, VERDICT_RECORDED, matched)
 
 
@@ -217,7 +214,7 @@ def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> IdentityRep
     rhs = -4.0 * (complex(np.trace(quad @ quad)) + 2.0 * complex(np.trace(cross1 @ cross2)))
     direct_rhs = direct.real
     extra = (
-        ("matched", float(_agree(lhs, rhs))),
+        ("matched", float(_holds(abs(lhs - rhs), PASS_TOL, lhs, rhs))),
         ("direct_form_rhs", direct_rhs),
         ("form_gap", abs(rhs - direct_rhs)),
     )

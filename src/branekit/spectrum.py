@@ -371,10 +371,6 @@ class TowerMatch:
     unmatched: tuple[float, ...]
     trusted_count: int
 
-    @property
-    def all_matched(self) -> bool:
-        return not self.unmatched
-
 
 def _count_near(units: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
     """Number of sorted ``units`` with abs(u - v) <= tol, for each target v.

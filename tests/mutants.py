@@ -1,0 +1,163 @@
+"""Mutant catalogue of the verdict code, run on demand.
+
+pytest does not collect this file (its name does not match ``test_*.py``).
+Each mutant replaces one expression in one file under ``src``.  For each,
+``src``, ``tests`` and ``pyproject.toml`` are copied to a temporary
+directory, the mutant is applied there and the tier-1 suite runs with
+``-x``: the mutant is killed when a test fails.  The unmutated copy runs
+first and must pass.  From the repository root:
+
+    python3 tests/mutants.py            # every mutant, 10-30 s each
+    python3 tests/mutants.py gate-ok-2x tachyon-not-unique
+
+It prints ``killed`` with the first failing test, or ``survived``, per
+mutant.  A known survivor carries its reason.  The exit status is 1 when
+the unmutated copy fails or a mutant survives that is not known to.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    known: str = ""  # why it survives, for a known survivor
+
+
+MUTANTS = (
+    # the one comparison every exit-code verdict goes through
+    Mutant(
+        "gate-ok-2x",
+        "src/branekit/config.py",
+        "self.value <= self.bound",
+        "self.value <= 2 * self.bound",
+    ),
+    Mutant(
+        "gate-ok-10x",
+        "src/branekit/config.py",
+        "self.value <= self.bound",
+        "self.value <= 10 * self.bound",
+    ),
+    Mutant(
+        "gate-ok-infinite-bound",
+        "src/branekit/config.py",
+        "return math.isfinite(self.bound) and self.value <= self.bound",
+        "return self.value <= self.bound",
+    ),
+    # call sites of the gates of spectrum and curve
+    Mutant(
+        "tachyon-not-unique",
+        "src/branekit/cli.py",
+        "if len(trusted_negative) == 1 else math.nan",
+        "if len(trusted_negative) >= 1 else math.nan",
+    ),
+    Mutant(
+        "transverse-1e3x",
+        "src/branekit/cli.py",
+        "transverse_gap(op_levels, config.margin_k), match_tol)",
+        "transverse_gap(op_levels, config.margin_k), 1e3 * match_tol)",
+    ),
+    Mutant(
+        "hyperbola-10x",
+        "src/branekit/cli.py",
+        'tol("hyperbola")',
+        '10 * tol("hyperbola")',
+    ),
+    Mutant(
+        "eigensolve-1e3x",
+        "src/branekit/cli.py",
+        'tol("block_eigensolve")',
+        '1e3 * tol("block_eigensolve")',
+    ),
+    # identities records that no honest input brings near their bounds
+    Mutant(
+        "cross-linear-pass-tol",
+        "src/branekit/identities.py",
+        "_holds(abs(v), EXACT_TOL, s * dim)",
+        "_holds(abs(v), PASS_TOL, s * dim)",
+        "a structural zero: [X_i, X_j][X_i, A_j] is block-off-diagonal, so traceless",
+    ),
+    Mutant(
+        "cross-cubic-scale-1e6",
+        "src/branekit/identities.py",
+        "_holds(abs(v), PASS_TOL, s * dim) for v, s in zip(cubic",
+        "_holds(abs(v), PASS_TOL, s * dim * 1e6) for v, s in zip(cubic",
+        "a structural zero: [X_i, A_j][A_i, A_j] is block-off-diagonal, so traceless",
+    ),
+    Mutant(
+        "expansion-1e-6",
+        "src/branekit/identities.py",
+        "_holds(abs(left - right), PASS_TOL, left, right)",
+        "_holds(abs(left - right), 1e-6, left, right)",
+        "the expansion is bilinearity, which holds for any matrices to rounding",
+    ),
+    Mutant(
+        "tower-odd-from-zero",
+        "src/branekit/spectrum.py",
+        "(odd >= 1)",
+        "(odd >= 0)",
+        "equivalent: with units >= 0, odd = 0 needs units = 0, which the zero test counts",
+    ),
+)
+
+
+def run_tier1(root: Path) -> tuple[bool, str]:
+    """Whether tier-1 passes in ``root``, and the first failing test if not."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.MULTILINE)
+    return done.returncode == 0, failed.group(1) if failed else done.stdout[-200:].strip()
+
+
+def verdict(mutant: Mutant | None) -> tuple[bool, str]:
+    """Tier-1 on a fresh copy of the repository, with ``mutant`` applied."""
+    with tempfile.TemporaryDirectory(prefix="branekit-mutant-") as tmp:
+        root = Path(tmp)
+        for tree in ("src", "tests"):
+            shutil.copytree(REPO / tree, root / tree, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(REPO / "pyproject.toml", root)
+        if mutant:
+            path = root / mutant.path
+            text = path.read_text()
+            if text.count(mutant.old) != 1:
+                raise SystemExit(f"{mutant.name}: {mutant.old!r} is not once in {mutant.path}")
+            path.write_text(text.replace(mutant.old, mutant.new))
+        return run_tier1(root)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    passed, detail = verdict(None)
+    print(f"{'pass' if passed else 'FAIL':9} unmutated  {'' if passed else detail}", flush=True)
+    if not passed:
+        return 1
+    open_survivors = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        survived, detail = verdict(mutant)
+        if survived:
+            open_survivors += not mutant.known
+            detail = f"known: {mutant.known}" if mutant.known else "NOT KILLED"
+        print(f"{'survived' if survived else 'killed':9} {mutant.name}  {detail}", flush=True)
+    return 1 if open_survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

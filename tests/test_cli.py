@@ -20,6 +20,7 @@ from branekit.config import (
     DEFAULT_TOLERANCES,
     FORMAT_DELIMITED,
     FORMAT_STRUCTURED,
+    Gate,
     RunConfig,
     build_config,
     read_config_file,
@@ -464,10 +465,12 @@ def test_stacked_trials_match_one_trial_at_a_time_bitwise(capsys, monkeypatch, d
 
 def test_identities_peak_memory_stays_small(capsys):
     # the trials run about seven to an expansion stack and ten to a cross-term
-    # stack: about 1.85 MB at the defaults once the parser is built, 2.8 MB on a
-    # first call.  At N // 4 = 200 levels only the n x n momentum P, its powers
-    # and its quartic check are formed: about 12 n^2 complex entries, where a
-    # (3, 2n, 2n) background would hold 12 n^2 on its own
+    # stack: about 1.85 MB at the defaults.  At N // 4 = 200 levels only the
+    # n x n momentum P, its powers and its quartic check are formed: about
+    # 12 n^2 complex entries, where a (3, 2n, 2n) background would hold 12 n^2
+    # on its own.  The first call of a process also builds the parser and runs
+    # lazy imports, about 0.95 MB more, so one untraced call comes first
+    assert main(["identities"]) == 0
     sizes = ((["identities"], 3_000_000), (["identities", "--N", "803"], 16 * 200**2 * 16))
     for argv, bound in sizes:
         tracemalloc.start()
@@ -596,21 +599,94 @@ def test_route_nan_in_one_field_row_fails_closed(capsys, monkeypatch):
     assert "route equivalence residual = nan (FAIL at 1.0e-10)" in err
 
 
-def test_perturbed_field_3_fails_the_transverse_line(capsys, monkeypatch):
-    # one interior level of field block 3 off its (2n+1) * scale must reach the verdict
+def _perturb_field_3(monkeypatch, offset):
+    """Move one interior level of field block 3 off its (2n+1) * scale by ``offset`` * scale."""
     build = cli.build_mass_operator_levels
 
     def perturbed(*args):
         op = build(*args)
-        op.matrix[2, 2, 1, 5] += 1e-3 * op.scale
+        op.matrix[2, 2, 1, 5] += offset * op.scale
         return op
 
     monkeypatch.setattr(cli, "build_mass_operator_levels", perturbed)
+
+
+def test_perturbed_field_3_fails_the_transverse_line(capsys, monkeypatch):
+    # one interior level of field block 3 off its (2n+1) * scale must reach the verdict
+    _perturb_field_3(monkeypatch, 1e-3)
     code, out, err = run(capsys, "spectrum")
     assert code == 1
     assert err.splitlines()[-1] == "transverse field-3 gap = 1.000e-03 (FAIL at 1.0e-06)"
     rows = [line.split(",") for line in out.splitlines() if line.startswith("transverse,")]
     assert rows and all(row[-1] == "false" for row in rows)
+
+
+@pytest.mark.parametrize("offset,code,verdict", [(0.9e-6, 0, "pass"), (1.5e-6, 1, "FAIL")])
+def test_transverse_line_at_its_bound(capsys, monkeypatch, offset, code, verdict):
+    _perturb_field_3(monkeypatch, offset)
+    status, _, err = run(capsys, "spectrum")
+    assert status == code
+    assert err.splitlines()[-1] == f"transverse field-3 gap = {offset:.3e} ({verdict} at 1.0e-06)"
+
+
+def _add_trusted_mode(units):
+    def edit(modes, scale):
+        extra = np.rec.fromarrays(([units * scale], [units], [True], [0.0]), dtype=modes.dtype)
+        return np.concatenate((modes, extra)).view(np.recarray)
+
+    return edit
+
+
+def _shift_negative_modes(shift):
+    def edit(modes, scale):
+        modes.units[modes.units < -0.5] -= shift
+        return modes
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,code,unique",
+    [
+        # just above -tol a mode is a zero mode, so the tachyon stays unique
+        (_add_trusted_mode(-0.9e-6), 0, True),
+        # a second trusted negative at -1, which the tower also counts as a tachyon
+        (_add_trusted_mode(-1.0), 1, False),
+        # the one negative mode below -1 by 0.9 and 1.5 times the match tolerance
+        (_shift_negative_modes(0.9e-6), 0, True),
+        (_shift_negative_modes(1.5e-6), 1, False),
+    ],
+    ids=["zero-mode", "second-negative", "inside", "outside"],
+)
+def test_tachyon_line_at_its_bounds(capsys, monkeypatch, edit, code, unique):
+    solve = cli.numeric_spectrum
+
+    def edited(op, *args, **kwargs):
+        return edit(solve(op, *args, **kwargs), op.scale)
+
+    monkeypatch.setattr(cli, "numeric_spectrum", edited)
+    status, _, err = run(capsys, "spectrum")
+    assert status == code
+    verdict = "unique trusted negative at -scale" if unique else "MISSING OR NOT UNIQUE"
+    assert err.splitlines()[3] == f"tachyon line: {verdict}"
+
+
+@pytest.mark.parametrize(
+    "field,tol,line",
+    [
+        ("max_residual", 1e-10, "max hyperbola residual"),
+        ("max_eigensolve_gap", 1e-12, "max closed-form/eigensolve gap"),
+    ],
+)
+@pytest.mark.parametrize("factor,code,verdict", [(0.9, 0, "pass"), (1.5, 1, "FAIL")])
+def test_curve_gates_at_their_bounds(capsys, monkeypatch, field, tol, line, factor, code, verdict):
+    def curve_at(*args):
+        return dataclasses.replace(sample_curve(*args), **{field: factor * tol})
+
+    monkeypatch.setattr(cli, "sample_curve", curve_at)
+    status, _, err = run(capsys, "curve", "--points", "11")
+    assert status == code
+    assert f"{line} = {factor * tol:.3e} ({verdict} at {tol:.1e})" in err.splitlines()
 
 
 def test_two_point_curve_passes(capsys):
@@ -783,7 +859,7 @@ def as_rows(report: Report) -> SimpleNamespace:
     if report.extras:
         columns.append(list(report.extras))
     fields = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
-    return SimpleNamespace(**fields, rows=list(zip(*columns)))
+    return SimpleNamespace(**fields, passed=report.passed, rows=list(zip(*columns)))
 
 
 def assert_writers_match(report: Report, config: RunConfig, label: str) -> None:
@@ -888,7 +964,7 @@ def test_writers_match_the_oracle_on_edge_values():
             ("none", slice(0, 0)),
             ("tail", slice(n - 2, None)),
         ),
-        passed=False,
+        gates=(Gate("edge", math.nan, 1.0),),
         notes=(),
         headers=("scale", "worst", "count", "name"),
     )
