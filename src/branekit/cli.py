@@ -73,9 +73,6 @@ EXIT_INVALID = 2
 #: A summary field holding every row of the report, written as records.
 RECORDS = slice(None)
 
-#: What starts a line inside a record of the structured document.
-_RECORD_PAD = "\n      "
-
 
 @dataclass(frozen=True, eq=False)
 class Report:
@@ -85,8 +82,7 @@ class Report:
     index.  A float64 array is formatted once per bit pattern (-0.0 apart
     from 0.0), any other array once per value, so equal values must have
     equal texts there (an object array holds no floats, nor bools beside
-    ints).  ``extras``, if given, is one more column of ``(name, float)``
-    pairs or falsy values, written only in the structured format.
+    ints).  A row is its columns' values alone, in either format.
     ``fields`` are the ordered summary entries of the structured document,
     where a ``slice`` stands for those rows written as records; those named
     in ``headers`` also head the delimited table as ``# name: value``.
@@ -101,7 +97,6 @@ class Report:
     gates: tuple[Gate, ...]
     notes: tuple[str, ...]
     headers: tuple[str, ...] = ()
-    extras: Sequence = ()
 
     @property
     def passed(self) -> bool:
@@ -143,8 +138,8 @@ def _json_floats(values: list[float]) -> list[str]:
     ]
 
 
-def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list[str]:
-    """Each row's texts, each behind its column's prefix, then its ``tails``, joined by ``sep``."""
+def _rows(report: Report, sep: str, prefixes, float_texts, text) -> list[str]:
+    """Each row's texts, each behind its column's prefix, joined by ``sep``."""
     columns = []
     for prefix, values in zip(prefixes, report.data):
         if values.dtype == float:
@@ -155,7 +150,7 @@ def _rows(report: Report, sep: str, prefixes, float_texts, text, *tails) -> list
             values = values.tolist()
             memo = {v: prefix + text(v) for v in set(values)}
             columns.append(list(map(memo.__getitem__, values)))
-    return list(map(sep.join, zip(*columns, *tails)))
+    return list(map(sep.join, zip(*columns)))
 
 
 def _delimited(report: Report, config: RunConfig) -> str:
@@ -177,18 +172,8 @@ def _structured(report: Report, config: RunConfig) -> str:
     prefix; a record slice joins its records as the encoder indents a list.
     """
     names = map(json.dumps, report.columns)
-    prefixes = [f'{"," * bool(i)}{_RECORD_PAD}{name}: ' for i, name in enumerate(names)]
-    # each extra's dict as ``json.dumps(indent=2)`` writes it in a record, its floats in one call
-    dicts = [dict(extra) for extra in report.extras if extra]
-    texts = iter(_json_floats([v for d in dicts for v in d.values()]))
-    keys = {n: f"{_RECORD_PAD}  {json.dumps(n)}: " for d in dicts for n in d}
-    bodies = iter([",".join(keys[n] + next(texts) for n in d) for d in dicts])
-    extras = [
-        f',{_RECORD_PAD}"extra": {{{next(bodies)}{_RECORD_PAD}}}' if extra else ""
-        for extra in report.extras
-    ]
-    tails = (extras,) if extras else ()
-    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)), *tails)
+    prefixes = [f'{"," * bool(i)}\n      {name}: ' for i, name in enumerate(names)]
+    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)))
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
         "report": report.kind,
@@ -343,8 +328,8 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     notes = (
         f"{len(reports)} identity evaluations: "
         + ", ".join(f"{k}={v}" for k, v in sorted(by_verdict.items())),
-        "quartic closed forms are recorded against the block-trace oracle; "
-        "see the 'matched' extras for which convention holds on which inputs",
+        "quartic closed forms are recorded against the block-trace oracle; a form "
+        "holds where its residual is within 1e-10 of max(1, |lhs|, |rhs|)",
     )
     if not violated.ok:
         notes += (f"FAIL: {violated.value} exact/pass identities violated",)
@@ -353,7 +338,6 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         kind="identities",
         columns=columns,
         data=_columns(reports, columns),
-        extras=[r.extra for r in reports],
         fields=(("trials", N_TRIALS), ("records", RECORDS), ("violations", violated.value)),
         gates=(violated,),
         notes=notes,

@@ -323,7 +323,8 @@ def numeric_spectrum(
     mix eigenvectors, and a block's eigenvalues 0 and (2m - 1) * scale never
     form a cluster.  Raises ``ValueError`` on another basis, a non-Hermitian
     operator (beyond 1e-10 * scale), an entry outside the level blocks or a
-    non-finite eigenvalue.
+    non-finite eigenvalue; an eigensolver failure raises numpy's
+    ``LinAlgError``, which is a ``ValueError`` too.
     """
     if op.basis != BASIS_LEVELS:
         raise ValueError(f"numeric spectrum needs the {BASIS_LEVELS} basis, got {op.basis}")
@@ -346,10 +347,7 @@ def numeric_spectrum(
     single_masses = np.concatenate([top[:2], top[-2:], top])
     # 2x2 blocks [[field 1 at level m, upper], [lower, field 2 at level m - 2]]
     blocks = np.stack([diagonals[0, 2:], upper, lower, diagonals[1, :-2]], axis=1)
-    try:
-        pair_values, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise RuntimeError(f"eigensolver failed on {op.basis} operator: {exc}") from exc
+    pair_values, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
     pair_masses = np.abs(vecs[:, 0]) ** 2 * top[2:, None] + np.abs(vecs[:, 1]) ** 2 * top[:-2, None]
 
     values = np.concatenate([single_values, pair_values.ravel()])

@@ -111,6 +111,135 @@ MUTANTS = (
         "(odd >= 0)",
         "equivalent: with units >= 0, odd = 0 needs units = 0, which the zero test counts",
     ),
+    # the other spectrum gates: the solve's input checks, trust and the tower
+    Mutant(
+        "hermitian-10x",
+        "src/branekit/spectrum.py",
+        "if not herm <= 1e-10 * op.scale:",
+        "if not herm <= 1e-9 * op.scale:",
+    ),
+    Mutant(
+        "trust-mass-strict",
+        "src/branekit/spectrum.py",
+        "masses <= mass_threshold",
+        "masses < mass_threshold",
+    ),
+    Mutant(
+        "outside-blocks-slack",
+        "src/branekit/spectrum.py",
+        "if np.count_nonzero(band) != kept:",
+        "if np.count_nonzero(band) > kept + 1:",
+    ),
+    Mutant(
+        "finite-eigenvalues-any",
+        "src/branekit/spectrum.py",
+        "if not np.isfinite(values).all():",
+        "if not np.isfinite(values).any():",
+    ),
+    Mutant(
+        "count-near-window-low-1x",
+        "src/branekit/spectrum.py",
+        "targets - 2.0 * tol",
+        "targets - 1.0 * tol",
+    ),
+    Mutant(
+        "count-near-window-high-1x",
+        "src/branekit/spectrum.py",
+        "targets + 2.0 * tol",
+        "targets + 1.0 * tol",
+    ),
+    Mutant(
+        "tower-without-tachyon",
+        "src/branekit/spectrum.py",
+        "if tachyons >= 1:",
+        "if tachyons >= 0:",
+    ),
+    Mutant(
+        "tower-multiplicity-1",
+        "src/branekit/spectrum.py",
+        "np.minimum(levels + 1, 2)",
+        "np.minimum(levels + 1, 1)",
+    ),
+    Mutant(
+        "route-edge-k-1",
+        "src/branekit/spectrum.py",
+        "max(0, k - 2)",
+        "max(0, k - 1)",
+    ),
+    Mutant(
+        "route-edge-k-3",
+        "src/branekit/spectrum.py",
+        "max(0, k - 2)",
+        "max(0, k - 3)",
+    ),
+    Mutant(
+        "route-builtin-max",
+        "src/branekit/spectrum.py",
+        "float(np.max(row_residuals) / op_fock.scale)",
+        "float(max(row_residuals) / op_fock.scale)",
+    ),
+    Mutant(
+        "transverse-line-shift",
+        "src/branekit/spectrum.py",
+        "units - (2.0 * levels + 1.0)",
+        "units - (2.0 * levels + 1.0 + 5e-7)",
+    ),
+    # the bounds of the spectrum, identities and condense gates in cli
+    Mutant(
+        "route-bound-10x",
+        "src/branekit/cli.py",
+        'config.tol("route_equivalence"))',
+        '10 * config.tol("route_equivalence"))',
+    ),
+    Mutant(
+        "tower-bound-1",
+        "src/branekit/cli.py",
+        'Gate("tower", len(match.unmatched), 0)',
+        'Gate("tower", len(match.unmatched), 1)',
+    ),
+    Mutant(
+        "tachyon-negative-2x",
+        "src/branekit/cli.py",
+        "modes.units < -match_tol",
+        "modes.units < -2 * match_tol",
+    ),
+    Mutant(
+        "violated-bound-1",
+        "src/branekit/cli.py",
+        "for r in reports), 0)",
+        "for r in reports), 1)",
+    ),
+    Mutant(
+        "minimizer-max",
+        "src/branekit/cli.py",
+        "min(1.0, pot.tmin)",
+        "max(1.0, pot.tmin)",
+    ),
+    Mutant(
+        "minimizer-absolute",
+        "src/branekit/cli.py",
+        'config.tol("minimizer") * min(1.0, pot.tmin)',
+        'config.tol("minimizer")',
+    ),
+    Mutant(
+        "stationarity-floor-0.1",
+        "src/branekit/cli.py",
+        "max(1.0, stationarity_scale)",
+        "max(0.1, stationarity_scale)",
+    ),
+    Mutant(
+        "stationarity-min",
+        "src/branekit/cli.py",
+        "max(1.0, stationarity_scale)",
+        "min(1.0, stationarity_scale)",
+    ),
+    # the NaN-scale check every identities verdict goes through
+    Mutant(
+        "holds-nan-scale",
+        "src/branekit/identities.py",
+        "return gate.ok and not any(map(math.isnan, magnitudes))",
+        "return gate.ok",
+    ),
 )
 
 

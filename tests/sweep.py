@@ -1,0 +1,155 @@
+"""Argv sweep of this checkout against another revision, run on demand.
+
+pytest does not collect this file (its name does not match ``test_*.py``).
+It writes REF's tree to a temporary directory with ``git archive``, then runs
+the same argvs through ``branekit.cli.main`` in process, one fresh
+interpreter per tree (this checkout's ``src``, then REF's), with no
+``BRANEKIT_CONFIG`` set.  The argvs are drawn as ``tests/test_cli.py``
+``drawn_argv`` draws them, cycling over the four commands and alternating
+the two formats, followed by fixed edge inputs: ``--N 5`` for every
+command, the float-resolution inputs of ROADMAP item 7 and the overflow
+edges of ``test_identities_overflow_edges``.  From the repository root:
+
+    python3 tests/sweep.py HEAD~1          # 300 drawn argvs and the edges
+    python3 tests/sweep.py d5a648e 600     # 600 drawn argvs
+
+It prints, per command, how many argvs have the same exit code, stdout and
+stderr at both trees, then each differing argv with the first line that
+differs.  The exit status is 1 when any argv differs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+
+from test_cli import drawn_argv  # noqa: E402
+
+COMMANDS = ("spectrum", "identities", "condense", "curve")
+FORMATS = ("delimited", "structured")
+N200 = ["--theta", "0.3", "--z2", "2.5", "--R", "0.7"]
+
+#: Inputs at the edges: every command at N = 5, the inputs whose verdicts sit
+#: at the float resolution, and the overflow edges of the identity suite.
+EDGES = [
+    *([command, "--N", "5"] for command in COMMANDS),
+    ["condense", "--z2", "3e16", "--theta", "0.5"],
+    ["condense", "--z2", "1e16", "--theta", "0.5"],
+    ["condense", "--z2", "1e-9"],
+    ["spectrum", "--z2", "1e-300", "--R", "1e-15"],
+    ["spectrum", "--N", "67268"],
+    ["spectrum", "--N", "67269"],
+    ["spectrum", "--N", "100000"],
+    ["spectrum", "--N", "52361", *N200],
+    ["spectrum", "--N", "52362", *N200],
+    [
+        "curve",
+        "--theta=1.219333185924695",
+        "--z2=3714925.9308744012",
+        "--x0-min=-8.386834633971361",
+        "--x0-max=8.386834633971361",
+        "--points=656",
+    ],
+    [
+        "curve",
+        "--x0-min=-134911.85123513103",
+        "--x0-max=134911.85123513103",
+        "--theta=0.6610166144543554",
+        "--z2=5.897863746906419e-05",
+    ],
+    ["identities", "--z2", "1e80"],
+    ["identities", "--z2", "3.723149543575863e+49"],
+    ["identities", "--z2", "3.7231495435758633e+49"],
+]
+
+#: Run in a fresh interpreter: each argv of the JSON list on stdin through
+#: ``main``, and its exit code, stdout and stderr written as JSON to argv[1].
+CHILD = """
+import contextlib, io, json, sys
+from branekit.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append((code, out.getvalue(), err.getvalue()))
+with open(sys.argv[1], "w", encoding="utf-8") as handle:
+    json.dump(results, handle)
+"""
+
+
+def sweep_argvs(draws: int) -> list[list[str]]:
+    """``draws`` drawn argvs, the commands in turn, every other round structured; then the edges."""
+    rng = np.random.default_rng(2026)
+    drawn = [
+        [*drawn_argv(COMMANDS[i % 4], rng), f"--format={FORMATS[i // 4 % 2]}"]
+        for i in range(draws)
+    ]
+    return drawn + [[*argv, f"--format={fmt}"] for argv in EDGES for fmt in FORMATS]
+
+
+def run_tree(src: Path, argvs: list[list[str]], out: Path) -> list:
+    """Every argv run by ``main`` from ``src`` in one fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "BRANEKIT_CONFIG"}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", CHILD, str(out)]
+    subprocess.run(command, input=json.dumps(argvs), text=True, env=env, check=True)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def first_difference(ours: tuple, theirs: tuple) -> str:
+    """The first of exit code, stdout and stderr that differs, at its first differing line."""
+    if ours[0] != theirs[0]:
+        return f"exit {theirs[0]} -> {ours[0]}"
+    for stream, a, b in zip(("stdout", "stderr"), ours[1:], theirs[1:]):
+        lines = zip_longest(b.splitlines(keepends=True), a.splitlines(keepends=True))
+        for number, (old, new) in enumerate(lines, 1):
+            if old != new:
+                return f"{stream} line {number}: {old!r} -> {new!r}"
+    return ""
+
+
+def main(args: list[str]) -> int:
+    if not 1 <= len(args) <= 2:
+        raise SystemExit(__doc__)
+    ref, draws = args[0], int(args[1]) if len(args) == 2 else 300
+    argvs = sweep_argvs(draws)
+    with tempfile.TemporaryDirectory(prefix="branekit-sweep-") as tmp:
+        archive = subprocess.run(
+            ["git", "archive", ref, "src"], cwd=REPO, capture_output=True, check=True
+        )
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        ours = run_tree(REPO / "src", argvs, Path(tmp) / "ours.json")
+        theirs = run_tree(Path(tmp) / "src", argvs, Path(tmp) / "theirs.json")
+    same, total, differing = Counter(), Counter(), []
+    for argv, a, b in zip(argvs, ours, theirs):
+        total[argv[0]] += 1
+        for part, x, y in zip(("exit", "stdout", "stderr"), a, b):
+            same[argv[0], part] += x == y
+        if a != b:
+            differing.append((argv, first_difference(a, b)))
+    print(f"{len(argvs)} argvs, this checkout against {ref}; same exit/stdout/stderr of all:")
+    for command in COMMANDS:
+        counts = "/".join(str(same[command, part]) for part in ("exit", "stdout", "stderr"))
+        print(f"  {command:10} {counts} of {total[command]}")
+    for argv, difference in differing:
+        print(f"differs: {' '.join(argv)}\n  {difference}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

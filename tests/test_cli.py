@@ -25,6 +25,7 @@ from branekit.config import (
     build_config,
     read_config_file,
 )
+from branekit.identities import PASS_TOL, VERDICT_VIOLATED, _holds
 from branekit.spectrum import MAX_BAND_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -123,6 +124,22 @@ def test_identities_seed_changes_rows(capsys):
     _, out1, _ = run(capsys, "identities", "--seed", "1", "--N", "8")
     _, out2, _ = run(capsys, "identities", "--seed", "2", "--N", "8")
     assert out1 != out2
+
+
+@pytest.mark.parametrize("seed", ["20240817", "42"])
+def test_quartic_records_compare_the_forms_on_one_input(capsys, seed):
+    # the direct form on equal, rank-one, momentum and generic blocks, then
+    # the rotated form on those generic blocks and on zero ones
+    code, out, _ = run(capsys, "identities", "--seed", seed, "--format", "structured")
+    assert code == 0
+    quartic = json.loads(out)["records"][-6:]
+    assert [r["identity"] for r in quartic] == ["quartic-direct"] * 4 + ["quartic-rotated"] * 2
+    generic, rotated = quartic[3], quartic[4]
+    same_input = ("seed", "dim", "lhs")
+    assert [rotated[k] for k in same_input] == [generic[k] for k in same_input]
+    # measured: which form holds on which input, read off the printed columns
+    holds = [_holds(r["residual"], PASS_TOL, r["lhs"], r["rhs"]) for r in quartic]
+    assert holds == [True, False, True, False, False, True]
 
 
 def test_condense_default(capsys):
@@ -435,8 +452,8 @@ def test_identities_names_the_first_failing_trial_across_stages(capsys, monkeypa
 
 
 def _report_bits(reports):
-    """Each report's fields, its extras flattened, every float spelled out bit for bit."""
-    rows = [(*dataclasses.astuple(r)[:-1], *(v for pair in r.extra for v in pair)) for r in reports]
+    """Each report's fields, every float spelled out bit for bit."""
+    rows = map(dataclasses.astuple, reports)
     return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
 
 
@@ -532,6 +549,15 @@ def test_minimizer_gate_is_relative_below_one(capsys, monkeypatch):
     assert verdict == "FAIL: analytic/numeric minimizer disagreement"
 
 
+def test_eigensolver_failure_is_invalid_input(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError: one error line, no traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert run(capsys, "spectrum") == (2, "", "error: Eigenvalues did not converge\n")
+
+
 def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     # a curve grid has no bound of its own; numpy's MemoryError is the guard
     def refuse(*args, **kwargs):
@@ -599,6 +625,21 @@ def test_route_nan_in_one_field_row_fails_closed(capsys, monkeypatch):
     assert "route equivalence residual = nan (FAIL at 1.0e-10)" in err
 
 
+def test_route_nan_in_one_rotated_row_fails_closed(capsys, monkeypatch):
+    # the rotated operator enters only its own row's residual, so the other two stay finite
+    build = cli.build_mass_operator_fock
+
+    def nan_row(*args):
+        op = build(*args)
+        op.matrix[2, 2, 1, 3] = math.nan
+        return op
+
+    monkeypatch.setattr(cli, "build_mass_operator_fock", nan_row)
+    code, _, err = run(capsys, "spectrum")
+    assert code == 1
+    assert err.splitlines()[1] == "route equivalence residual = nan (FAIL at 1.0e-10)"
+
+
 def _perturb_field_3(monkeypatch, offset):
     """Move one interior level of field block 3 off its (2n+1) * scale by ``offset`` * scale."""
     build = cli.build_mass_operator_levels
@@ -650,13 +691,15 @@ def _shift_negative_modes(shift):
     [
         # just above -tol a mode is a zero mode, so the tachyon stays unique
         (_add_trusted_mode(-0.9e-6), 0, True),
+        # just below -tol it is a second negative mode, off the tower too
+        (_add_trusted_mode(-1.5e-6), 1, False),
         # a second trusted negative at -1, which the tower also counts as a tachyon
         (_add_trusted_mode(-1.0), 1, False),
         # the one negative mode below -1 by 0.9 and 1.5 times the match tolerance
         (_shift_negative_modes(0.9e-6), 0, True),
         (_shift_negative_modes(1.5e-6), 1, False),
     ],
-    ids=["zero-mode", "second-negative", "inside", "outside"],
+    ids=["zero-mode", "small-negative", "second-negative", "inside", "outside"],
 )
 def test_tachyon_line_at_its_bounds(capsys, monkeypatch, edit, code, unique):
     solve = cli.numeric_spectrum
@@ -669,6 +712,41 @@ def test_tachyon_line_at_its_bounds(capsys, monkeypatch, edit, code, unique):
     assert status == code
     verdict = "unique trusted negative at -scale" if unique else "MISSING OR NOT UNIQUE"
     assert err.splitlines()[3] == f"tachyon line: {verdict}"
+
+
+@pytest.mark.parametrize(
+    "units,code,matched",
+    [(3.0, 0, "all matched"), (2.0, 1, "UNMATCHED PRESENT")],
+    ids=["tower-value", "off-tower"],
+)
+def test_tower_gate_at_its_bound(capsys, monkeypatch, units, code, matched):
+    # one more trusted mode: on the tower at 3, or off it at 2, one unmatched past the bound 0
+    solve = cli.numeric_spectrum
+
+    def edited(op, *args, **kwargs):
+        return _add_trusted_mode(units)(solve(op, *args, **kwargs), op.scale)
+
+    monkeypatch.setattr(cli, "numeric_spectrum", edited)
+    status, _, err = run(capsys, "spectrum")
+    assert status == code
+    assert err.splitlines()[2] == f"trust horizon n <= 19 with 59 trusted eigenvalues ({matched})"
+
+
+@pytest.mark.parametrize("violated", [False, True])
+def test_violated_identities_at_their_bound(capsys, monkeypatch, violated):
+    # the last record, the rotated form on zero fields, marked violated: one past the bound 0
+    check = cli.check_quartic_ttilde
+
+    def marked(ts, seed=None):
+        report = check(ts, seed=seed)
+        if violated and not ts.any():
+            return dataclasses.replace(report, verdict=VERDICT_VIOLATED)
+        return report
+
+    monkeypatch.setattr(cli, "check_quartic_ttilde", marked)
+    status, _, err = run(capsys, "identities")
+    assert status == int(violated)
+    assert err.splitlines()[2:] == ["FAIL: 1 exact/pass identities violated"] * violated
 
 
 @pytest.mark.parametrize(
@@ -717,6 +795,16 @@ def test_failing_stationarity_gate_is_named(tmp_path, capsys):
     # the bound is tol * max(1, scale), about 7e-298 here
     assert "(FAIL at 7.0e-298)" in stationarity_line
     assert verdict == "FAIL: stationarity residual at the analytic minimum"
+
+
+@pytest.mark.parametrize("factor,code,verdict", [(0.9, 0, "pass"), (1.5, 1, "FAIL")])
+def test_stationarity_gate_at_its_floor(capsys, monkeypatch, factor, code, verdict):
+    # at z2 = 1e-4 the bound's scale 2 * scale * tmin is 2.2e-5, so the bound is tol itself
+    monkeypatch.setattr(cli, "potential_derivative", lambda *args: factor * 1e-12)
+    status, _, err = run(capsys, "condense", "--z2", "1e-4")
+    assert status == code
+    line = f"stationarity residual {factor * 1e-12:.3e} ({verdict} at 1.0e-12)"
+    assert err.splitlines()[1].endswith(line)
 
 
 def test_nan_minimizer_gap_fails_closed(capsys, monkeypatch):
@@ -828,13 +916,6 @@ def oracle_delimited(report: Report, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record(columns: tuple[str, ...], row: tuple) -> dict:
-    entry = {name: _plain(value) for name, value in zip(columns, row)}
-    if len(row) > len(columns) and row[-1]:
-        entry["extra"] = {name: _plain(value) for name, value in row[-1]}
-    return entry
-
-
 def oracle_structured(report: Report, config: RunConfig) -> str:
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
@@ -844,7 +925,7 @@ def oracle_structured(report: Report, config: RunConfig) -> str:
     }
     for name, value in report.fields:
         if isinstance(value, slice):
-            value = [_record(report.columns, row) for row in report.rows[value]]
+            value = [dict(zip(report.columns, map(_plain, row))) for row in report.rows[value]]
         doc[name] = _plain(value)
     doc["passed"] = report.passed
     return json.dumps(doc, indent=2) + "\n"
@@ -854,10 +935,8 @@ ORACLES = {FORMAT_DELIMITED: oracle_delimited, FORMAT_STRUCTURED: oracle_structu
 
 
 def as_rows(report: Report) -> SimpleNamespace:
-    """The report as the oracle reads it: one tuple of Python scalars per row, extras last."""
+    """The report as the oracle reads it: one tuple of Python scalars per row."""
     columns = [c.tolist() for c in report.data]
-    if report.extras:
-        columns.append(list(report.extras))
     fields = {field.name: getattr(report, field.name) for field in dataclasses.fields(report)}
     return SimpleNamespace(**fields, passed=report.passed, rows=list(zip(*columns)))
 
@@ -941,8 +1020,6 @@ def test_writers_match_the_oracle_on_edge_values():
     ]
     n = len(floats)
     labels = ['say "hi"', "caf\u00e9 \u2013 \\", "plain"]
-    # falsy extras, and named floats, one name given twice
-    extras = [None, (), (("matched", -0.0), ("matched", 2.5), ("gap", 1e16))]
     report = Report(
         kind="edge \u00e9",
         columns=("value", "finite", "level", "flag", "label", "seed"),
@@ -954,7 +1031,6 @@ def test_writers_match_the_oracle_on_edge_values():
             np.array([labels[i % 3] for i in range(n)]),
             np.array([[None, 1, "1", -7][i % 4] for i in range(n)], dtype=object),
         ),
-        extras=[extras[i % 3] for i in range(n)],
         fields=(
             ("scale", -0.0),
             ("worst", math.nan),
@@ -970,9 +1046,8 @@ def test_writers_match_the_oracle_on_edge_values():
     )
     config = build_config(None, {"theta": 0.0, "z2": 1e-300, "R": 1e300})
     assert_writers_match(report, config, "edge values")
-    assert_writers_match(dataclasses.replace(report, extras=()), config, "no extras")
     empty = dataclasses.replace(report, data=tuple(c[:0] for c in report.data), headers=())
-    assert_writers_match(dataclasses.replace(empty, extras=[]), config, "no rows")
+    assert_writers_match(empty, config, "no rows")
 
 
 #: Floats whose 15-digit texts repr may spell differently: subnormals, the
@@ -1000,3 +1075,41 @@ def test_json_float_texts_match_the_repr_of_the_rounding():
     rounded = map(float.__repr__, map(float, map("{:.15g}".format, values)))
     spelled = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
     assert cli._json_floats(values) == [spelled.get(text, text) for text in rounded]
+
+
+# ------------------------------------------------------------- one channel
+# Every number a report emits is in a column: the structured rows are the
+# delimited rows, key for column and value for value.
+
+
+def _same_value(text: str, value) -> bool:
+    """Whether a delimited field and a structured value are one value, NaN equal to NaN."""
+    if value is None:
+        return text == ""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(text) == value or (math.isnan(value) and math.isnan(float(text)))
+    return text == str(value)
+
+
+@pytest.mark.parametrize("command", sorted(DRAWS))
+def test_both_formats_carry_the_same_rows(command, capsys):
+    # one report channel: a structured record holds exactly the delimited columns, in order
+    rng = np.random.default_rng(40 + sorted(DRAWS).index(command))
+    for argv in ([command], drawn_argv(command, rng), drawn_argv(command, rng)):
+        code, text, err = run(capsys, *argv, "--format", "delimited")
+        structured = run(capsys, *argv, "--format", "structured")
+        assert code in (0, 1) and (structured[0], structured[2]) == (code, err), argv
+        doc = json.loads(structured[1])
+        if command == "condense":
+            records = [dict(list(doc.items())[3:-1])]  # its one row is the summary
+        else:
+            records = doc["points"] + doc["asymptotes"] if command == "curve" else doc["records"]
+        lines = text.splitlines()
+        header = next(line for line in lines if line.startswith("# columns: "))
+        columns = header.removeprefix("# columns: ").split(",")
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert [list(record) for record in records] == [columns] * len(rows), argv
+        for row, record in zip(rows, records):
+            assert all(map(_same_value, row, record.values())), (argv, row, record)

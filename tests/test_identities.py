@@ -145,7 +145,8 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
             oracle += np.trace(comm @ comm).real
     assert report.lhs == pytest.approx(oracle, rel=1e-12)
     assert report.verdict == VERDICT_RECORDED
-    assert dict(report.extra)["matched"] == 0.0  # measured: forms disagree here
+    # measured: the forms disagree here
+    assert not _holds(report.residual, PASS_TOL, report.lhs, report.rhs)
 
 
 def test_quartic_direct_momentum_class_matches():
@@ -177,17 +178,18 @@ def test_quartic_rotated_single_field_direction():
     expected = -4.0 * t_amp**4 * dim
     assert report.rhs == pytest.approx(expected, rel=1e-12)
     assert report.lhs == pytest.approx(expected, rel=1e-12)
-    assert dict(report.extra)["matched"] == 1.0
+    assert _holds(report.residual, PASS_TOL, report.lhs, report.rhs)
 
 
-def test_quartic_rotated_records_form_gap():
+def test_quartic_forms_compare_on_one_input():
+    # both records of one input share the oracle, so the gap between the
+    # forms is the gap between their rhs columns: measured apart on a generic draw
     rng = np.random.default_rng(8)
     fluct = random_fluctuation(rng, 5)
     report = check_quartic_ttilde(fluct, seed=8)
     direct = check_quartic_t(fluct, seed=8)
-    assert report.lhs == pytest.approx(direct.lhs, rel=1e-12)
-    extras = dict(report.extra)
-    assert extras["direct_form_rhs"] == pytest.approx(direct.rhs, rel=1e-12)
+    assert report.lhs == direct.lhs
+    assert not _holds(abs(report.rhs - direct.rhs), PASS_TOL, report.rhs, direct.rhs)
 
 
 def test_cross_terms_linear_always_exact():
@@ -306,16 +308,12 @@ def pairwise_cross_terms(xs, fluct, momentum):
         cub_verdict = VERDICT_RECORDED
     return [
         (linear.real, 0.0, abs(linear), VERDICT_EXACT if lin_ok else VERDICT_VIOLATED),
-        (cubic.real, 0.0, abs(cubic), cub_verdict, "fluctuation_class", float(momentum)),
+        (cubic.real, 0.0, abs(cubic), cub_verdict),
     ]
 
 
 def _report_bits(*reports):
-    rows = [
-        (r.lhs, r.rhs, r.residual, r.verdict, *(v for pair in r.extra for v in pair))
-        for r in reports
-    ]
-    return _bits(rows)
+    return _bits((r.lhs, r.rhs, r.residual, r.verdict) for r in reports)
 
 
 def _bits(rows):
