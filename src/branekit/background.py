@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .oscillator import make_qp, validate_levels, validate_params
+from .oscillator import validate_angle, validate_levels
 
 #: Largest truncation of the dense 2N x 2N background.  ``identities`` builds
 #: its trial backgrounds at 4-8 levels and the relative momentum P alone at
@@ -14,27 +14,24 @@ from .oscillator import make_qp, validate_levels, validate_params
 MAX_DENSE_LEVELS = 1000
 
 
-def build_background(theta: float | list[float], z2: float, n_levels: int, qp=None) -> np.ndarray:
-    """The coordinate matrices X_1, X_2, X_3 of two branes at one angle, as (3, 2N, 2N).
+def build_background(thetas: list[float], q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The coordinate matrices X_1, X_2, X_3 of two branes at each angle, as (T, 3, 2N, 2N).
 
-    Given a sequence of angles, one such stack per angle, as (T, 3, 2N, 2N).
-    Both diagonal blocks use the same N-level relative pair (Q, P) =
-    ``make_qp(n_levels, z2)``, or ``qp`` if given, with [Q, P] = 2*pi*i*z2 on
-    the interior, so the block algebra stays closed under commutators.
+    Both diagonal blocks use the same N-level relative pair (Q, P), as from
+    ``make_qp(N, z2)``, with [Q, P] = 2*pi*i*z2 on the interior, so the block
+    algebra stays closed under commutators.
     """
-    thetas = np.ravel(theta).tolist()
     for angle in thetas:
-        validate_params(angle, z2)
-    validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
-    q, p = make_qp(n_levels, z2) if qp is None else qp
+        validate_angle(angle)
+    n = q.shape[-1]
+    validate_levels("dense background", n, MAX_DENSE_LEVELS)
     # math's sin and cos: numpy's vector ones can differ in the last bit
     sin_t, cos_t = np.array([[math.sin(a), math.cos(a)] for a in thetas]).T[..., None, None]
-    n = n_levels
     xs = np.zeros((len(thetas), 3, 2 * n, 2 * n), dtype=complex)
     xs[:, 0, :n, :n] = xs[:, 0, n:, n:] = p * sin_t
     xs[:, 1, :n, :n], xs[:, 1, n:, n:] = p * cos_t, -p * cos_t
     xs[:, 2, :n, :n] = xs[:, 2, n:, n:] = q
-    return xs if np.ndim(theta) else xs[0]
+    return xs
 
 
 def validate_blocks(ts: np.ndarray) -> None:

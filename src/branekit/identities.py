@@ -9,7 +9,6 @@ trace and the result is recorded, never assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +87,10 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 def _holds(residual: float, tol: float, *scales: complex) -> bool:
     """Whether residual <= tol * max(1, |scales|), failing on anything non-finite.
 
-    A NaN scale fails, which ``max`` alone could pass over, and a bound that
-    is not finite fails, so an infinite residual cannot pass an infinite bound.
+    ``np.max`` carries a NaN scale into the bound, and ``Gate`` fails a bound
+    that is not finite, so neither a NaN scale nor an infinite residual passes.
     """
-    magnitudes = [abs(v) for v in scales]
-    gate = Gate("residual", residual, tol * max(1.0, *magnitudes))
-    return gate.ok and not any(map(math.isnan, magnitudes))
+    return Gate("residual", residual, tol * float(np.max([1.0, *map(abs, scales)]))).ok
 
 
 def _report(
@@ -118,18 +115,16 @@ def random_fluctuation(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_complex(rng, 3, n, n)
 
 
-def momentum_polynomial_fluctuation(p: np.ndarray, rng: np.random.Generator | list) -> np.ndarray:
-    """Blocks T_1, T_2, T_3, (3, N, N), each a complex cubic polynomial of the N x N relative P.
+def momentum_polynomial_fluctuation(p: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Blocks T_1, T_2, T_3, (T, 3, N, N), each a complex cubic polynomial of the N x N relative P.
 
-    A list of generators gives one such stack each, (T, 3, N, N), from one set of powers.
+    One stack per generator, all from one set of powers.
     """
     powers = [np.eye(p.shape[-1], dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ p)
-    one = isinstance(rng, np.random.Generator)
-    coeffs = np.stack([random_complex(r, 3, 4) for r in ([rng] if one else rng)])[..., None, None]
-    blocks = sum(coeffs[:, :, k] * powers[k] for k in range(4))
-    return blocks[0] if one else blocks
+    coeffs = np.stack([random_complex(rng, 3, 4) for rng in rngs])[..., None, None]
+    return sum(coeffs[:, :, k] * powers[k] for k in range(4))
 
 
 def check_expansion(

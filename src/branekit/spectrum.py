@@ -386,7 +386,7 @@ def _count_near(units: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarra
     return np.bincount(owner[near], minlength=targets.size)
 
 
-def match_tower(modes: np.recarray, tol_units: float = 1e-6) -> TowerMatch:
+def match_tower(modes: np.recarray, tol_units: float) -> TowerMatch:
     """Largest level to which trusted eigenvalues reproduce the tower.
 
     The horizon is the largest H such that every tower eigenvalue from

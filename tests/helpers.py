@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from branekit.background import block_matrices
+from branekit.background import block_matrices, build_background
 from branekit.condensation import _scaled_potential
 from branekit.oscillator import (
     bogoliubov_coefficients,
     make_ladder,
+    make_qp,
     validate_params,
 )
 from branekit.spectrum import OFFSETS, rotation_u
@@ -92,6 +93,12 @@ class BackgroundCommutatorReport:
     checks: tuple[BlockConstant, ...]
     squared_sum: complex
     max_residual: float
+
+
+def one_background(theta: float, z2: float, n: int) -> np.ndarray:
+    """``build_background`` at one angle on the n-level pair ``make_qp(n, z2)``, as (3, 2N, 2N)."""
+    (xs,) = build_background([theta], *make_qp(n, z2))
+    return xs
 
 
 def check_background_commutators(xs: np.ndarray) -> BackgroundCommutatorReport:

@@ -233,12 +233,12 @@ MUTANTS = (
         "max(1.0, stationarity_scale)",
         "min(1.0, stationarity_scale)",
     ),
-    # the NaN-scale check every identities verdict goes through
+    # the NaN-scale bound every identities verdict goes through
     Mutant(
         "holds-nan-scale",
         "src/branekit/identities.py",
-        "return gate.ok and not any(map(math.isnan, magnitudes))",
-        "return gate.ok",
+        "np.max([1.0, *map(abs, scales)])",
+        "max(1.0, *map(abs, scales))",
     ),
 )
 

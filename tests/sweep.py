@@ -8,7 +8,12 @@ interpreter per tree (this checkout's ``src``, then REF's), with no
 ``drawn_argv`` draws them, cycling over the four commands and alternating
 the two formats, followed by fixed edge inputs: ``--N 5`` for every
 command, the float-resolution inputs of ROADMAP item 7 and the overflow
-edges of ``test_identities_overflow_edges``.  From the repository root:
+edges of ``test_identities_overflow_edges``.  Three of those, ``identities``
+at ``--z2 2.40623170837532e+101 --seed 1446883356``,
+``--z2 4.823772925276159e+152 --seed 276323619`` and
+``--z2 1.0943502451445657e+307 --seed 165636438``, name a numpy operation
+in their error line that depends on the order the trials run in, so any
+change to that order shows up here.  From the repository root:
 
     python3 tests/sweep.py HEAD~1          # 300 drawn argvs and the edges
     python3 tests/sweep.py d5a648e 600     # 600 drawn argvs
@@ -71,6 +76,9 @@ EDGES = [
     ["identities", "--z2", "1e80"],
     ["identities", "--z2", "3.723149543575863e+49"],
     ["identities", "--z2", "3.7231495435758633e+49"],
+    ["identities", "--z2", "2.40623170837532e+101", "--seed", "1446883356"],
+    ["identities", "--z2", "4.823772925276159e+152", "--seed", "276323619"],
+    ["identities", "--z2", "1.0943502451445657e+307", "--seed", "165636438"],
 ]
 
 #: Run in a fresh interpreter: each argv of the JSON list on stdin through

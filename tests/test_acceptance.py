@@ -19,6 +19,7 @@ from branekit import (
     check_cross_terms,
     check_expansion,
     condensate_amplitude,
+    make_qp,
     match_tower,
     numeric_minimum,
     numeric_spectrum,
@@ -130,8 +131,8 @@ def test_criterion_05_algebraic_identities():
 
         bg_dim = 4 + trial % 5
         theta = float(rng.uniform(0.0, math.pi / 2 - 0.2))
-        xs = build_background(theta, Z2, bg_dim)
-        linear, _ = check_cross_terms(xs[None], random_fluctuation(rng, bg_dim)[None])
+        xs = build_background([theta], *make_qp(bg_dim, Z2))
+        linear, _ = check_cross_terms(xs, random_fluctuation(rng, bg_dim)[None])
         worst_linear = max(worst_linear, linear.residual)
     report(
         "criterion 5 (expansion and linear cross term, 100 seeded instances)",

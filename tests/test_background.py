@@ -10,7 +10,7 @@ from branekit import (
     check_quartic_ttilde,
     make_qp,
 )
-from helpers import check_background_commutators
+from helpers import check_background_commutators, one_background
 
 
 def _block_diag(upper, lower):
@@ -32,25 +32,27 @@ def block_assembled_background(theta, z2, n):
     )
 
 
+# one to three angles per stack, all on one (Q, P)
 @pytest.mark.parametrize("draw", range(60))
 def test_background_stack_matches_block_assembly_bitwise(draw):
     rng = np.random.default_rng(20260118 + draw)
-    theta = 0.0 if draw == 0 else float(rng.uniform(0.0, math.pi / 2 - 0.01))
+    count = 1 + draw % 3
+    thetas = [0.0] if draw == 0 else rng.uniform(0.0, math.pi / 2 - 0.01, count).tolist()
     z2 = 10.0 ** rng.uniform(-3.0, 3.0)
     n = 4 + draw % 37
-    xs = build_background(theta, z2, n)
-    expected = block_assembled_background(theta, z2, n)
+    xs = build_background(thetas, *make_qp(n, z2))
+    expected = np.stack([block_assembled_background(theta, z2, n) for theta in thetas])
     assert xs.dtype == expected.dtype and xs.shape == expected.shape
     assert xs.tobytes() == expected.tobytes()
 
 
 def test_blocks_are_hermitian():
-    for mat in build_background(math.pi / 3, 1.0, 8):
+    for mat in one_background(math.pi / 3, 1.0, 8):
         np.testing.assert_array_equal(mat, mat.conj().T)
 
 
 def test_coordinate_block_matches_qp():
-    xs = build_background(math.pi / 3, 1.0, 8)
+    xs = one_background(math.pi / 3, 1.0, 8)
     q, p = make_qp(8, 1.0)
     np.testing.assert_array_equal(xs[2, :8, :8], q)
     np.testing.assert_array_equal(xs[2, 8:, 8:], q)
@@ -59,7 +61,7 @@ def test_coordinate_block_matches_qp():
 
 
 def test_zero_angle_is_brane_antibrane():
-    xs = build_background(0.0, 1.0, 6)
+    xs = one_background(0.0, 1.0, 6)
     _, p = make_qp(6, 1.0)
     np.testing.assert_array_equal(xs[0], np.zeros_like(xs[0]))
     np.testing.assert_array_equal(xs[1, :6, :6], p)
@@ -85,11 +87,11 @@ def test_relative_pair_commutator():
 )
 def test_guards_propagate(theta, z2, n):
     with pytest.raises(ValueError):
-        build_background(theta, z2, n)
+        one_background(theta, z2, n)
 
 
 def test_commutator_constants_at_pi_third():
-    report = check_background_commutators(build_background(math.pi / 3, 1.0, 12))
+    report = check_background_commutators(one_background(math.pi / 3, 1.0, 12))
     constants = {(c.pair, c.block): c.constant for c in report.checks}
     two_pi = 2.0 * math.pi
     assert constants[((1, 2), "upper")] == pytest.approx(0.0, abs=1e-12)
@@ -103,7 +105,7 @@ def test_commutator_constants_at_pi_third():
 
 
 def test_zero_angle_kills_first_constant():
-    report = check_background_commutators(build_background(0.0, 1.0, 8))
+    report = check_background_commutators(one_background(0.0, 1.0, 8))
     constants = {(c.pair, c.block): c.constant for c in report.checks}
     assert constants[((1, 3), "upper")] == pytest.approx(0.0, abs=1e-12)
 
@@ -111,7 +113,7 @@ def test_zero_angle_kills_first_constant():
 @pytest.mark.parametrize("theta", [0.0, 0.2, 0.7, math.pi / 3, 1.3])
 @pytest.mark.parametrize("z2", [1.0, 0.3])
 def test_squared_sum_is_angle_independent(theta, z2):
-    report = check_background_commutators(build_background(theta, z2, 10))
+    report = check_background_commutators(one_background(theta, z2, 10))
     expected = -8.0 * math.pi**2 * z2**2
     assert abs(report.squared_sum - expected) <= 1e-10 * abs(expected)
 
@@ -142,7 +144,7 @@ def test_fluctuation_rejects_anything_but_three_square_blocks(shape):
 
 
 def test_commutator_report_keeps_nan_residual():
-    xs = build_background(0.3, 1.0, 8)
+    xs = one_background(0.3, 1.0, 8)
     xs[0, 0, 0] = np.nan
     report = check_background_commutators(xs)
     assert np.isnan(report.max_residual)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -384,8 +385,11 @@ def test_overflowing_potential_is_invalid_input(capsys, argv, error):
     assert run(capsys, "condense", *argv) == (2, "", error)
 
 
+OVERFLOW = r"error: FloatingPointError: overflow encountered in \w+\n"
+
+
 @pytest.mark.parametrize(
-    "z2,code,error",
+    "args,code,error",
     [
         # the first overflow in the trials, and the last z2 before and the
         # first past the quartic checks' trace overflow at the defaults
@@ -396,59 +400,27 @@ def test_overflowing_potential_is_invalid_input(capsys, argv, error):
             2,
             "error: FloatingPointError: overflow encountered in scalar multiply\n",
         ),
+        # a stack can meet a later trial's overflow first: the operation named
+        # is the stacked trials' first, not trial order's
+        ("2.40623170837532e+101 --seed 1446883356", 2, OVERFLOW),
+        ("4.823772925276159e+152 --seed 276323619", 2, OVERFLOW),
+        ("1.0943502451445657e+307 --seed 165636438", 2, OVERFLOW),
+        # drawn: z2 log-uniform in 1e60-1e300, the seed uniform
+        ("4.5211257059203076e+120 --seed 1344997542", 2, OVERFLOW),
+        ("3.595835035986246e+95 --seed 1585717526", 2, OVERFLOW),
+        ("1.9326105494866876e+188 --seed 566727392", 2, OVERFLOW),
+        ("7.047659546848911e+289 --seed 866637300", 2, OVERFLOW),
+        ("1.5514505996457368e+285 --seed 782633833", 2, OVERFLOW),
     ],
 )
-def test_identities_overflow_edges(capsys, z2, code, error):
-    got_code, out, err = run(capsys, "identities", "--z2", z2)
+def test_identities_overflow_edges(capsys, args, code, error):
+    got_code, out, err = run(capsys, "identities", "--z2", *args.split())
     assert got_code == code
     if code == 2:
-        assert (out, err) == ("", error)
+        assert out == "" and re.fullmatch(error, err)
     else:
         assert out.count("\n") == 506 + 2 and "violated" not in out
         assert "inf" not in out and "nan" not in out
-
-
-def _entropies(rng):
-    """The seed of one generator, or of each in a list: its trial number, at --seed 0."""
-    return [r.bit_generator.seed_seq.entropy for r in (rng if isinstance(rng, list) else [rng])]
-
-
-def test_identities_names_the_first_failing_trial(capsys, monkeypatch):
-    # a cross-term stack holds the trials 10 apart, so it meets trial 10 before
-    # trial 1; its momentum blocks are formed once per stack, for every trial in it
-    build = cli.momentum_polynomial_fluctuation
-
-    def failing(p, rng):
-        for trial in _entropies(rng):
-            if trial in (1, 10):
-                raise FloatingPointError(f"overflow in trial {trial}")
-        return build(p, rng)
-
-    monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing)
-    code, out, err = run(capsys, "identities", "--seed", "0")
-    assert (code, out, err) == (2, "", "error: FloatingPointError: overflow in trial 1\n")
-
-
-def test_identities_names_the_first_failing_trial_across_stages(capsys, monkeypatch):
-    # the stacks run every expansion before any cross term, so they meet trial 2's
-    # expansion first; trial by trial, trial 1's momentum cross terms fail before it
-    expand, build = cli.check_expansion, cli.momentum_polynomial_fluctuation
-
-    def failing_expansion(xs, ts, seeds):
-        if 2 in seeds:
-            raise FloatingPointError("overflow in the expansion of trial 2")
-        return expand(xs, ts, seeds)
-
-    def failing_momentum(p, rng):
-        if 1 in _entropies(rng):
-            raise FloatingPointError("overflow in the momentum cross terms of trial 1")
-        return build(p, rng)
-
-    monkeypatch.setattr(cli, "check_expansion", failing_expansion)
-    monkeypatch.setattr(cli, "momentum_polynomial_fluctuation", failing_momentum)
-    code, out, err = run(capsys, "identities", "--seed", "0")
-    error = "error: FloatingPointError: overflow in the momentum cross terms of trial 1\n"
-    assert (code, out, err) == (2, "", error)
 
 
 def _report_bits(reports):
@@ -457,25 +429,14 @@ def _report_bits(reports):
     return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
 
 
-# seeds drawn, z2 over 10^+-8 in even draws and up to 1e40 in odd ones, N 4-1200
+# seeds drawn, z2 over 10^+-8 in even draws and up to 1e40 in odd ones
 @pytest.mark.parametrize("draw", range(40))
-def test_stacked_trials_match_one_trial_at_a_time_bitwise(capsys, monkeypatch, draw):
+def test_stacked_trials_match_one_trial_at_a_time_bitwise(draw):
     rng = np.random.default_rng(20261020 + draw)
     z2 = 10.0 ** rng.uniform(-8.0, 8.0) if draw % 2 == 0 else 10.0 ** rng.uniform(8.0, 40.0)
-    seed, n = int(rng.integers(0, 2**31)), int(rng.integers(4, 1201))
-    trial_reports, calls = cli._trial_reports, []
-
-    def forcing_the_fallback(config, trials=range(cli.N_TRIALS)):
-        calls.append(trial_reports(config, trials))
-        if len(calls) == 1:
-            raise FloatingPointError("forces the one-trial-at-a-time rerun")
-        return calls[-1]
-
-    monkeypatch.setattr(cli, "_trial_reports", forcing_the_fallback)
-    argv = ("identities", "--seed", str(seed), "--z2", repr(z2), "--N", str(n))
-    assert run(capsys, *argv)[0] == 0
-    stacked, *one_at_a_time = calls
-    assert len(one_at_a_time) == cli.N_TRIALS
+    config = build_config(None, {"seed": int(rng.integers(0, 2**31)), "z2": z2})
+    stacked = cli._trial_reports(config)
+    one_at_a_time = [cli._trial_reports(config, range(t, t + 1)) for t in range(cli.N_TRIALS)]
     assert [len(reports) for reports in one_at_a_time] == [5] * cli.N_TRIALS
     assert _report_bits(stacked) == _report_bits(r for rs in one_at_a_time for r in rs)
 

@@ -6,7 +6,6 @@ import pytest
 
 from branekit import (
     block_matrices,
-    build_background,
     check_cross_terms,
     check_expansion,
     check_quartic_t,
@@ -31,6 +30,7 @@ from branekit.identities import (
 from helpers import (
     commutator,
     dense_quartic_block_trace,
+    one_background,
     random_complex_matrix,
     random_hermitian_matrix,
 )
@@ -58,7 +58,7 @@ def cross_terms(xs, fluct, fluctuation_class="generic"):
 
 def momentum_fluct(n, z2, rng):
     """``momentum_polynomial_fluctuation`` of the n-level relative P at z2."""
-    return momentum_polynomial_fluctuation(make_qp(n, z2)[1], rng)
+    return momentum_polynomial_fluctuation(make_qp(n, z2)[1], [rng])[0]
 
 
 def test_expansion_with_zero_fluctuation():
@@ -195,21 +195,21 @@ def test_quartic_forms_compare_on_one_input():
 def test_cross_terms_linear_always_exact():
     rng = np.random.default_rng(9)
     for theta in (0.0, 0.5, 1.2):
-        xs = build_background(theta, 1.0, 5)
+        xs = one_background(theta, 1.0, 5)
         linear, _ = cross_terms(xs, random_fluctuation(rng, 5))
         assert linear.verdict == VERDICT_EXACT
         assert linear.residual <= 1e-13
 
 
 def test_cross_terms_momentum_class():
-    xs = build_background(0.9, 1.0, 6)
+    xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(10)
     _, cubic = cross_terms(xs, momentum_fluct(6, 1.0, rng), "momentum-polynomial")
     assert cubic.verdict == VERDICT_PASS
 
 
 def test_cross_terms_generic_recorded():
-    xs = build_background(0.9, 1.0, 6)
+    xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(11)
     _, cubic = cross_terms(xs, random_fluctuation(rng, 6))
     assert cubic.verdict == VERDICT_RECORDED
@@ -217,14 +217,14 @@ def test_cross_terms_generic_recorded():
 
 def test_cross_terms_reject_an_unknown_class():
     # a misspelled class must not turn the pass-gated cubic check into a record
-    xs = build_background(0.9, 1.0, 6)
+    xs = one_background(0.9, 1.0, 6)
     fluct = momentum_fluct(6, 1.0, np.random.default_rng(14))
     with pytest.raises(ValueError, match="unknown fluctuation class"):
         cross_terms(xs, fluct, "momentum_polynomial")
 
 
 def test_cross_terms_dimension_mismatch():
-    xs = build_background(0.9, 1.0, 6)
+    xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
         cross_terms(xs, random_fluctuation(rng, 5))
@@ -396,7 +396,7 @@ def test_cross_terms_match_per_pair_oracle_bitwise(draw):
             fluct = zero_fluct(n)
         elif kind == "nan":
             fluct = _with_nan(fluct)
-        bgs.append(build_background(theta, z2, n))
+        bgs.append(one_background(theta, z2, n))
         flucts.append(fluct)
     fluctuation_class = "momentum-polynomial" if momentum else "generic"
     xs = np.stack(bgs)
@@ -457,15 +457,18 @@ def test_momentum_polynomial_matches_the_per_coefficient_sum_bitwise(draw):
     theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0)
     n = 4 + draw % 13
     _, p = make_qp(n, z2)
-    got = momentum_polynomial_fluctuation(p, np.random.default_rng(draw))
+    seeds = range(draw, draw + 1 + draw % 3)  # one to three generators
+    got = momentum_polynomial_fluctuation(p, [np.random.default_rng(s) for s in seeds])
+    assert got.shape == (len(seeds), 3, n, n)
     # each block's cubic in P, its terms added to 0 in order, from one draw per part
     powers = [np.eye(n, dtype=complex)]
     for _ in range(3):
         powers.append(powers[-1] @ p)
-    per_part = np.random.default_rng(draw)
-    coeffs = [per_part.standard_normal(4) + 1j * per_part.standard_normal(4) for _ in range(3)]
-    expected = np.stack([sum(c * p for c, p in zip(cs, powers)) for cs in coeffs])
-    assert got.tobytes() == expected.tobytes()
+    for blocks, seed in zip(got, seeds):
+        per_part = np.random.default_rng(seed)
+        coeffs = [per_part.standard_normal(4) + 1j * per_part.standard_normal(4) for _ in range(3)]
+        expected = np.stack([sum(c * p for c, p in zip(cs, powers)) for cs in coeffs])
+        assert blocks.tobytes() == expected.tobytes()
 
 
 def _peak_bytes(call):
@@ -482,7 +485,7 @@ def test_momentum_polynomial_keeps_no_stack_of_powers():
     # four powers and the (3, n, n) sum: the (3, 4, n, n) terms stack read 20 n^2 entries
     n = 400
     _, p = make_qp(n, 1.3)
-    peak = _peak_bytes(lambda: momentum_polynomial_fluctuation(p, np.random.default_rng(0)))
+    peak = _peak_bytes(lambda: momentum_polynomial_fluctuation(p, [np.random.default_rng(0)]))
     assert peak < 12 * n * n * 16
 
 

@@ -33,9 +33,11 @@ from branekit.spectrum import (
     MassOperator,
     TowerMatch,
 )
+from branekit.config import DEFAULT_TOLERANCES
 from helpers import InteriorProjector, bogoliubov, level_eigenvectors, route_residual_by_blocks
 
 PI_THIRD = math.pi / 3
+MATCH_TOL = DEFAULT_TOLERANCES["eigenvalue_match"]
 
 
 def default_params(n_levels=24, theta=PI_THIRD):
@@ -361,7 +363,7 @@ def test_route_equivalence_accepts_zero_margin():
 
 def test_levels_route_reaches_deep_horizon():
     op = build_mass_operator_levels(*default_params(24))
-    match = match_tower(numeric_spectrum(op, 4))
+    match = match_tower(numeric_spectrum(op, 4), MATCH_TOL)
     assert match.horizon >= 8
     assert not match.unmatched
 
@@ -371,7 +373,7 @@ def test_levels_route_degenerate_zero_count():
     # solved alone, so the trust count equals the horizon, not one survivor
     op = build_mass_operator_levels(*default_params(24))
     modes = numeric_spectrum(op, 4)
-    match = match_tower(modes)
+    match = match_tower(modes, MATCH_TOL)
     zeros = [m for m in modes if m.trusted and abs(m.units) <= 1e-6]
     assert len(zeros) == match.horizon
 
@@ -398,7 +400,7 @@ def test_fock_route_trusted_tachyon():
 
 def test_fock_route_trusted_subset_of_tower():
     op = build_mass_operator_fock(*default_params(24))
-    match = match_tower(dense_numeric_spectrum(op, 4))
+    match = match_tower(dense_numeric_spectrum(op, 4), MATCH_TOL)
     assert not match.unmatched
     assert match.horizon >= 1
 
@@ -409,7 +411,7 @@ def test_fock_route_exactly_degenerate_zeros():
     # must still recover the interior zero modes
     op = build_mass_operator_fock(math.pi / 6, 1.0, 1.0, 24)
     modes = dense_numeric_spectrum(op, 4)
-    match = match_tower(modes)
+    match = match_tower(modes, MATCH_TOL)
     zeros = [m for m in modes if m.trusted and abs(m.units) <= 1e-6]
     assert not match.unmatched
     assert match.horizon >= 8
@@ -431,7 +433,7 @@ def test_trust_does_not_depend_on_the_scale(n_levels, margin):
     readings = []
     for z2 in (1e-16, 1e-12, 1.0, 1e3):
         modes = numeric_spectrum(build_mass_operator_levels(PI_THIRD, z2, 1.0, n_levels), margin)
-        match = match_tower(modes)
+        match = match_tower(modes, MATCH_TOL)
         flags = sorted(zip(np.round(modes.units, 6).tolist(), modes.trusted.tolist()))
         readings.append((flags, match.horizon, match.trusted_count))
     assert readings[1:] == readings[:1] * 3
@@ -560,7 +562,7 @@ def test_spectrum_records_carry_what_the_report_and_bench_read():
 def test_match_tower_without_tachyon():
     op = build_mass_operator_levels(*default_params(12))
     modes = numeric_spectrum(op, 3)
-    assert match_tower(modes[modes.units > -0.5]).horizon == -1
+    assert match_tower(modes[modes.units > -0.5], MATCH_TOL).horizon == -1
 
 
 # --------------------------------------------------- transverse and fermions
@@ -728,7 +730,7 @@ def test_block_slices_match_gathered_oracle_bitwise():
             assert modes[field].tobytes() == oracle[field].tobytes()
 
 
-def brute_force_match_tower(modes, tol_units=1e-6):
+def brute_force_match_tower(modes, tol_units):
     """Horizon by rescanning every trusted mode for every tower value."""
     trusted_units = sorted(float(m.units) for m in modes if m.trusted)
 
@@ -758,7 +760,7 @@ def brute_force_match_tower(modes, tol_units=1e-6):
 
 def assert_same_spectrum(block_modes, dense_modes, scale):
     assert np.max(np.abs(block_modes.value - dense_modes.value)) <= 1e-10 * scale
-    block, dense = match_tower(block_modes), match_tower(dense_modes)
+    block, dense = match_tower(block_modes, MATCH_TOL), match_tower(dense_modes, MATCH_TOL)
     assert block.horizon == dense.horizon
     assert block.trusted_count == dense.trusted_count
     np.testing.assert_allclose(block.unmatched, dense.unmatched, rtol=0, atol=1e-10)
@@ -775,7 +777,7 @@ def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
         margin = min(4, n_levels // 3)
         modes = numeric_spectrum(op, margin)
         assert_same_spectrum(modes, dense_numeric_spectrum(op, margin), op.scale)
-        assert match_tower(modes) == brute_force_match_tower(modes)
+        assert match_tower(modes, MATCH_TOL) == brute_force_match_tower(modes, MATCH_TOL)
 
 
 @pytest.mark.parametrize(
