@@ -50,7 +50,6 @@ from .spectrum import (
     build_mass_operator_fock,
     build_mass_operator_levels,
     build_mass_operator_qp,
-    fermion_spectrum,
     mass_scale,
     match_tower,
     numeric_spectrum,

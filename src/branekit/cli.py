@@ -57,7 +57,6 @@ from .spectrum import (
     build_mass_operator_fock,
     build_mass_operator_levels,
     build_mass_operator_qp,
-    fermion_spectrum,
     mass_scale,
     match_tower,
     numeric_spectrum,
@@ -212,7 +211,7 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     op_levels = build_mass_operator_levels(*params)
 
     route_residual = route_equivalence_residual(op_qp, op_fock, config.margin_k)
-    modes = numeric_spectrum(op_levels, config.margin_k, mass_threshold=config.tol("trust_mass"))
+    modes = numeric_spectrum(op_levels, config.margin_k, config.tol("trust_mass"))
     match_tol = config.tol("eigenvalue_match")
     match = match_tower(modes, tol_units=match_tol)
 
@@ -226,11 +225,10 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     )
     transverse_horizon = config.N - 1 - config.margin_k
 
-    # a line is trusted up to its horizon; the fermion table is analytic only
+    # a line is trusted up to its horizon
     tables = (
         (analytic_spectrum(config.n_max, config.theta, config.z2, config.R), match.horizon),
         (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse.ok else -1),
-        (fermion_spectrum(config.n_max, config.theta), -1),
     )
     records = [r for table, _ in tables for r in table]
     horizons = [horizon for table, horizon in tables for _ in table]
@@ -416,10 +414,19 @@ def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are ``ValueError``s, so a bad flag value is one ``error:`` line."""
+
+    def _raise(self, message: str):
+        raise ValueError(message)
+
+    error = _raise  # the hook argparse calls on every parse error
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first ``main`` call and reused by every later one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branekit",
         description="Fluctuation spectra and tachyon-condensation geometry of "
         "intersecting noncommutative branes at finite truncation.",
@@ -452,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config_path = args.config or default_config_path()
         file_values = read_config_file(config_path) if config_path else None
         overrides = {name: getattr(args, name) for name in ("theta", "z2", "R", "N", "seed")}

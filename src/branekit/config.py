@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .oscillator import validate_params, validate_positive
-from .spectrum import MAX_BAND_LEVELS, TRUST_MASS_THRESHOLD
+from .spectrum import MAX_BAND_LEVELS
 
 ENV_CONFIG_PATH = "BRANEKIT_CONFIG"
 
@@ -15,10 +15,12 @@ FORMAT_DELIMITED = "delimited"
 FORMAT_STRUCTURED = "structured"
 
 #: Named thresholds used across the checks; every entry must stay finite and positive.
+#: ``trust_mass`` is the squared-norm fraction on the top truncation levels above
+#: which an eigenvector is considered contaminated by the cutoff.
 DEFAULT_TOLERANCES = {
     "route_equivalence": 1e-10,
     "eigenvalue_match": 1e-6,
-    "trust_mass": TRUST_MASS_THRESHOLD,
+    "trust_mass": 1e-6,
     "minimizer": 1e-8,
     "stationarity": 1e-12,
     "block_eigensolve": 1e-12,

@@ -46,15 +46,6 @@ SECTOR_TACHYON = "offdiag-tachyon"
 SECTOR_ZERO = "offdiag-zero"
 SECTOR_MASSIVE = "offdiag-massive"
 SECTOR_TRANSVERSE = "transverse"
-SECTOR_FERMION = "fermion"
-
-BASIS_QP = "T"
-BASIS_FOCK = "Ttilde"
-BASIS_LEVELS = "Ttilde-number"
-
-#: Squared-norm fraction on the top truncation levels above which an
-#: eigenvector is considered contaminated by the cutoff.
-TRUST_MASS_THRESHOLD = 1e-6
 
 #: Largest truncation the mass-operator builders accept.  Storage is linear
 #: in N; a whole ``spectrum`` run at this size peaks well under 1 GB.
@@ -87,10 +78,8 @@ class MassOperator:
     the field block M_ab.  Positions past the edge of a block hold zero.
     """
 
-    basis: str
     matrix: np.ndarray
     scale: float
-    n_levels: int
 
 
 def mass_scale(theta: float, z2: float, R: float) -> float:
@@ -154,7 +143,7 @@ def build_mass_operator_qp(theta: float, z2: float, R: float, n_levels: int) -> 
     b12 = -cos_t * (_product(p, q) - 1j * sigma * _EYE)
     b21 = -cos_t * (_product(q, p) + 1j * sigma * _EYE)
     b33 = cos_t**2 * pp + qq
-    return MassOperator(BASIS_QP, R * _field_blocks(b11, b12, b21, qq, b33), scale, n_levels)
+    return MassOperator(R * _field_blocks(b11, b12, b21, qq, b33), scale)
 
 
 def _rotated_blocks(c_minus: float, c_plus: float, n_levels: int, scale: float) -> np.ndarray:
@@ -175,8 +164,7 @@ def _rotated_blocks(c_minus: float, c_plus: float, n_levels: int, scale: float) 
 def build_mass_operator_fock(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
     """Mass operator in the rotated fields, same Fock basis as Q and P."""
     scale = _checked_scale(theta, z2, R, n_levels)
-    band = _rotated_blocks(*bogoliubov_coefficients(theta), n_levels, scale)
-    return MassOperator(BASIS_FOCK, band, scale, n_levels)
+    return MassOperator(_rotated_blocks(*bogoliubov_coefficients(theta), n_levels, scale), scale)
 
 
 def build_mass_operator_levels(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
@@ -188,7 +176,7 @@ def build_mass_operator_levels(theta: float, z2: float, R: float, n_levels: int)
     which makes this the assembly of choice for spectrum verification.
     """
     scale = _checked_scale(theta, z2, R, n_levels)
-    return MassOperator(BASIS_LEVELS, _rotated_blocks(0.0, 1.0, n_levels, scale), scale, n_levels)
+    return MassOperator(_rotated_blocks(0.0, 1.0, n_levels, scale), scale)
 
 
 def route_equivalence_residual(
@@ -204,9 +192,9 @@ def route_equivalence_residual(
     of the dense product (U x P) M (U x P)^dag, which keeps the residual
     identical to it.  The slots whose column leaves the interior are zeroed.
     """
-    if op_qp.n_levels != op_fock.n_levels:
+    n = op_fock.matrix.shape[-1]
+    if op_qp.matrix.shape[-1] != n:
         raise ValueError("operators live on different truncations")
-    n = op_qp.n_levels
     if not 0 <= margin < n:
         raise ValueError(f"margin must satisfy 0 <= margin < {n}, got {margin}")
     k = n - margin
@@ -281,32 +269,12 @@ def transverse_gap(op: MassOperator, margin: int) -> float:
     ``numeric_spectrum`` reads them (real part over the scale) and compared
     on the levels n < N - margin.  A NaN entry gives a NaN gap.
     """
-    levels = np.arange(op.n_levels - margin)
+    levels = np.arange(op.matrix.shape[-1] - margin)
     units = op.matrix[2, 2, 1, : levels.size].real / op.scale
     return float(np.max(np.abs(units - (2.0 * levels + 1.0))))
 
 
-def fermion_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
-    """Fermionic eigenvalue table: (2n+2)cos(theta) x4 and 2n cos(theta) x4.
-
-    Analytic table only; no fermionic operator is constructed.  Conventions
-    as in :func:`transverse_spectrum`.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    cos_t = math.cos(theta)
-    records = []
-    for n in range(n_max + 1):
-        records.append(
-            ModeRecord(SECTOR_FERMION, n, 2.0 * n + 2.0, (2.0 * n + 2.0) * cos_t, 4)
-        )
-        records.append(ModeRecord(SECTOR_FERMION, n, 2.0 * n, 2.0 * n * cos_t, 4))
-    return records
-
-
-def numeric_spectrum(
-    op: MassOperator, margin: int, mass_threshold: float = TRUST_MASS_THRESHOLD
-) -> np.recarray:
+def numeric_spectrum(op: MassOperator, margin: int, mass_threshold: float) -> np.recarray:
     """Eigendecomposition of a number-basis operator by level block, with trust flags.
 
     The level blocks are read off the band storage by slices: field 1 at
@@ -321,14 +289,12 @@ def numeric_spectrum(
     of its squared norm sits on the top ``margin`` levels of each field
     block.  Each block is solved alone, so degeneracies across levels never
     mix eigenvectors, and a block's eigenvalues 0 and (2m - 1) * scale never
-    form a cluster.  Raises ``ValueError`` on another basis, a non-Hermitian
-    operator (beyond 1e-10 * scale), an entry outside the level blocks or a
-    non-finite eigenvalue; an eigensolver failure raises numpy's
-    ``LinAlgError``, which is a ``ValueError`` too.
+    form a cluster.  Raises ``ValueError`` on a non-Hermitian operator
+    (beyond 1e-10 * scale), an entry outside the level blocks (as the other
+    assemblies hold at a nonzero mixing) or a non-finite eigenvalue; an
+    eigensolver failure raises numpy's ``LinAlgError``, a ``ValueError`` too.
     """
-    if op.basis != BASIS_LEVELS:
-        raise ValueError(f"numeric spectrum needs the {BASIS_LEVELS} basis, got {op.basis}")
-    band, n = op.matrix, op.n_levels
+    band, n = op.matrix, op.matrix.shape[-1]
     diagonals = band[[0, 1, 2], [0, 1, 2], 1]
     upper, lower = band[0, 1, 0, 2:], band[1, 0, 2, :-2]
     herm = np.max(np.abs(np.append(diagonals - diagonals.conj(), upper - lower.conj())))
@@ -337,7 +303,7 @@ def numeric_spectrum(
     # everything else must be zero, the past-edge slots of the coupling bands too
     kept = sum(map(np.count_nonzero, (diagonals, upper, lower)))
     if np.count_nonzero(band) != kept:
-        raise ValueError(f"the {op.basis} operator couples levels outside its level blocks")
+        raise ValueError("the operator couples levels outside its level blocks")
     if not 0 < margin < n:
         raise ValueError(f"margin must satisfy 0 < margin < {n}, got {margin}")
 
@@ -352,7 +318,7 @@ def numeric_spectrum(
 
     values = np.concatenate([single_values, pair_values.ravel()])
     if not np.isfinite(values).all():
-        raise ValueError(f"non-finite eigenvalue in the {op.basis} operator")
+        raise ValueError("non-finite eigenvalue in the operator")
     order = np.argsort(values, kind="stable")
     values, masses = values[order], np.concatenate([single_masses, pair_masses.ravel()])[order]
     return np.rec.fromarrays(

@@ -193,9 +193,9 @@ def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
     band diagonals, with the largest of the nine block maxima relative to the
     scale: the form ``route_equivalence_residual`` had before it went row-wise.
     """
-    if op_qp.n_levels != op_fock.n_levels:
+    n = op_fock.matrix.shape[-1]
+    if op_qp.matrix.shape[-1] != n:
         raise ValueError("operators live on different truncations")
-    n = op_qp.n_levels
     k = InteriorProjector(n, margin).interior_dim
     levels = np.arange(n)
     columns = levels + np.array(OFFSETS)[:, None]

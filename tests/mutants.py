@@ -131,6 +131,12 @@ MUTANTS = (
         "if np.count_nonzero(band) > kept + 1:",
     ),
     Mutant(
+        "outside-blocks-removed",
+        "src/branekit/spectrum.py",
+        "if np.count_nonzero(band) != kept:",
+        "if False:",
+    ),
+    Mutant(
         "finite-eigenvalues-any",
         "src/branekit/spectrum.py",
         "if not np.isfinite(values).all():",

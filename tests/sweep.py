@@ -13,7 +13,9 @@ at ``--z2 2.40623170837532e+101 --seed 1446883356``,
 ``--z2 4.823772925276159e+152 --seed 276323619`` and
 ``--z2 1.0943502451445657e+307 --seed 165636438``, name a numpy operation
 in their error line that depends on the order the trials run in, so any
-change to that order shows up here.  From the repository root:
+change to that order shows up here.  ``condense --z2 1e-320`` exits 1: at a
+subnormal z2 the numeric minimizer misses tmin by far more than its relative
+bound (``--z2 1e-315`` and ``5e-324`` pass).  From the repository root:
 
     python3 tests/sweep.py HEAD~1          # 300 drawn argvs and the edges
     python3 tests/sweep.py d5a648e 600     # 600 drawn argvs
@@ -52,6 +54,7 @@ EDGES = [
     ["condense", "--z2", "3e16", "--theta", "0.5"],
     ["condense", "--z2", "1e16", "--theta", "0.5"],
     ["condense", "--z2", "1e-9"],
+    ["condense", "--z2", "1e-320"],
     ["spectrum", "--z2", "1e-300", "--R", "1e-15"],
     ["spectrum", "--N", "67268"],
     ["spectrum", "--N", "67269"],

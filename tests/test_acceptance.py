@@ -30,11 +30,13 @@ from branekit import (
     sample_curve,
 )
 from branekit.cli import main
+from branekit.config import DEFAULT_TOLERANCES
 
 Z2 = 1.0
 R = 1.0
 N = 24
 MARGIN = 4
+TRUST = DEFAULT_TOLERANCES["trust_mass"]
 
 
 def report(label, ok, detail=""):
@@ -45,7 +47,7 @@ def report(label, ok, detail=""):
 def trusted_modes(theta, n_levels=N, margin=MARGIN):
     return [
         m
-        for m in numeric_spectrum(build_mass_operator_levels(theta, Z2, R, n_levels), margin)
+        for m in numeric_spectrum(build_mass_operator_levels(theta, Z2, R, n_levels), margin, TRUST)
         if m.trusted
     ]
 
@@ -66,7 +68,7 @@ def test_criterion_01_tachyon_line():
 
 
 def test_criterion_02_mass_tower():
-    modes = numeric_spectrum(build_mass_operator_levels(math.pi / 3, Z2, R, N), MARGIN)
+    modes = numeric_spectrum(build_mass_operator_levels(math.pi / 3, Z2, R, N), MARGIN, TRUST)
     match = match_tower(modes, tol_units=1e-6)
     ok = match.horizon >= 8 and not match.unmatched
     # multiplicities counted, not just bounded, within the horizon

@@ -106,7 +106,6 @@ def test_structured_spectrum_document(capsys):
         "offdiag-zero",
         "offdiag-massive",
         "transverse",
-        "fermion",
     }
 
 
@@ -819,6 +818,24 @@ def test_repeated_calls_match_the_first(argv, capsys):
     misses = cli._build_parser.cache_info().misses
     assert [outcome(capsys, argv) for _ in range(3)] == [first] * 3
     assert cli._build_parser.cache_info().misses == misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--theta", "abc"],
+        ["spectrum", "--N", "1e3"],
+        ["bogus"],
+        [],
+        ["curve", "--points", "x"],
+    ],
+    ids=repr,
+)
+def test_flag_value_that_does_not_parse_is_one_error_line(argv, capsys):
+    # main returns, as for a config value that does not parse: no usage text
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_no_option_leaks_into_the_next_call(tmp_path, capsys):

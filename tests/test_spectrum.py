@@ -11,7 +11,6 @@ from branekit import (
     build_mass_operator_levels,
     build_mass_operator_qp,
     analytic_spectrum,
-    fermion_spectrum,
     make_ladder,
     make_qp,
     mass_scale,
@@ -23,13 +22,11 @@ from branekit import (
     transverse_spectrum,
 )
 from branekit.spectrum import (
-    BASIS_LEVELS,
     MAX_BAND_LEVELS,
     OFFSETS,
     SECTOR_MASSIVE,
     SECTOR_TACHYON,
     SECTOR_ZERO,
-    TRUST_MASS_THRESHOLD,
     MassOperator,
     TowerMatch,
 )
@@ -38,6 +35,7 @@ from helpers import InteriorProjector, bogoliubov, level_eigenvectors, route_res
 
 PI_THIRD = math.pi / 3
 MATCH_TOL = DEFAULT_TOLERANCES["eigenvalue_match"]
+TRUST = DEFAULT_TOLERANCES["trust_mass"]
 
 
 def default_params(n_levels=24, theta=PI_THIRD):
@@ -49,7 +47,7 @@ def default_params(n_levels=24, theta=PI_THIRD):
 
 def to_dense(op):
     """The 3N x 3N matrix held in an operator's band storage."""
-    n = op.n_levels
+    n = op.matrix.shape[-1]
     matrix = np.zeros((3 * n, 3 * n), dtype=complex)
     levels = np.arange(n)
     for k, offset in enumerate(OFFSETS):
@@ -363,7 +361,7 @@ def test_route_equivalence_accepts_zero_margin():
 
 def test_levels_route_reaches_deep_horizon():
     op = build_mass_operator_levels(*default_params(24))
-    match = match_tower(numeric_spectrum(op, 4), MATCH_TOL)
+    match = match_tower(numeric_spectrum(op, 4, TRUST), MATCH_TOL)
     assert match.horizon >= 8
     assert not match.unmatched
 
@@ -372,7 +370,7 @@ def test_levels_route_degenerate_zero_count():
     # zero modes across levels are exactly degenerate; each level block is
     # solved alone, so the trust count equals the horizon, not one survivor
     op = build_mass_operator_levels(*default_params(24))
-    modes = numeric_spectrum(op, 4)
+    modes = numeric_spectrum(op, 4, TRUST)
     match = match_tower(modes, MATCH_TOL)
     zeros = [m for m in modes if m.trusted and abs(m.units) <= 1e-6]
     assert len(zeros) == match.horizon
@@ -383,7 +381,7 @@ def test_levels_route_collision_cluster():
     # at 25 units, exactly degenerate with the genuine n=13 pair; the pair
     # must still be counted twice
     op = build_mass_operator_levels(*default_params(24))
-    modes = numeric_spectrum(op, 4)
+    modes = numeric_spectrum(op, 4, TRUST)
     at_25 = [m for m in modes if abs(m.units - 25.0) <= 1e-6]
     assert len(at_25) == 3
     assert sum(1 for m in at_25 if m.trusted) == 2
@@ -432,7 +430,8 @@ def test_trust_does_not_depend_on_the_scale(n_levels, margin):
     # rounding noise reorders the zero modes, so flags are compared per value
     readings = []
     for z2 in (1e-16, 1e-12, 1.0, 1e3):
-        modes = numeric_spectrum(build_mass_operator_levels(PI_THIRD, z2, 1.0, n_levels), margin)
+        op = build_mass_operator_levels(PI_THIRD, z2, 1.0, n_levels)
+        modes = numeric_spectrum(op, margin, TRUST)
         match = match_tower(modes, MATCH_TOL)
         flags = sorted(zip(np.round(modes.units, 6).tolist(), modes.trusted.tolist()))
         readings.append((flags, match.horizon, match.trusted_count))
@@ -462,7 +461,7 @@ def test_not_hermitian_exactly_when_the_dense_scan_exceeds_the_bound():
                 (1, 0, 2, int(rng.integers(n_levels - 2))),
             ][int(rng.integers(3))]
             matrix[entry] += delta
-        broken = MassOperator(op.basis, matrix, op.scale, n_levels)
+        broken = MassOperator(matrix, op.scale)
         dense = to_dense(broken)
         over = bool(np.max(np.abs(dense - dense.conj().T)) > bound)
         if draw < 2:
@@ -470,9 +469,9 @@ def test_not_hermitian_exactly_when_the_dense_scan_exceeds_the_bound():
         outcomes.add(over)
         if over:
             with pytest.raises(ValueError, match="not Hermitian"):
-                numeric_spectrum(broken, 1)
+                numeric_spectrum(broken, 1, TRUST)
         else:
-            assert len(numeric_spectrum(broken, 1)) == 3 * n_levels
+            assert len(numeric_spectrum(broken, 1, TRUST)) == 3 * n_levels
     assert outcomes == {False, True}
 
 
@@ -480,20 +479,34 @@ def test_numeric_spectrum_rejects_non_hermitian():
     op = build_mass_operator_levels(*default_params(8))
     upper = np.zeros_like(op.matrix)
     upper[:, :, 2] = 1e-3
-    broken = MassOperator(
-        basis=op.basis,
-        matrix=op.matrix + upper,
-        scale=op.scale,
-        n_levels=op.n_levels,
-    )
+    broken = MassOperator(matrix=op.matrix + upper, scale=op.scale)
     with pytest.raises(ValueError):
-        numeric_spectrum(broken, 2)
+        numeric_spectrum(broken, 2, TRUST)
 
 
-@pytest.mark.parametrize("build", [build_mass_operator_qp, build_mass_operator_fock])
-def test_numeric_spectrum_rejects_other_bases(build):
-    with pytest.raises(ValueError, match="basis"):
-        numeric_spectrum(build(*default_params(8)), 2)
+#: Angles from zero mixing (Fock equals the number basis) to near pi/2.
+OTHER_ASSEMBLY_THETAS = [0.0, 1e-9, 1e-7, 1e-4, 0.4, PI_THIRD, math.pi / 2 - 1e-3]
+
+
+def test_numeric_spectrum_solves_other_assemblies_only_where_they_equal_the_levels_one():
+    # the level-block check stands in for a basis tag: another assembly is
+    # rejected, unless its mixing rounds to 0 and its band is the number
+    # basis band bit for bit, with the same solve
+    outcomes = set()
+    for theta in OTHER_ASSEMBLY_THETAS:
+        levels = build_mass_operator_levels(*default_params(8, theta))
+        for build in (build_mass_operator_qp, build_mass_operator_fock):
+            op = build(*default_params(8, theta))
+            try:
+                modes = numeric_spectrum(op, 2, TRUST)
+            except ValueError as exc:
+                assert "couples levels outside its level blocks" in str(exc), (build, theta)
+                outcomes.add("rejected")
+                continue
+            assert op.matrix.tobytes() == levels.matrix.tobytes(), (build, theta)
+            assert modes.tobytes() == numeric_spectrum(levels, 2, TRUST).tobytes()
+            outcomes.add("equal")
+    assert outcomes == {"rejected", "equal"}
 
 
 def with_entries(op, entries, value):
@@ -501,7 +514,7 @@ def with_entries(op, entries, value):
     matrix = op.matrix.copy()
     for entry in entries:
         matrix[entry] = value
-    return MassOperator(op.basis, matrix, op.scale, op.n_levels)
+    return MassOperator(matrix, op.scale)
 
 
 #: A Hermitian coupling of field 3 to field 1 that no level block holds.
@@ -514,7 +527,7 @@ def test_numeric_spectrum_rejects_couplings_outside_level_blocks():
     op = build_mass_operator_levels(*default_params(8))
     for value in (0.5, math.nan):
         with pytest.raises(ValueError, match="outside its level blocks"):
-            numeric_spectrum(with_entries(op, OFF_BLOCK_PAIR, value), 2)
+            numeric_spectrum(with_entries(op, OFF_BLOCK_PAIR, value), 2, TRUST)
 
 
 @pytest.mark.parametrize("entry", PAST_EDGE)
@@ -522,16 +535,16 @@ def test_numeric_spectrum_rejects_past_edge_couplings(entry):
     op = build_mass_operator_levels(*default_params(8))
     for value in (1e-12, math.nan, complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="outside its level blocks"):
-            numeric_spectrum(with_entries(op, [entry], value), 2)
+            numeric_spectrum(with_entries(op, [entry], value), 2, TRUST)
 
 
 @pytest.mark.parametrize("entries", [OFF_BLOCK_PAIR, *([entry] for entry in PAST_EDGE)])
 def test_numeric_spectrum_accepts_negative_zero_outside_level_blocks(entries):
     # a signed zero is zero: the solve is the clean one, bit for bit
     op = build_mass_operator_levels(*default_params(8))
-    clean = numeric_spectrum(op, 2)
+    clean = numeric_spectrum(op, 2, TRUST)
     for value in (-0.0, complex(-0.0, -0.0), complex(0.0, -0.0)):
-        modes = numeric_spectrum(with_entries(op, entries, value), 2)
+        modes = numeric_spectrum(with_entries(op, entries, value), 2, TRUST)
         assert modes.tobytes() == clean.tobytes()
 
 
@@ -539,14 +552,14 @@ def test_numeric_spectrum_accepts_negative_zero_outside_level_blocks(entries):
 def test_numeric_spectrum_rejects_bad_margin(margin):
     op = build_mass_operator_levels(*default_params(8))
     with pytest.raises(ValueError):
-        numeric_spectrum(op, margin)
+        numeric_spectrum(op, margin, TRUST)
 
 
 def test_spectrum_records_carry_what_the_report_and_bench_read():
     # the bench counts the records and reads each one's .trusted; the report
     # writes the match with json, which cannot encode numpy scalars
     n_levels = 12
-    modes = numeric_spectrum(build_mass_operator_levels(*default_params(n_levels)), 3)
+    modes = numeric_spectrum(build_mass_operator_levels(*default_params(n_levels)), 3, TRUST)
     assert isinstance(modes, np.recarray) and len(modes) == 3 * n_levels
     assert modes.dtype.names == ("value", "units", "trusted", "top_mass")
     tachyon = modes[0]
@@ -561,11 +574,11 @@ def test_spectrum_records_carry_what_the_report_and_bench_read():
 
 def test_match_tower_without_tachyon():
     op = build_mass_operator_levels(*default_params(12))
-    modes = numeric_spectrum(op, 3)
+    modes = numeric_spectrum(op, 3, TRUST)
     assert match_tower(modes[modes.units > -0.5], MATCH_TOL).horizon == -1
 
 
-# --------------------------------------------------- transverse and fermions
+# ---------------------------------------------------------------- transverse
 
 
 def test_transverse_values():
@@ -588,7 +601,7 @@ def test_transverse_matches_interior_eigensolve():
 
 def dense_transverse_gap(op, margin):
     """The gap from a dense eigensolve of field block 3 of the whole operator."""
-    n = op.n_levels
+    n = op.matrix.shape[-1]
     values = np.linalg.eigvalsh(to_dense(op)[2 * n :, 2 * n :])[: n - margin] / op.scale
     return float(np.max(np.abs(values - (2.0 * np.arange(n - margin) + 1.0))))
 
@@ -606,7 +619,7 @@ def test_transverse_gap_reads_the_solved_field_3_singles():
     op.matrix[2, 2, 1, 5] += 1e-3 * op.scale
     units = op.matrix[2, 2, 1].real / op.scale
     assert transverse_gap(op, 2) == pytest.approx(1e-3, rel=1e-9)
-    assert set(units.tolist()) <= set(numeric_spectrum(op, 2).units.tolist())
+    assert set(units.tolist()) <= set(numeric_spectrum(op, 2, TRUST).units.tolist())
 
 
 def test_transverse_gap_keeps_nan():
@@ -615,21 +628,12 @@ def test_transverse_gap_keeps_nan():
     assert math.isnan(transverse_gap(op, 2))
 
 
-def test_fermion_table():
-    records = fermion_spectrum(0, 0.0)
-    zero_modes = [r for r in records if r.eigenvalue_raw == 0.0]
-    assert len(zero_modes) == 1 and zero_modes[0].multiplicity == 4
-    at_one = sorted(r.eigenvalue_raw for r in fermion_spectrum(1, PI_THIRD) if r.n == 1)
-    np.testing.assert_allclose(at_one, [1.0, 2.0], atol=1e-14)
-    assert all(r.multiplicity == 4 for r in records)
-
-
 # ------------------------------------------------------- dense-path oracles
 
 
 def dense_route_equivalence_residual(op_qp, op_fock, margin):
     """Route check on the whole 3N x 3N operators, with kron projectors."""
-    n = op_qp.n_levels
+    n = op_qp.matrix.shape[-1]
     proj = np.diag(InteriorProjector(n, margin).mask()).astype(complex)
     u_proj = np.kron(rotation_u(), proj)
     full_proj = np.kron(np.eye(3, dtype=complex), proj)
@@ -638,9 +642,9 @@ def dense_route_equivalence_residual(op_qp, op_fock, margin):
     return float(np.max(np.abs(lhs - rhs)) / op_fock.scale)
 
 
-def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
+def dense_numeric_spectrum(op, margin, mass_threshold=TRUST):
     """Whole-matrix eigh of any basis, with the per-cluster Gram trust rule."""
-    n = op.n_levels
+    n = op.matrix.shape[-1]
     eigenvalues, eigenvectors = np.linalg.eigh(to_dense(op))
     top = np.zeros(3 * n)
     for block in range(3):
@@ -669,14 +673,14 @@ def dense_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
     )
 
 
-def gathered_numeric_spectrum(op, margin, mass_threshold=TRUST_MASS_THRESHOLD):
+def gathered_numeric_spectrum(op, margin, mass_threshold=TRUST):
     """Level blocks gathered by index, one eigh per block size, and the Gram rule.
 
     A pair of eigenvalues closer than 1e-10 * scale inside a block is one
     cluster, returned as any mixture; it trusts as many of its lowest-mass
     members as the Gram form of its top mass has interior directions.
     """
-    band, n = op.matrix, op.n_levels
+    band, n = op.matrix, op.matrix.shape[-1]
     top = (np.arange(3 * n) % n >= n - margin).astype(float)
     # indices (field * n + level): field 1 at level m couples to field 2 at
     # level m - 2; field 1 at levels 0 and 1, field 2 at the top two levels
@@ -721,7 +725,7 @@ def test_block_slices_match_gathered_oracle_bitwise():
             noise = 1e-12 * op.scale * rng.standard_normal((4, n_levels))
             matrix[[0, 1, 2], [0, 1, 2], 1] += 1j * noise[:3]
             matrix[0, 1, 0, 2:] += noise[3, 2:]
-            op = MassOperator(op.basis, matrix, op.scale, n_levels)
+            op = MassOperator(matrix, op.scale)
         margin = int(rng.integers(1, n_levels))
         threshold = float(rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-12, 0)]))
         modes = numeric_spectrum(op, margin, threshold)
@@ -775,7 +779,7 @@ def test_block_spectrum_matches_dense_oracle(n_levels, theta, build):
     for z2 in (1e-14, 1.3, 1e6):
         op = build(theta, z2, 0.7, n_levels)
         margin = min(4, n_levels // 3)
-        modes = numeric_spectrum(op, margin)
+        modes = numeric_spectrum(op, margin, TRUST)
         assert_same_spectrum(modes, dense_numeric_spectrum(op, margin), op.scale)
         assert match_tower(modes, MATCH_TOL) == brute_force_match_tower(modes, MATCH_TOL)
 
@@ -854,7 +858,7 @@ def test_band_checks_read_the_bands_in_place():
     op_levels = build_mass_operator_levels(*params)
     checks = {
         "route_equivalence_residual": lambda: route_equivalence_residual(op_qp, op_fock, 2),
-        "numeric_spectrum": lambda: numeric_spectrum(op_levels, 2),
+        "numeric_spectrum": lambda: numeric_spectrum(op_levels, 2, TRUST),
     }
     for name, check in checks.items():
         tracemalloc.start()
@@ -903,9 +907,9 @@ def test_numeric_spectrum_rejects_nan_operator():
     op = build_mass_operator_levels(*default_params(8))
     matrix = op.matrix.copy()
     matrix[0, 0, 1, 3] = math.nan
-    broken = MassOperator(op.basis, matrix, op.scale, op.n_levels)
+    broken = MassOperator(matrix, op.scale)
     with pytest.raises(ValueError, match="not Hermitian"):
-        numeric_spectrum(broken, 2)
+        numeric_spectrum(broken, 2, TRUST)
 
 
 def test_numeric_spectrum_rejects_non_finite_eigenvalue():
@@ -915,6 +919,6 @@ def test_numeric_spectrum_rejects_non_finite_eigenvalue():
     matrix = np.zeros((3, 3, len(OFFSETS), n), dtype=complex)
     matrix[[0, 1, 2], [0, 1, 2], 1] = np.arange(3.0 * n).reshape(3, n)
     matrix[0, 0, 1, 2] = matrix[1, 1, 1, 0] = matrix[0, 1, 0, 2] = matrix[1, 0, 2, 0] = 1e308
-    op = MassOperator(basis=BASIS_LEVELS, matrix=matrix, scale=1.0, n_levels=n)
+    op = MassOperator(matrix=matrix, scale=1.0)
     with pytest.raises(ValueError, match="non-finite eigenvalue"):
-        numeric_spectrum(op, 1)
+        numeric_spectrum(op, 1, TRUST)
