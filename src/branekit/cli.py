@@ -287,12 +287,11 @@ def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> list:
         thetas = [float(rngs[t].uniform(0.0, math.pi / 2 - 0.2)) for t in stack]
         q, p = make_qp(bg_dim, config.z2)
         xs = build_background(thetas, q, p)
-        ts = np.stack([random_fluctuation(rngs[t], bg_dim) for t in stack])
-        generic = check_cross_terms(xs, ts)
-        ts = momentum_polynomial_fluctuation(p, [rngs[t] for t in stack])
-        momentum = check_cross_terms(xs, ts, "momentum-polynomial")
+        generic = np.stack([random_fluctuation(rngs[t], bg_dim) for t in stack])
+        momentum = momentum_polynomial_fluctuation(p, [rngs[t] for t in stack])
+        cross, n = check_cross_terms(xs, generic, momentum), len(stack)
         for k, t in enumerate(stack):
-            rows[t] += (*generic[2 * k : 2 * k + 2], *momentum[2 * k : 2 * k + 2])
+            rows[t] += cross[2 * k : 2 * k + 2] + cross[2 * (n + k) : 2 * (n + k) + 2]
     return [report for t in trials for report in rows[t]]
 
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .oscillator import validate_params, validate_positive
 from .spectrum import MAX_BAND_LEVELS
@@ -30,15 +31,15 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """``value`` against ``bound``: NaN or a non-finite bound fails.  ``str`` is the stderr tail."""
+    """``value <= bound`` elementwise; NaN or a non-finite bound fails.  ``str``: the stderr tail."""
 
     name: str
-    value: float
-    bound: float
+    value: float | np.ndarray
+    bound: float | np.ndarray
 
     @property
-    def ok(self) -> bool:
-        return math.isfinite(self.bound) and self.value <= self.bound
+    def ok(self) -> np.bool_ | np.ndarray:
+        return np.isfinite(self.bound) & (self.value <= self.bound)
 
     def __str__(self) -> str:
         return f"{self.value:.3e} ({'pass' if self.ok else 'FAIL'} at {self.bound:.1e})"
@@ -52,7 +53,7 @@ _FLOAT_KEYS = {"theta", "z2", "R"}
 class RunConfig:
     """Validated physical parameters, truncation sizes, and thresholds."""
 
-    theta: float = math.pi / 3.0
+    theta: float = np.pi / 3.0
     z2: float = 1.0
     R: float = 1.0
     N: int = 24

@@ -74,23 +74,8 @@ def _sum(values: np.ndarray) -> list[complex]:
     return total.tolist()
 
 
-def _scale(x_max: np.ndarray, y_max: np.ndarray) -> list[float]:
-    """Per trial, the largest x_max * y_max over the pairs, in Python floats: inf past range."""
-    rows = zip(x_max.tolist(), y_max.tolist())
-    return np.max([[a * b for a, b in zip(*row)] for row in rows], axis=-1).tolist()
-
-
 def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1))
-
-
-def _holds(residual: float, tol: float, *scales: complex) -> bool:
-    """Whether residual <= tol * max(1, |scales|), failing on anything non-finite.
-
-    ``np.max`` carries a NaN scale into the bound, and ``Gate`` fails a bound
-    that is not finite, so neither a NaN scale nor an infinite residual passes.
-    """
-    return Gate("residual", residual, tol * float(np.max([1.0, *map(abs, scales)]))).ok
 
 
 def _report(
@@ -98,6 +83,21 @@ def _report(
 ) -> IdentityReport:
     """The real parts of both sides and the complex residual |lhs - rhs|."""
     return IdentityReport(identity, seed, dim, lhs.real, rhs.real, abs(lhs - rhs), verdict)
+
+
+def _gated(
+    identity: str, seeds: list, dim: int, lhs: list, rhs: list, tol: float, scales, holds: str
+) -> tuple[IdentityReport, ...]:
+    """Per trial ``holds`` where |lhs - rhs| <= tol * max(1, scale), else violated: one ``Gate``.
+
+    ``np.maximum`` carries a NaN scale into the bound, and ``Gate`` fails a bound
+    that is not finite, so neither a NaN scale nor an infinite residual passes.
+    """
+    residuals = [abs(left - right) for left, right in zip(lhs, rhs)]
+    ok = Gate(identity, np.array(residuals), tol * np.maximum(1.0, scales)).ok.tolist()
+    verdicts = [holds if k else VERDICT_VIOLATED for k in ok]
+    rows = zip(seeds, lhs, rhs, residuals, verdicts, strict=True)
+    return tuple(IdentityReport(identity, s, dim, l.real, r.real, res, v) for s, l, r, res, v in rows)
 
 
 def random_complex(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
@@ -149,12 +149,8 @@ def check_expansion(
         + 4.0 * _SIGN * _traces(l @ nn[..., _SYM, :, :])
         + _traces(nn @ nn)[..., _SYM]
     )
-    reports = []
-    for seed, left, right in zip(seeds, lhs, rhs, strict=True):
-        agree = _holds(abs(left - right), PASS_TOL, left, right)
-        verdict = VERDICT_EXACT if agree else VERDICT_VIOLATED
-        reports.append(_report("expansion", seed, ts.shape[-1], left, right, verdict))
-    return tuple(reports)
+    scales = np.maximum([abs(v) for v in lhs], [abs(v) for v in rhs])
+    return _gated("expansion", seeds, ts.shape[-1], lhs, rhs, PASS_TOL, scales, VERDICT_EXACT)
 
 
 def _quartic_traces(ts: np.ndarray) -> tuple[complex, complex]:
@@ -209,41 +205,37 @@ def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> IdentityRep
 
 
 def check_cross_terms(
-    xs: np.ndarray, ts: np.ndarray, fluctuation_class: str = "generic"
+    xs: np.ndarray, generic: np.ndarray, momentum: np.ndarray
 ) -> tuple[IdentityReport, ...]:
     """Cross terms between background and fluctuation, stacked as for ``check_expansion``.
 
     The linear term sum Tr[X_i,X_j][X_i,A_j] vanishes exactly at finite
     dimension (the integrand is block-off-diagonal).  The cubic term
-    sum Tr[X_i,A_j][A_i,A_j] is asserted at the pass tolerance only for
-    fluctuations built from the relative momentum
-    (fluctuation_class="momentum-polynomial"); for "generic" ones it is
-    recorded without a claim.  Any other class is an error.  Returns each
-    trial's linear report, then its cubic one.
+    sum Tr[X_i,A_j][A_i,A_j] is asserted at the pass tolerance only for the
+    ``momentum`` blocks, built from the relative momentum; for the ``generic``
+    ones it is recorded without a claim.  Both are (T, 3, N, N) stacks on the
+    backgrounds xs.  Returns each generic trial's linear and cubic reports,
+    then each momentum trial's.
     """
-    if fluctuation_class not in ("generic", "momentum-polynomial"):
-        raise ValueError(f"unknown fluctuation class {fluctuation_class!r}")
-    a = block_matrices(ts)
-    if xs.ndim != 4 or xs.shape != a.shape:
-        raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
-    kx, la, nn = _upper(xs), _cross(xs, a), _upper(a)
-    linear = _sum(_SIGN * _traces(kx[..., _SYM, :, :] @ la))
-    cubic = _sum(_SIGN * _traces(la @ nn[..., _SYM, :, :]))
-    momentum, n, dim = fluctuation_class == "momentum-polynomial", ts.shape[-1], xs.shape[-1]
-    la_max = _max_abs(la)
-    lin_scales = _scale(_max_abs(kx)[..., _SYM], la_max)
-    lin_ok = [_holds(abs(v), EXACT_TOL, s * dim) for v, s in zip(linear, lin_scales)]
-    if momentum:
-        cub_scales = _scale(la_max, _max_abs(nn)[..., _SYM])
-        cub_ok = [_holds(abs(v), PASS_TOL, s * dim) for v, s in zip(cubic, cub_scales)]
+    blocks = []
+    for ts in (generic, momentum):
+        blocks.append(block_matrices(ts))
+        if xs.ndim != 4 or xs.shape != blocks[-1].shape:
+            raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
+    kx = _upper(xs)
+    kx_max, n, dim = _max_abs(kx)[..., _SYM], generic.shape[-1], xs.shape[-1]
     reports = []
-    for t, (lin, cub) in enumerate(zip(linear, cubic)):
-        lin_verdict = VERDICT_EXACT if lin_ok[t] else VERDICT_VIOLATED
-        cub_verdict = VERDICT_RECORDED
-        if momentum:
-            cub_verdict = VERDICT_PASS if cub_ok[t] else VERDICT_VIOLATED
-        reports += (
-            _report("cross-linear", None, n, lin, 0.0, lin_verdict),
-            _report("cross-cubic", None, n, cub, 0.0, cub_verdict),
-        )
+    for a, asserted in zip(blocks, (False, True)):
+        la, nn = _cross(xs, a), _upper(a)
+        linear = _sum(_SIGN * _traces(kx[..., _SYM, :, :] @ la))
+        cubic = _sum(_SIGN * _traces(la @ nn[..., _SYM, :, :]))
+        la_max, seeds, zeros = _max_abs(la), [None] * len(linear), [0.0] * len(linear)
+        lin_scales = (kx_max * la_max).max(axis=-1) * dim
+        lin = _gated("cross-linear", seeds, n, linear, zeros, EXACT_TOL, lin_scales, VERDICT_EXACT)
+        if asserted:
+            cub_scales = (la_max * _max_abs(nn)[..., _SYM]).max(axis=-1) * dim
+            cub = _gated("cross-cubic", seeds, n, cubic, zeros, PASS_TOL, cub_scales, VERDICT_PASS)
+        else:
+            cub = [_report("cross-cubic", None, n, v, 0.0, VERDICT_RECORDED) for v in cubic]
+        reports += [report for pair in zip(lin, cub) for report in pair]
     return tuple(reports)

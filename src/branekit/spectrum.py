@@ -22,8 +22,8 @@ It is assembled three ways:
 In the number basis the operator is a direct sum of 1x1 and 2x2 level
 blocks, which ``numeric_spectrum`` reads off the band and solves one by one,
 so degeneracies across levels never mix and trust is decided per eigenvector.
-It returns one numpy record array, with the fields ``value``, ``units``,
-``trusted`` and ``top_mass``, which ``match_tower`` reads as whole columns.
+It returns one numpy record array of ``value``, ``units``, ``trusted`` and
+``top_mass``; ``match_tower`` reads its ``units`` and ``trusted`` columns whole.
 The dense assemblies, route check and whole-matrix solve, with its trust rule
 for degenerate clusters, are the test oracles all of this is checked against.
 

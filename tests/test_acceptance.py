@@ -21,6 +21,7 @@ from branekit import (
     condensate_amplitude,
     make_qp,
     match_tower,
+    momentum_polynomial_fluctuation,
     numeric_minimum,
     numeric_spectrum,
     potential_derivative,
@@ -133,9 +134,12 @@ def test_criterion_05_algebraic_identities():
 
         bg_dim = 4 + trial % 5
         theta = float(rng.uniform(0.0, math.pi / 2 - 0.2))
-        xs = build_background([theta], *make_qp(bg_dim, Z2))
-        linear, _ = check_cross_terms(xs, random_fluctuation(rng, bg_dim)[None])
-        worst_linear = max(worst_linear, linear.residual)
+        q, p = make_qp(bg_dim, Z2)
+        generic = random_fluctuation(rng, bg_dim)[None]
+        momentum = momentum_polynomial_fluctuation(p, [rng])
+        xs = build_background([theta], q, p)
+        linear, _, momentum_linear, _ = check_cross_terms(xs, generic, momentum)
+        worst_linear = max(worst_linear, linear.residual, momentum_linear.residual)
     report(
         "criterion 5 (expansion and linear cross term, 100 seeded instances)",
         worst_expansion <= 1e-10 and worst_linear <= 1e-13,

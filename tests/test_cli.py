@@ -26,7 +26,7 @@ from branekit.config import (
     build_config,
     read_config_file,
 )
-from branekit.identities import PASS_TOL, VERDICT_VIOLATED, _holds
+from branekit.identities import PASS_TOL, VERDICT_VIOLATED
 from branekit.spectrum import MAX_BAND_LEVELS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,7 +138,8 @@ def test_quartic_records_compare_the_forms_on_one_input(capsys, seed):
     same_input = ("seed", "dim", "lhs")
     assert [rotated[k] for k in same_input] == [generic[k] for k in same_input]
     # measured: which form holds on which input, read off the printed columns
-    holds = [_holds(r["residual"], PASS_TOL, r["lhs"], r["rhs"]) for r in quartic]
+    bounds = [PASS_TOL * max(1.0, abs(r["lhs"]), abs(r["rhs"])) for r in quartic]
+    holds = [Gate(r["identity"], r["residual"], b).ok for r, b in zip(quartic, bounds)]
     assert holds == [True, False, True, False, False, True]
 
 
@@ -438,6 +439,15 @@ def test_stacked_trials_match_one_trial_at_a_time_bitwise(draw):
     one_at_a_time = [cli._trial_reports(config, range(t, t + 1)) for t in range(cli.N_TRIALS)]
     assert [len(reports) for reports in one_at_a_time] == [5] * cli.N_TRIALS
     assert _report_bits(stacked) == _report_bits(r for rs in one_at_a_time for r in rs)
+
+
+def test_every_mutant_anchor_occurs_once_in_its_file():
+    # the on-demand catalogue stops at an anchor that drifted; this finds one without running it
+    from mutants import MUTANTS, REPO
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    counts = {m.name: (REPO / m.path).read_text().count(m.old) for m in MUTANTS}
+    assert {name: count for name, count in counts.items() if count != 1} == {}
 
 
 def test_identities_peak_memory_stays_small(capsys):

@@ -16,6 +16,7 @@ from branekit import (
     random_hermitian,
     rotation_u,
 )
+from branekit.config import Gate
 from branekit.identities import (
     EXACT_TOL,
     PASS_TOL,
@@ -23,7 +24,7 @@ from branekit.identities import (
     VERDICT_PASS,
     VERDICT_RECORDED,
     VERDICT_VIOLATED,
-    _holds,
+    _gated,
     _quartic_traces,
     random_complex,
 )
@@ -51,9 +52,14 @@ def expansion(xs, fluct, seed=None):
     return report
 
 
-def cross_terms(xs, fluct, fluctuation_class="generic"):
-    """``check_cross_terms`` on one trial."""
-    return check_cross_terms(xs[None], fluct[None], fluctuation_class)
+def cross_terms(xs, generic, momentum):
+    """``check_cross_terms`` on one trial: linear and cubic, generic then momentum."""
+    return check_cross_terms(xs[None], generic[None], momentum[None])
+
+
+def holds(residual, tol, *scales):
+    """One scalar ``Gate``: residual against tol * max(1, |scales|), a NaN scale carried."""
+    return Gate("residual", residual, tol * np.max([1.0, *map(abs, scales)])).ok
 
 
 def momentum_fluct(n, z2, rng):
@@ -146,7 +152,7 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
     assert report.lhs == pytest.approx(oracle, rel=1e-12)
     assert report.verdict == VERDICT_RECORDED
     # measured: the forms disagree here
-    assert not _holds(report.residual, PASS_TOL, report.lhs, report.rhs)
+    assert not holds(report.residual, PASS_TOL, report.lhs, report.rhs)
 
 
 def test_quartic_direct_momentum_class_matches():
@@ -178,7 +184,7 @@ def test_quartic_rotated_single_field_direction():
     expected = -4.0 * t_amp**4 * dim
     assert report.rhs == pytest.approx(expected, rel=1e-12)
     assert report.lhs == pytest.approx(expected, rel=1e-12)
-    assert _holds(report.residual, PASS_TOL, report.lhs, report.rhs)
+    assert holds(report.residual, PASS_TOL, report.lhs, report.rhs)
 
 
 def test_quartic_forms_compare_on_one_input():
@@ -189,63 +195,80 @@ def test_quartic_forms_compare_on_one_input():
     report = check_quartic_ttilde(fluct, seed=8)
     direct = check_quartic_t(fluct, seed=8)
     assert report.lhs == direct.lhs
-    assert not _holds(abs(report.rhs - direct.rhs), PASS_TOL, report.rhs, direct.rhs)
+    assert not holds(abs(report.rhs - direct.rhs), PASS_TOL, report.rhs, direct.rhs)
 
 
 def test_cross_terms_linear_always_exact():
     rng = np.random.default_rng(9)
     for theta in (0.0, 0.5, 1.2):
         xs = one_background(theta, 1.0, 5)
-        linear, _ = cross_terms(xs, random_fluctuation(rng, 5))
-        assert linear.verdict == VERDICT_EXACT
-        assert linear.residual <= 1e-13
+        generic, _, momentum, _ = cross_terms(
+            xs, random_fluctuation(rng, 5), momentum_fluct(5, 1.0, rng)
+        )
+        for linear in (generic, momentum):
+            assert linear.verdict == VERDICT_EXACT
+            assert linear.residual <= 1e-13
 
 
 def test_cross_terms_momentum_class():
     xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(10)
-    _, cubic = cross_terms(xs, momentum_fluct(6, 1.0, rng), "momentum-polynomial")
+    momentum = momentum_fluct(6, 1.0, rng)
+    *_, cubic = cross_terms(xs, random_fluctuation(rng, 6), momentum)
     assert cubic.verdict == VERDICT_PASS
 
 
 def test_cross_terms_generic_recorded():
     xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(11)
-    _, cubic = cross_terms(xs, random_fluctuation(rng, 6))
+    _, cubic, _, _ = cross_terms(xs, random_fluctuation(rng, 6), momentum_fluct(6, 1.0, rng))
     assert cubic.verdict == VERDICT_RECORDED
 
 
-def test_cross_terms_reject_an_unknown_class():
-    # a misspelled class must not turn the pass-gated cubic check into a record
-    xs = one_background(0.9, 1.0, 6)
-    fluct = momentum_fluct(6, 1.0, np.random.default_rng(14))
-    with pytest.raises(ValueError, match="unknown fluctuation class"):
-        cross_terms(xs, fluct, "momentum_polynomial")
-
-
 def test_cross_terms_dimension_mismatch():
+    # either class of blocks must match the background
     xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(12)
-    with pytest.raises(ValueError):
-        cross_terms(xs, random_fluctuation(rng, 5))
+    right, wrong = momentum_fluct(6, 1.0, rng), random_fluctuation(rng, 5)
+    for generic, momentum in ((wrong, right), (right, wrong)):
+        with pytest.raises(ValueError, match="do not match background"):
+            cross_terms(xs, generic, momentum)
 
 
-@pytest.mark.parametrize(
-    "residual,tol,scales,expected",
-    [
-        (0.5, 1.0, (0.2,), True),  # the bound is at least tol
-        (2.0, 1e-10, (3e10, -1e9), True),  # scales count by magnitude
-        (2.0, 1e-10, (1e10,), False),
-        (0.0, 1e-10, (math.nan,), False),  # a NaN scale fails
-        (math.nan, 1e-10, (1.0,), False),
-        (math.inf, 1e-10, (1.0,), False),
-        (math.inf, 1e-10, (math.inf,), False),  # inf <= tol * inf must not pass
-        (1.0, 1e-10, (math.inf,), False),
-        (0.0, 1e-10, (2.0, math.nan), False),  # also where max(2.0, nan) is 2.0
-    ],
-)
+#: residual, tolerance, the sides the bound scales with, and whether the residual holds
+VERDICT_ROWS = [
+    (0.5, 1.0, (0.2,), True),  # the bound is at least tol
+    (2.0, 1e-10, (3e10, -1e9), True),  # scales count by magnitude
+    (2.0, 1e-10, (1e10,), False),
+    (0.0, 1e-10, (math.nan,), False),  # a NaN scale fails
+    (math.nan, 1e-10, (1.0,), False),
+    (math.inf, 1e-10, (1.0,), False),
+    (math.inf, 1e-10, (math.inf,), False),  # inf <= tol * inf must not pass
+    (1.0, 1e-10, (math.inf,), False),
+    (0.0, 1e-10, (2.0, math.nan), False),  # also where max(2.0, nan) is 2.0
+]
+
+
+def _scale(sides):
+    """The largest magnitude of a trial's sides, a NaN carried, as ``check_expansion`` forms it."""
+    return np.maximum.reduce(np.abs(sides))
+
+
+def _stack_holds(rows):
+    """Each row's outcome from one ``_gated`` stack, its residual as lhs and 0 as rhs."""
+    residuals, tols, scales = zip(*[(complex(r), t, _scale(s)) for r, t, s, _ in rows])
+    count = len(rows)
+    seeds, zeros, tols, scales = [None] * count, [0.0] * count, np.array(tols), np.array(scales)
+    reports = _gated("expansion", seeds, 4, residuals, zeros, tols, scales, VERDICT_EXACT)
+    return [r.verdict == VERDICT_EXACT for r in reports]
+
+
+@pytest.mark.parametrize("residual,tol,scales,expected", VERDICT_ROWS)
 def test_verdicts_fail_closed_on_non_finite_values(residual, tol, scales, expected):
-    assert _holds(residual, tol, *scales) is expected
+    assert bool(Gate("residual", residual, tol * np.maximum(1.0, _scale(scales))).ok) is expected
+    # the row as a stack of one, and within one stack of all nine
+    assert _stack_holds([(residual, tol, scales, expected)]) == [expected]
+    assert _stack_holds(VERDICT_ROWS) == [row[-1] for row in VERDICT_ROWS]
 
 
 # ------------------------------------------------- per-pair identity oracle
@@ -281,7 +304,7 @@ def pairwise_expansion(xs, fluct):
                 + _tr(nn @ nn)
             )
     residual = abs(lhs - rhs)
-    verdict = VERDICT_EXACT if _holds(residual, PASS_TOL, lhs, rhs) else VERDICT_VIOLATED
+    verdict = VERDICT_EXACT if holds(residual, PASS_TOL, lhs, rhs) else VERDICT_VIOLATED
     return [(lhs.real, rhs.real, residual, verdict)]
 
 
@@ -300,9 +323,9 @@ def pairwise_cross_terms(xs, fluct, momentum):
             scales_lin.append(float(np.max(np.abs(kx))) * float(np.max(np.abs(la))))
             scales_cub.append(float(np.max(np.abs(la))) * float(np.max(np.abs(nn))))
     dim = xs.shape[-1]
-    lin_ok = _holds(abs(linear), EXACT_TOL, float(np.max(scales_lin)) * dim)
+    lin_ok = holds(abs(linear), EXACT_TOL, float(np.max(scales_lin)) * dim)
     if momentum:
-        cub_ok = _holds(abs(cubic), PASS_TOL, float(np.max(scales_cub)) * dim)
+        cub_ok = holds(abs(cubic), PASS_TOL, float(np.max(scales_cub)) * dim)
         cub_verdict = VERDICT_PASS if cub_ok else VERDICT_VIOLATED
     else:
         cub_verdict = VERDICT_RECORDED
@@ -378,35 +401,35 @@ def test_expansion_matches_per_pair_oracle_bitwise(draw):
 
 
 # draws 0-49 are one trial each; from 50 on, one stacked batch of five
-# trials at one dimension, each on its own background, one of them with a NaN
+# trials at one dimension, each on its own background, one of them with a NaN.
+# Every trial has generic and momentum blocks, zeroed or given a NaN together
 @pytest.mark.parametrize("draw", range(70))
 def test_cross_terms_match_per_pair_oracle_bitwise(draw):
     rng = np.random.default_rng(20240817 + draw)
     n = 4 + draw % 13
-    momentum = draw % 2 == 1
     if draw < 50:
         kinds = [("generic", "generic", "zero", "generic", "nan")[draw % 5]]
     else:
         kinds = list(rng.permutation(["generic", "generic", "zero", "nan", "generic"]))
-    bgs, flucts = [], []
+    bgs, classes = [], ([], [])
     for kind in kinds:
         theta, z2 = float(rng.uniform(0.0, 1.5)), 10.0 ** rng.uniform(-3.0, 3.0)
-        fluct = momentum_fluct(n, z2, rng) if momentum else random_fluctuation(rng, n)
-        if kind == "zero":
-            fluct = zero_fluct(n)
-        elif kind == "nan":
-            fluct = _with_nan(fluct)
+        for flucts, fluct in zip(classes, (random_fluctuation(rng, n), momentum_fluct(n, z2, rng))):
+            if kind == "zero":
+                fluct = zero_fluct(n)
+            elif kind == "nan":
+                fluct = _with_nan(fluct)
+            flucts.append(fluct)
         bgs.append(one_background(theta, z2, n))
-        flucts.append(fluct)
-    fluctuation_class = "momentum-polynomial" if momentum else "generic"
-    xs = np.stack(bgs)
-    reports = check_cross_terms(xs, stacked(*flucts), fluctuation_class=fluctuation_class)
-    assert len(reports) == 2 * len(kinds)
-    for t, (bg, fluct) in enumerate(zip(bgs, flucts)):
-        expected = pairwise_cross_terms(bg, fluct, momentum)
-        assert _report_bits(*reports[2 * t : 2 * t + 2]) == _bits(expected)
-    if len(kinds) > 1:
-        _assert_nan_stays_in_its_trial(kinds, reports, 2)
+    reports = check_cross_terms(np.stack(bgs), *map(np.stack, classes))
+    assert len(reports) == 4 * len(kinds)
+    for momentum, flucts in enumerate(classes):
+        class_reports = reports[2 * len(kinds) * momentum :][: 2 * len(kinds)]
+        for t, (bg, fluct) in enumerate(zip(bgs, flucts)):
+            expected = pairwise_cross_terms(bg, fluct, momentum)
+            assert _report_bits(*class_reports[2 * t : 2 * t + 2]) == _bits(expected)
+        if len(kinds) > 1:
+            _assert_nan_stays_in_its_trial(kinds, class_reports, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])
