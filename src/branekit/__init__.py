@@ -27,7 +27,6 @@ from .condensation import (
 )
 from .config import RunConfig, build_config, read_config_file
 from .identities import (
-    IdentityReport,
     check_cross_terms,
     check_expansion,
     check_quartic_t,
@@ -44,7 +43,6 @@ from .oscillator import (
 )
 from .spectrum import (
     MassOperator,
-    ModeRecord,
     TowerMatch,
     analytic_spectrum,
     build_mass_operator_fock,

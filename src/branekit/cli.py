@@ -14,8 +14,6 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +39,7 @@ from .config import (
     read_config_file,
 )
 from .identities import (
+    RECORD,
     VERDICT_VIOLATED,
     check_cross_terms,
     check_expansion,
@@ -196,11 +195,6 @@ def _structured(report: Report, config: RunConfig) -> str:
 RENDERERS = {FORMAT_DELIMITED: _delimited, FORMAT_STRUCTURED: _structured}
 
 
-def _columns(records: Sequence, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Each named attribute of the records as one array (ints and None: an object array)."""
-    return tuple(np.array([getattr(r, name) for r in records]) for name in names)
-
-
 # ---------------------------------------------------------------- spectrum
 
 
@@ -223,21 +217,16 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
         Gate("tachyon line", tachyon_gap, match_tol),
         Gate("transverse field-3 gap", transverse_gap(op_levels, config.margin_k), match_tol),
     )
-    transverse_horizon = config.N - 1 - config.margin_k
+    transverse_horizon = config.N - 1 - config.margin_k if transverse.ok else -1
 
+    offdiag = analytic_spectrum(config.n_max, config.theta, config.z2, config.R)
+    table = np.concatenate((offdiag, transverse_spectrum(config.n_max, config.theta)))
     # a line is trusted up to its horizon
-    tables = (
-        (analytic_spectrum(config.n_max, config.theta, config.z2, config.R), match.horizon),
-        (transverse_spectrum(config.n_max, config.theta), transverse_horizon if transverse.ok else -1),
-    )
-    records = [r for table, _ in tables for r in table]
-    horizons = [horizon for table, horizon in tables for _ in table]
-    columns = ("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity")
-    data = _columns(records, columns)
+    horizons = np.where(np.arange(table.size) < offdiag.size, match.horizon, transverse_horizon)
     return Report(
         kind="spectrum",
-        columns=(*columns, "trusted"),
-        data=(*data, data[1] <= horizons),
+        columns=(*table.dtype.names, "trusted"),
+        data=(*(table[name] for name in table.dtype.names), table["n"] <= horizons),
         fields=(
             ("scale", op_levels.scale),
             ("route_equivalence_residual", route_residual),
@@ -266,33 +255,32 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
 N_TRIALS = 100
 
 
-def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> list:
-    """Each of the ``trials``' expansion and cross-term reports, in trial order.
+def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> np.ndarray:
+    """The ``trials``' records, one row of five per trial: the expansion, then the cross terms.
 
     The trials 14 apart share their expansion size and run as one stack, then
-    those 10 apart their background, with its P and its powers built once.
-    Each trial draws from its own generator, the expansion first, so the
-    stacks may run in any order.
+    those 10 apart their background, with its P and its powers built once; each
+    stack fills its rows of the table.  Each trial draws from its own generator,
+    the expansion first, so the stacks may run in any order.
     """
     rngs = {t: np.random.default_rng(config.seed + t) for t in trials}
-    rows = {}
-    for stack in (trials[k::14] for k in range(min(14, len(trials)))):
+    table = np.empty((len(trials), 5), RECORD)
+    for k in range(min(14, len(trials))):
+        stack = trials[k::14]
         dim = 2 + stack[0] % 7
         xs = np.stack([random_hermitian(rngs[t], 2 * dim) for t in stack])
         ts = np.stack([random_fluctuation(rngs[t], dim) for t in stack])
-        for t, report in zip(stack, check_expansion(xs, ts, [config.seed + t for t in stack])):
-            rows[t] = [report]
-    for stack in (trials[k::10] for k in range(min(10, len(trials)))):
+        table[k::14, 0] = check_expansion(xs, ts, [config.seed + t for t in stack])
+    for k in range(min(10, len(trials))):
+        stack = trials[k::10]
         bg_dim = 4 + stack[0] % 5
         thetas = [float(rngs[t].uniform(0.0, math.pi / 2 - 0.2)) for t in stack]
         q, p = make_qp(bg_dim, config.z2)
         xs = build_background(thetas, q, p)
         generic = np.stack([random_fluctuation(rngs[t], bg_dim) for t in stack])
         momentum = momentum_polynomial_fluctuation(p, [rngs[t] for t in stack])
-        cross, n = check_cross_terms(xs, generic, momentum), len(stack)
-        for k, t in enumerate(stack):
-            rows[t] += cross[2 * k : 2 * k + 2] + cross[2 * (n + k) : 2 * (n + k) + 2]
-    return [report for t in trials for report in rows[t]]
+        table[k::10, 1:] = check_cross_terms(xs, generic, momentum).reshape(-1, 4)
+    return table
 
 
 def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
@@ -300,36 +288,35 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
     n_levels = max(config.N // 4, 4)
     validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
     _, p = make_qp(n_levels, config.z2)
-    reports = _trial_reports(config)
+    reports = [_trial_reports(config).ravel()]
 
     rng = np.random.default_rng(config.seed)
     dim = 5
-    equal = random_complex(rng, 1, dim, dim)[[0, 0, 0]]
-    reports.append(check_quartic_t(equal, seed=config.seed))
-    rank_one = np.stack([np.outer(*rng.standard_normal((2, dim))) for _ in range(3)])
-    reports.append(check_quartic_t(rank_one.astype(complex), seed=config.seed))
-    reports.append(check_quartic_t(momentum_polynomial_fluctuation(p, [rng])[0], seed=config.seed))
-    generic = random_fluctuation(rng, dim)
-    reports.append(check_quartic_t(generic, seed=config.seed))
-    reports.append(check_quartic_ttilde(generic, seed=config.seed))
-    zero = np.zeros((3, dim, dim), dtype=complex)
-    reports.append(check_quartic_ttilde(zero, seed=config.seed))
+    # equal, rank-one real, momentum-polynomial and generic blocks, drawn in that order
+    direct = [
+        random_complex(rng, 1, dim, dim)[[0, 0, 0]],
+        np.stack([np.outer(*rng.standard_normal((2, dim))) for _ in range(3)]).astype(complex),
+        momentum_polynomial_fluctuation(p, [rng])[0],
+        random_fluctuation(rng, dim),
+    ]
+    reports += [check_quartic_t(ts, seed=config.seed) for ts in direct]
+    rotated = (direct[-1], np.zeros((3, dim, dim), dtype=complex))
+    reports += [check_quartic_ttilde(ts, seed=config.seed) for ts in rotated]
 
-    violated = Gate("violated identities", sum(r.verdict == VERDICT_VIOLATED for r in reports), 0)
-    by_verdict = Counter(r.verdict for r in reports)
+    table = np.concatenate(reports)
+    violated = Gate("violated identities", table["verdict"].tolist().count(VERDICT_VIOLATED), 0)
     notes = (
-        f"{len(reports)} identity evaluations: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(by_verdict.items())),
+        f"{len(table)} identity evaluations: "
+        + ", ".join(f"{k}={v}" for k, v in zip(*np.unique(table["verdict"], return_counts=True))),
         "quartic closed forms are recorded against the block-trace oracle; a form "
         "holds where its residual is within 1e-10 of max(1, |lhs|, |rhs|)",
     )
     if not violated.ok:
         notes += (f"FAIL: {violated.value} exact/pass identities violated",)
-    columns = ("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict")
     return Report(
         kind="identities",
-        columns=columns,
-        data=_columns(reports, columns),
+        columns=RECORD.names,
+        data=tuple(table[name] for name in RECORD.names),
         fields=(("trials", N_TRIALS), ("records", RECORDS), ("violations", violated.value)),
         gates=(violated,),
         notes=notes,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -38,8 +39,8 @@ class Gate:
     bound: float | np.ndarray
 
     @property
-    def ok(self) -> np.bool_ | np.ndarray:
-        return np.isfinite(self.bound) & (self.value <= self.bound)
+    def ok(self) -> bool | np.ndarray:
+        return (self.value <= self.bound) & (abs(self.bound) < math.inf)
 
     def __str__(self) -> str:
         return f"{self.value:.3e} ({'pass' if self.ok else 'FAIL'} at {self.bound:.1e})"

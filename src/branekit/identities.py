@@ -9,8 +9,6 @@ trace and the result is recorded, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .background import block_matrices, validate_blocks
@@ -21,22 +19,24 @@ VERDICT_EXACT = "exact"
 VERDICT_PASS = "pass"
 VERDICT_RECORDED = "recorded"
 VERDICT_VIOLATED = "violated"
+VERDICTS = (VERDICT_EXACT, VERDICT_PASS, VERDICT_RECORDED, VERDICT_VIOLATED)
+
+EXPANSION, CROSS_LINEAR, CROSS_CUBIC = "expansion", "cross-linear", "cross-cubic"
+QUARTIC_DIRECT, QUARTIC_ROTATED = "quartic-direct", "quartic-rotated"
+IDENTITIES = (EXPANSION, CROSS_LINEAR, CROSS_CUBIC, QUARTIC_DIRECT, QUARTIC_ROTATED)
 
 EXACT_TOL = 1e-13
 PASS_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity evaluation on one input."""
-
-    identity: str
-    seed: int | None
-    dim: int
-    lhs: float
-    rhs: float
-    residual: float
-    verdict: str
+#: A row of an ``identities`` report, one identity evaluated on one input; a seed
+#: is an int or None, and a string field is as wide as the longest of its names.
+_STRINGS = [np.array(names).dtype for names in (IDENTITIES, VERDICTS)]
+RECORD = np.dtype(
+    {
+        "names": ("identity", "seed", "dim", "lhs", "rhs", "residual", "verdict"),
+        "formats": (_STRINGS[0], object, int, float, float, float, _STRINGS[1]),
+    }
+)
 
 
 #: The pairs (i, j), i != j, in the per-pair loop's order.  For each pair: where
@@ -78,26 +78,27 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1))
 
 
-def _report(
-    identity: str, seed: int | None, dim: int, lhs: complex, rhs: complex, verdict: str
-) -> IdentityReport:
-    """The real parts of both sides and the complex residual |lhs - rhs|."""
-    return IdentityReport(identity, seed, dim, lhs.real, rhs.real, abs(lhs - rhs), verdict)
+def _rows(identity: str, dim: int, lhs: list, rhs: list, verdict: str, seeds=None) -> np.ndarray:
+    """A ``RECORD`` per trial: real parts, complex |lhs - rhs|, each trial's seed or one for all."""
+    rows = np.empty(len(lhs), RECORD)
+    rows["identity"], rows["seed"], rows["dim"], rows["verdict"] = identity, seeds, dim, verdict
+    rows["lhs"], rows["rhs"] = np.real(lhs), np.real(rhs)
+    rows["residual"] = [abs(left - right) for left, right in zip(lhs, rhs)]
+    return rows
 
 
 def _gated(
-    identity: str, seeds: list, dim: int, lhs: list, rhs: list, tol: float, scales, holds: str
-) -> tuple[IdentityReport, ...]:
+    identity: str, dim: int, lhs: list, rhs: list, tol: float, scales, holds: str, seeds=None
+) -> np.ndarray:
     """Per trial ``holds`` where |lhs - rhs| <= tol * max(1, scale), else violated: one ``Gate``.
 
     ``np.maximum`` carries a NaN scale into the bound, and ``Gate`` fails a bound
     that is not finite, so neither a NaN scale nor an infinite residual passes.
     """
-    residuals = [abs(left - right) for left, right in zip(lhs, rhs)]
-    ok = Gate(identity, np.array(residuals), tol * np.maximum(1.0, scales)).ok.tolist()
-    verdicts = [holds if k else VERDICT_VIOLATED for k in ok]
-    rows = zip(seeds, lhs, rhs, residuals, verdicts, strict=True)
-    return tuple(IdentityReport(identity, s, dim, l.real, r.real, res, v) for s, l, r, res, v in rows)
+    rows = _rows(identity, dim, lhs, rhs, holds, seeds)
+    ok = Gate(identity, rows["residual"], tol * np.maximum(1.0, scales)).ok
+    rows["verdict"][~ok] = VERDICT_VIOLATED
+    return rows
 
 
 def random_complex(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
@@ -127,10 +128,8 @@ def momentum_polynomial_fluctuation(p: np.ndarray, rngs: list[np.random.Generato
     return sum(coeffs[:, :, k] * powers[k] for k in range(4))
 
 
-def check_expansion(
-    xs: np.ndarray, ts: np.ndarray, seeds: list[int | None]
-) -> tuple[IdentityReport, ...]:
-    """Expand Tr[(X_i+A_i),(X_j+A_j)]^2 and compare term by term, one report per trial.
+def check_expansion(xs: np.ndarray, ts: np.ndarray, seeds: list[int | None]) -> np.ndarray:
+    """Expand Tr[(X_i+A_i),(X_j+A_j)]^2 and compare term by term, one ``RECORD`` per trial.
 
     xs stacks the trials' backgrounds as (T, 3, 2N, 2N), ts their blocks T_i as (T, 3, N, N).
     Each product is formed once: the pairs i = j add exact zeros, and a term of i > j is that
@@ -139,6 +138,8 @@ def check_expansion(
     a = block_matrices(ts)
     if xs.ndim != 4 or xs.shape != a.shape:
         raise ValueError(f"background/fluctuation shape mismatch: {xs.shape} vs {a.shape}")
+    if len(seeds) != len(ts):
+        raise ValueError(f"{len(seeds)} seeds for {len(ts)} trials")
     k, nn, full, l = _upper(xs), _upper(a), _upper(xs + a), _cross(xs, a)
     lhs = _sum(_traces(full @ full)[..., _SYM])
     rhs = _sum(
@@ -150,7 +151,7 @@ def check_expansion(
         + _traces(nn @ nn)[..., _SYM]
     )
     scales = np.maximum([abs(v) for v in lhs], [abs(v) for v in rhs])
-    return _gated("expansion", seeds, ts.shape[-1], lhs, rhs, PASS_TOL, scales, VERDICT_EXACT)
+    return _gated(EXPANSION, ts.shape[-1], lhs, rhs, PASS_TOL, scales, VERDICT_EXACT, seeds)
 
 
 def _quartic_traces(ts: np.ndarray) -> tuple[complex, complex]:
@@ -173,19 +174,19 @@ def _quartic_traces(ts: np.ndarray) -> tuple[complex, complex]:
     return complex(2.0 * total), direct
 
 
-def check_quartic_t(ts: np.ndarray, seed: int | None = None) -> IdentityReport:
+def check_quartic_t(ts: np.ndarray, seed: int | None = None) -> np.ndarray:
     """Quartic trace in the unrotated fields, against the block-trace oracle.
 
     rhs follows the stated closed form
     4[(T1 T2^dag - T2 T1^dag)^2 + (T1 T3^dag - T3 T1^dag)^2 + (T2 T3^dag - T3 T2^dag)^2]
-    taken literally; the report records how it compares.
+    taken literally; its one ``RECORD`` records how it compares.
     """
     validate_blocks(ts)
     lhs, rhs = _quartic_traces(ts)
-    return _report("quartic-direct", seed, ts.shape[-1], lhs, rhs, VERDICT_RECORDED)
+    return _rows(QUARTIC_DIRECT, ts.shape[-1], [lhs], [rhs], VERDICT_RECORDED, seed)
 
 
-def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> IdentityReport:
+def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> np.ndarray:
     """Quartic trace in the rotated fields, against the same oracle.
 
     Rotates the fields and evaluates the stated rotated-field closed form
@@ -201,12 +202,10 @@ def check_quartic_ttilde(ts: np.ndarray, seed: int | None = None) -> IdentityRep
     cross1 = tt[0].conj().T @ tt[2] - tt[2].conj().T @ tt[0]
     cross2 = tt[1].conj().T @ tt[2] - tt[2].conj().T @ tt[1]
     rhs = -4.0 * (complex(np.trace(quad @ quad)) + 2.0 * complex(np.trace(cross1 @ cross2)))
-    return _report("quartic-rotated", seed, ts.shape[-1], lhs, rhs, VERDICT_RECORDED)
+    return _rows(QUARTIC_ROTATED, ts.shape[-1], [lhs], [rhs], VERDICT_RECORDED, seed)
 
 
-def check_cross_terms(
-    xs: np.ndarray, generic: np.ndarray, momentum: np.ndarray
-) -> tuple[IdentityReport, ...]:
+def check_cross_terms(xs: np.ndarray, generic: np.ndarray, momentum: np.ndarray) -> np.ndarray:
     """Cross terms between background and fluctuation, stacked as for ``check_expansion``.
 
     The linear term sum Tr[X_i,X_j][X_i,A_j] vanishes exactly at finite
@@ -214,8 +213,8 @@ def check_cross_terms(
     sum Tr[X_i,A_j][A_i,A_j] is asserted at the pass tolerance only for the
     ``momentum`` blocks, built from the relative momentum; for the ``generic``
     ones it is recorded without a claim.  Both are (T, 3, N, N) stacks on the
-    backgrounds xs.  Returns each generic trial's linear and cubic reports,
-    then each momentum trial's.
+    backgrounds xs.  Returns four ``RECORD``s per trial, in trial order: the
+    generic blocks' linear and cubic terms, then the momentum blocks'.
     """
     blocks = []
     for ts in (generic, momentum):
@@ -224,18 +223,17 @@ def check_cross_terms(
             raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
     kx = _upper(xs)
     kx_max, n, dim = _max_abs(kx)[..., _SYM], generic.shape[-1], xs.shape[-1]
-    reports = []
-    for a, asserted in zip(blocks, (False, True)):
+    rows = np.empty((len(xs), 2, 2), RECORD)  # trial, generic or momentum, linear or cubic
+    for row, a, asserted in zip(rows.transpose(1, 0, 2), blocks, (False, True)):
         la, nn = _cross(xs, a), _upper(a)
         linear = _sum(_SIGN * _traces(kx[..., _SYM, :, :] @ la))
         cubic = _sum(_SIGN * _traces(la @ nn[..., _SYM, :, :]))
-        la_max, seeds, zeros = _max_abs(la), [None] * len(linear), [0.0] * len(linear)
+        la_max, zeros = _max_abs(la), [0.0] * len(linear)
         lin_scales = (kx_max * la_max).max(axis=-1) * dim
-        lin = _gated("cross-linear", seeds, n, linear, zeros, EXACT_TOL, lin_scales, VERDICT_EXACT)
+        row[:, 0] = _gated(CROSS_LINEAR, n, linear, zeros, EXACT_TOL, lin_scales, VERDICT_EXACT)
         if asserted:
             cub_scales = (la_max * _max_abs(nn)[..., _SYM]).max(axis=-1) * dim
-            cub = _gated("cross-cubic", seeds, n, cubic, zeros, PASS_TOL, cub_scales, VERDICT_PASS)
+            row[:, 1] = _gated(CROSS_CUBIC, n, cubic, zeros, PASS_TOL, cub_scales, VERDICT_PASS)
         else:
-            cub = [_report("cross-cubic", None, n, v, 0.0, VERDICT_RECORDED) for v in cubic]
-        reports += [report for pair in zip(lin, cub) for report in pair]
-    return tuple(reports)
+            row[:, 1] = _rows(CROSS_CUBIC, n, cubic, zeros, VERDICT_RECORDED)
+    return rows.ravel()

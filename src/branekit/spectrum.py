@@ -24,6 +24,9 @@ blocks, which ``numeric_spectrum`` reads off the band and solves one by one,
 so degeneracies across levels never mix and trust is decided per eigenvector.
 It returns one numpy record array of ``value``, ``units``, ``trusted`` and
 ``top_mass``; ``match_tower`` reads its ``units`` and ``trusted`` columns whole.
+The closed-form tables ``analytic_spectrum`` and ``transverse_spectrum`` are
+arrays too, one ``MODES`` row per spectral line, whose fields are the
+report's columns.
 The dense assemblies, route check and whole-matrix solve, with its trust rule
 for degenerate clusters, are the test oracles all of this is checked against.
 
@@ -46,6 +49,15 @@ SECTOR_TACHYON = "offdiag-tachyon"
 SECTOR_ZERO = "offdiag-zero"
 SECTOR_MASSIVE = "offdiag-massive"
 SECTOR_TRANSVERSE = "transverse"
+SECTORS = (SECTOR_TACHYON, SECTOR_ZERO, SECTOR_MASSIVE, SECTOR_TRANSVERSE)
+
+#: A row of the closed-form tables; the sector field is as wide as the longest sector name.
+MODES = np.dtype(
+    {
+        "names": ("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity"),
+        "formats": (np.array(SECTORS).dtype, int, float, float, int),
+    }
+)
 
 #: Largest truncation the mass-operator builders accept.  Storage is linear
 #: in N; a whole ``spectrum`` run at this size peaks well under 1 GB.
@@ -212,39 +224,28 @@ def route_equivalence_residual(
     return float(np.max(row_residuals) / op_fock.scale)
 
 
-@dataclass(frozen=True)
-class ModeRecord:
-    """One spectral line: sector, level, eigenvalue in both conventions."""
+def analytic_spectrum(n_max: int, theta: float, z2: float, R: float) -> np.ndarray:
+    """Closed-form off-diagonal tower up to level n_max, one ``MODES`` row per mode.
 
-    sector: str
-    n: int
-    eigenvalue_units: float
-    eigenvalue_raw: float
-    multiplicity: int
-
-
-def analytic_spectrum(
-    n_max: int, theta: float, z2: float, R: float
-) -> list[ModeRecord]:
-    """Closed-form off-diagonal tower up to level n_max.
-
-    Level n >= 1 holds a zero mode and massive modes at 2n - 1: one at level
-    1, a degenerate pair above it.
+    Level 0 holds the tachyon at -1; level n >= 1 a zero mode, then massive
+    modes at 2n - 1: one at level 1, a degenerate pair above it.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    scale = mass_scale(theta, z2, R)
-    records = [ModeRecord(SECTOR_TACHYON, 0, -1.0, -scale, 1)]
-    for n in range(1, n_max + 1):
-        units = 2.0 * n - 1.0
-        massive = ModeRecord(SECTOR_MASSIVE, n, units, units * scale, 1)
-        records += (ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1), massive)
-        if n > 1:
-            records.append(massive)
-    return records
+    levels = np.arange(n_max + 1)
+    n = np.repeat(levels, np.minimum(levels, 2) + 1)
+    zero = np.diff(n, prepend=0) > 0  # the first row of each level past 0
+    units = np.where(zero, 0.0, 2.0 * n - 1.0)
+    table = np.empty(n.size, MODES)
+    table["sector"] = np.where(zero, SECTOR_ZERO, np.where(n > 0, SECTOR_MASSIVE, SECTOR_TACHYON))
+    table["n"], table["eigenvalue_units"], table["multiplicity"] = n, units, 1
+    # a product past the float range is inf, as with Python floats; a zero mode's stays 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        table["eigenvalue_raw"] = np.where(zero, 0.0, units * mass_scale(theta, z2, R))
+    return table
 
 
-def transverse_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
+def transverse_spectrum(n_max: int, theta: float) -> np.ndarray:
     """Six transverse directions: (2n+1)cos(theta) per level, multiplicity 6.
 
     eigenvalue_units is in the 4*pi*z2*R*cos(theta) convention (2n+1);
@@ -254,11 +255,11 @@ def transverse_spectrum(n_max: int, theta: float) -> list[ModeRecord]:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    cos_t = math.cos(theta)
-    return [
-        ModeRecord(SECTOR_TRANSVERSE, n, 2.0 * n + 1.0, (2.0 * n + 1.0) * cos_t, 6)
-        for n in range(n_max + 1)
-    ]
+    n, cos_t = np.arange(n_max + 1), math.cos(theta)
+    table = np.empty(n.size, MODES)
+    table["sector"], table["n"], table["multiplicity"] = SECTOR_TRANSVERSE, n, 6
+    table["eigenvalue_units"], table["eigenvalue_raw"] = 2.0 * n + 1.0, (2.0 * n + 1.0) * cos_t
+    return table
 
 
 def transverse_gap(op: MassOperator, margin: int) -> float:

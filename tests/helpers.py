@@ -7,8 +7,9 @@ Bogoliubov mode is the dense Fock oracle's mode; the potential and the
 eigenvectors are the closed forms the tests check the program's routes
 against.  Each validates its inputs as the program does.  The per-matrix
 draws are the oracle of the identity suite's one-call draws, and the
-per-block route check that of the row-wise one, and the dense nine-commutator
-trace that of the quartic checks' block trace.
+per-block route check that of the row-wise one, the dense nine-commutator
+trace that of the quartic checks' block trace, and the per-level record loops
+that of the closed-form tables.
 """
 
 import math
@@ -24,7 +25,15 @@ from branekit.oscillator import (
     make_qp,
     validate_params,
 )
-from branekit.spectrum import OFFSETS, rotation_u
+from branekit.spectrum import (
+    OFFSETS,
+    SECTOR_MASSIVE,
+    SECTOR_TACHYON,
+    SECTOR_TRANSVERSE,
+    SECTOR_ZERO,
+    mass_scale,
+    rotation_u,
+)
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,3 +233,49 @@ def dense_quartic_block_trace(ts: np.ndarray) -> complex:
             c = commutator(a_mats[i], a_mats[j])
             total += complex(np.trace(c @ c))
     return total
+
+
+@dataclass(frozen=True)
+class ModeRecord:
+    """One spectral line: sector, level, eigenvalue in both conventions."""
+
+    sector: str
+    n: int
+    eigenvalue_units: float
+    eigenvalue_raw: float
+    multiplicity: int
+
+
+def analytic_records(n_max: int, theta: float, z2: float, R: float) -> list[ModeRecord]:
+    """The closed-form off-diagonal tower up to level n_max, one record per line, level by level.
+
+    Level n >= 1 holds a zero mode and massive modes at 2n - 1: one at level
+    1, a degenerate pair above it.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    scale = mass_scale(theta, z2, R)
+    records = [ModeRecord(SECTOR_TACHYON, 0, -1.0, -scale, 1)]
+    for n in range(1, n_max + 1):
+        units = 2.0 * n - 1.0
+        massive = ModeRecord(SECTOR_MASSIVE, n, units, units * scale, 1)
+        records += (ModeRecord(SECTOR_ZERO, n, 0.0, 0.0, 1), massive)
+        if n > 1:
+            records.append(massive)
+    return records
+
+
+def transverse_records(n_max: int, theta: float) -> list[ModeRecord]:
+    """Six transverse directions, one record per level: (2n+1) and (2n+1)cos(theta)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    cos_t = math.cos(theta)
+    return [
+        ModeRecord(SECTOR_TRANSVERSE, n, 2.0 * n + 1.0, (2.0 * n + 1.0) * cos_t, 6)
+        for n in range(n_max + 1)
+    ]
+
+
+def record_columns(records: list, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """Each named attribute of the records as one array, as the report once read them."""
+    return tuple(np.array([getattr(r, name) for r in records]) for name in names)

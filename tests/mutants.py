@@ -56,7 +56,7 @@ MUTANTS = (
     Mutant(
         "gate-ok-infinite-bound",
         "src/branekit/config.py",
-        "return np.isfinite(self.bound) & (self.value <= self.bound)",
+        "return (self.value <= self.bound) & (abs(self.bound) < math.inf)",
         "return self.value <= self.bound",
     ),
     # call sites of the gates of spectrum and curve
@@ -192,6 +192,19 @@ MUTANTS = (
         "units - (2.0 * levels + 1.0)",
         "units - (2.0 * levels + 1.0 + 5e-7)",
     ),
+    # the closed-form tables a spectrum report lists
+    Mutant(
+        "tower-pair-from-level-2-dropped",
+        "src/branekit/spectrum.py",
+        "np.minimum(levels, 2) + 1",
+        "np.minimum(levels, 1) + 1",
+    ),
+    Mutant(
+        "transverse-multiplicity-5",
+        "src/branekit/spectrum.py",
+        "SECTOR_TRANSVERSE, n, 6",
+        "SECTOR_TRANSVERSE, n, 5",
+    ),
     # the bounds of the spectrum, identities and condense gates in cli
     Mutant(
         "route-bound-10x",
@@ -214,8 +227,8 @@ MUTANTS = (
     Mutant(
         "violated-bound-1",
         "src/branekit/cli.py",
-        "for r in reports), 0)",
-        "for r in reports), 1)",
+        ".count(VERDICT_VIOLATED), 0)",
+        ".count(VERDICT_VIOLATED), 1)",
     ),
     Mutant(
         "minimizer-max",

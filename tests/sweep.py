@@ -15,7 +15,12 @@ at ``--z2 2.40623170837532e+101 --seed 1446883356``,
 in their error line that depends on the order the trials run in, so any
 change to that order shows up here.  ``condense --z2 1e-320`` exits 1: at a
 subnormal z2 the numeric minimizer misses tmin by far more than its relative
-bound (``--z2 1e-315`` and ``5e-324`` pass).  From the repository root:
+bound (``--z2 1e-315`` and ``5e-324`` pass).  Every drawn ``spectrum``
+argv also sets ``n_max``, the last tower level it lists, drawn from 0 to
+2000, through a ``--config`` file, since no flag sets it; three more
+``spectrum`` edges set ``n_max = 0``, ``N = n_max = 100000``, and
+``n_max = 100000`` at a scale where the tower's raw eigenvalues overflow to
+inf.  From the repository root:
 
     python3 tests/sweep.py HEAD~1          # 300 drawn argvs and the edges
     python3 tests/sweep.py d5a648e 600     # 600 drawn argvs
@@ -84,42 +89,63 @@ EDGES = [
     ["identities", "--z2", "1.0943502451445657e+307", "--seed", "165636438"],
 ]
 
+#: ``spectrum`` edges set in a config file: the key = value lines of each.  The
+#: last one's scale, 6.3e304, overflows the raw eigenvalues past level 7 to inf.
+CONFIG_EDGES = [
+    "n_max = 0",
+    "N = 100000\nn_max = 100000",
+    "z2 = 1e300\nR = 1e4\nN = 5\nn_max = 100000",
+]
+
 #: Run in a fresh interpreter: each argv of the JSON list on stdin through
-#: ``main``, and its exit code, stdout and stderr written as JSON to argv[1].
+#: ``main``, and its exit code, stdout and stderr written to argv[1] as one
+#: JSON line per argv, so that no run's output waits in memory for the others.
 CHILD = """
 import contextlib, io, json, sys
 from branekit.cli import main
-results = []
-for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    results.append((code, out.getvalue(), err.getvalue()))
 with open(sys.argv[1], "w", encoding="utf-8") as handle:
-    json.dump(results, handle)
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        handle.write(json.dumps((code, out.getvalue(), err.getvalue())) + "\\n")
 """
 
 
-def sweep_argvs(draws: int) -> list[list[str]]:
-    """``draws`` drawn argvs, the commands in turn, every other round structured; then the edges."""
-    rng = np.random.default_rng(2026)
-    drawn = [
-        [*drawn_argv(COMMANDS[i % 4], rng), f"--format={FORMATS[i // 4 % 2]}"]
-        for i in range(draws)
-    ]
-    return drawn + [[*argv, f"--format={fmt}"] for argv in EDGES for fmt in FORMATS]
+def config_argv(tmp: Path, text: str) -> list[str]:
+    """``--config`` and a file in ``tmp`` holding ``text``, named after its lines."""
+    path = tmp / f"{text.replace(' = ', '=').replace(chr(10), ',')}.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    return ["--config", str(path)]
 
 
-def run_tree(src: Path, argvs: list[list[str]], out: Path) -> list:
-    """Every argv run by ``main`` from ``src`` in one fresh interpreter."""
+def sweep_argvs(draws: int, tmp: Path) -> list[list[str]]:
+    """``draws`` drawn argvs, the commands in turn, every other round structured; then the edges.
+
+    Each drawn ``spectrum`` argv gets an ``n_max`` from 0 to 2000 through a config
+    file in ``tmp``, from a generator of its own, so the other draws stay as they were.
+    """
+    rng, n_max = np.random.default_rng(2026), np.random.default_rng(2027)
+    drawn = []
+    for i in range(draws):
+        argv = [*drawn_argv(COMMANDS[i % 4], rng), f"--format={FORMATS[i // 4 % 2]}"]
+        if argv[0] == "spectrum":
+            argv += config_argv(tmp, f"n_max = {n_max.integers(0, 2001)}")
+        drawn.append(argv)
+    edges = EDGES + [["spectrum", *config_argv(tmp, text)] for text in CONFIG_EDGES]
+    return drawn + [[*argv, f"--format={fmt}"] for argv in edges for fmt in FORMATS]
+
+
+def run_tree(src: Path, argvs: list[list[str]], out: Path) -> Path:
+    """Every argv run by ``main`` from ``src`` in one fresh interpreter; the results file."""
     env = {k: v for k, v in os.environ.items() if k != "BRANEKIT_CONFIG"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-c", CHILD, str(out)]
     subprocess.run(command, input=json.dumps(argvs), text=True, env=env, check=True)
-    return json.loads(out.read_text(encoding="utf-8"))
+    return out
 
 
 def first_difference(ours: tuple, theirs: tuple) -> str:
@@ -138,21 +164,23 @@ def main(args: list[str]) -> int:
     if not 1 <= len(args) <= 2:
         raise SystemExit(__doc__)
     ref, draws = args[0], int(args[1]) if len(args) == 2 else 300
-    argvs = sweep_argvs(draws)
+    same, total, differing = Counter(), Counter(), []
     with tempfile.TemporaryDirectory(prefix="branekit-sweep-") as tmp:
+        argvs = sweep_argvs(draws, Path(tmp))
         archive = subprocess.run(
             ["git", "archive", ref, "src"], cwd=REPO, capture_output=True, check=True
         )
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        ours = run_tree(REPO / "src", argvs, Path(tmp) / "ours.json")
-        theirs = run_tree(Path(tmp) / "src", argvs, Path(tmp) / "theirs.json")
-    same, total, differing = Counter(), Counter(), []
-    for argv, a, b in zip(argvs, ours, theirs):
-        total[argv[0]] += 1
-        for part, x, y in zip(("exit", "stdout", "stderr"), a, b):
-            same[argv[0], part] += x == y
-        if a != b:
-            differing.append((argv, first_difference(a, b)))
+        ours = run_tree(REPO / "src", argvs, Path(tmp) / "ours.jsonl")
+        theirs = run_tree(Path(tmp) / "src", argvs, Path(tmp) / "theirs.jsonl")
+        with open(ours, encoding="utf-8") as mine, open(theirs, encoding="utf-8") as other:
+            for argv, line, ref_line in zip(argvs, mine, other, strict=True):
+                a, b = json.loads(line), json.loads(ref_line)
+                total[argv[0]] += 1
+                for part, x, y in zip(("exit", "stdout", "stderr"), a, b):
+                    same[argv[0], part] += x == y
+                if a != b:
+                    differing.append((argv, first_difference(a, b)))
     print(f"{len(argvs)} argvs, this checkout against {ref}; same exit/stdout/stderr of all:")
     for command in COMMANDS:
         counts = "/".join(str(same[command, part]) for part in ("exit", "stdout", "stderr"))

@@ -129,7 +129,7 @@ def test_criterion_05_algebraic_identities():
         dim = 2 + trial % 7
         xs = random_hermitian(rng, 2 * dim)
         (expansion,) = check_expansion(xs[None], random_fluctuation(rng, dim)[None], [seed])
-        rel = expansion.residual / max(1.0, abs(expansion.lhs), abs(expansion.rhs))
+        rel = expansion["residual"] / max(1.0, abs(expansion["lhs"]), abs(expansion["rhs"]))
         worst_expansion = max(worst_expansion, rel)
 
         bg_dim = 4 + trial % 5
@@ -139,7 +139,7 @@ def test_criterion_05_algebraic_identities():
         momentum = momentum_polynomial_fluctuation(p, [rng])
         xs = build_background([theta], q, p)
         linear, _, momentum_linear, _ = check_cross_terms(xs, generic, momentum)
-        worst_linear = max(worst_linear, linear.residual, momentum_linear.residual)
+        worst_linear = max(worst_linear, linear["residual"], momentum_linear["residual"])
     report(
         "criterion 5 (expansion and linear cross term, 100 seeded instances)",
         worst_expansion <= 1e-10 and worst_linear <= 1e-13,

@@ -19,15 +19,19 @@ from branekit import (
 from branekit.config import Gate
 from branekit.identities import (
     EXACT_TOL,
+    IDENTITIES,
     PASS_TOL,
+    RECORD,
     VERDICT_EXACT,
     VERDICT_PASS,
     VERDICT_RECORDED,
     VERDICT_VIOLATED,
+    VERDICTS,
     _gated,
     _quartic_traces,
     random_complex,
 )
+from branekit.spectrum import MODES, SECTORS
 from helpers import (
     commutator,
     dense_quartic_block_trace,
@@ -47,8 +51,14 @@ def stacked(*flucts):
 
 
 def expansion(xs, fluct, seed=None):
-    """``check_expansion`` on one trial."""
+    """``check_expansion`` on one trial: its one row."""
     (report,) = check_expansion(xs[None], fluct[None], [seed])
+    return report
+
+
+def quartic(check, ts, seed=None):
+    """The one row of a quartic check."""
+    (report,) = check(ts, seed=seed)
     return report
 
 
@@ -71,15 +81,15 @@ def test_expansion_with_zero_fluctuation():
     rng = np.random.default_rng(0)
     xs = random_hermitian(rng, 8)
     report = expansion(xs, zero_fluct(4))
-    assert report.verdict == VERDICT_EXACT
-    assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
+    assert report["verdict"] == VERDICT_EXACT
+    assert report["residual"] <= 1e-10 * max(1.0, abs(report["lhs"]))
     # both sides collapse to the pure-background double trace
     pure = sum(
         np.trace(commutator(xs[i], xs[j]) @ commutator(xs[i], xs[j]))
         for i in range(3)
         for j in range(3)
     )
-    assert report.lhs == pytest.approx(pure.real, rel=1e-12)
+    assert report["lhs"] == pytest.approx(pure.real, rel=1e-12)
 
 
 def test_expansion_with_zero_background():
@@ -87,7 +97,7 @@ def test_expansion_with_zero_background():
     fluct = random_fluctuation(rng, 5)
     xs = np.zeros((3, 10, 10), dtype=complex)
     report = expansion(xs, fluct)
-    assert report.verdict == VERDICT_EXACT
+    assert report["verdict"] == VERDICT_EXACT
 
 
 @pytest.mark.parametrize("trial", range(25))
@@ -96,8 +106,8 @@ def test_expansion_property(trial):
     dim = 2 + trial % 7
     xs = random_hermitian(rng, 2 * dim)
     report = expansion(xs, random_fluctuation(rng, dim), seed=1000 + trial)
-    assert report.verdict == VERDICT_EXACT
-    assert report.residual <= 1e-10 * max(1.0, abs(report.lhs), abs(report.rhs))
+    assert report["verdict"] == VERDICT_EXACT
+    assert report["residual"] <= 1e-10 * max(1.0, abs(report["lhs"]), abs(report["rhs"]))
 
 
 def test_expansion_shape_mismatch():
@@ -127,9 +137,9 @@ def test_expansion_rejects_a_short_background(coords):
 def test_quartic_direct_equal_fields_vanish():
     rng = np.random.default_rng(3)
     t = random_complex(rng, 1, 5, 5)[0]
-    report = check_quartic_t(np.stack([t, t, t]))
-    assert report.lhs == pytest.approx(0.0, abs=1e-12)
-    assert report.rhs == pytest.approx(0.0, abs=1e-12)
+    report = quartic(check_quartic_t, np.stack([t, t, t]))
+    assert report["lhs"] == pytest.approx(0.0, abs=1e-12)
+    assert report["rhs"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quartic_direct_rank_one_real_recorded_against_oracle():
@@ -140,7 +150,7 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
         np.outer(rng.standard_normal(5), rng.standard_normal(5)).astype(complex)
         for _ in range(3)
     ]
-    report = check_quartic_t(np.stack(ts))
+    report = quartic(check_quartic_t, np.stack(ts))
     zero = np.zeros((5, 5), dtype=complex)
     oracle = 0.0
     for i in range(3):
@@ -149,27 +159,27 @@ def test_quartic_direct_rank_one_real_recorded_against_oracle():
             aj = np.block([[zero, ts[j]], [ts[j].conj().T, zero]])
             comm = ai @ aj - aj @ ai
             oracle += np.trace(comm @ comm).real
-    assert report.lhs == pytest.approx(oracle, rel=1e-12)
-    assert report.verdict == VERDICT_RECORDED
+    assert report["lhs"] == pytest.approx(oracle, rel=1e-12)
+    assert report["verdict"] == VERDICT_RECORDED
     # measured: the forms disagree here
-    assert not holds(report.residual, PASS_TOL, report.lhs, report.rhs)
+    assert not holds(report["residual"], PASS_TOL, report["lhs"], report["rhs"])
 
 
 def test_quartic_direct_momentum_class_matches():
-    report = check_quartic_t(momentum_fluct(6, 1.0, np.random.default_rng(5)))
-    assert report.residual <= 1e-10 * max(1.0, abs(report.lhs))
+    report = quartic(check_quartic_t, momentum_fluct(6, 1.0, np.random.default_rng(5)))
+    assert report["residual"] <= 1e-10 * max(1.0, abs(report["lhs"]))
 
 
 def test_quartic_direct_generic_is_recorded():
     rng = np.random.default_rng(6)
-    report = check_quartic_t(random_fluctuation(rng, 5), seed=6)
-    assert report.verdict == VERDICT_RECORDED
-    assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
+    report = quartic(check_quartic_t, random_fluctuation(rng, 5), seed=6)
+    assert report["verdict"] == VERDICT_RECORDED
+    assert math.isfinite(report["lhs"]) and math.isfinite(report["rhs"])
 
 
 def test_quartic_rotated_zero_fields():
-    report = check_quartic_ttilde(zero_fluct(4))
-    assert report.lhs == 0.0 and report.rhs == 0.0
+    report = quartic(check_quartic_ttilde, zero_fluct(4))
+    assert report["lhs"] == 0.0 and report["rhs"] == 0.0
 
 
 def test_quartic_rotated_single_field_direction():
@@ -180,11 +190,11 @@ def test_quartic_rotated_single_field_direction():
     tilde = np.array([t_amp * np.eye(dim), np.zeros((dim, dim)), np.zeros((dim, dim))])
     u = rotation_u()
     ts = [sum(u.conj().T[i, j] * tilde[j] for j in range(3)) for i in range(3)]
-    report = check_quartic_ttilde(np.stack(ts))
+    report = quartic(check_quartic_ttilde, np.stack(ts))
     expected = -4.0 * t_amp**4 * dim
-    assert report.rhs == pytest.approx(expected, rel=1e-12)
-    assert report.lhs == pytest.approx(expected, rel=1e-12)
-    assert holds(report.residual, PASS_TOL, report.lhs, report.rhs)
+    assert report["rhs"] == pytest.approx(expected, rel=1e-12)
+    assert report["lhs"] == pytest.approx(expected, rel=1e-12)
+    assert holds(report["residual"], PASS_TOL, report["lhs"], report["rhs"])
 
 
 def test_quartic_forms_compare_on_one_input():
@@ -192,10 +202,10 @@ def test_quartic_forms_compare_on_one_input():
     # forms is the gap between their rhs columns: measured apart on a generic draw
     rng = np.random.default_rng(8)
     fluct = random_fluctuation(rng, 5)
-    report = check_quartic_ttilde(fluct, seed=8)
-    direct = check_quartic_t(fluct, seed=8)
-    assert report.lhs == direct.lhs
-    assert not holds(abs(report.rhs - direct.rhs), PASS_TOL, report.rhs, direct.rhs)
+    report = quartic(check_quartic_ttilde, fluct, seed=8)
+    direct = quartic(check_quartic_t, fluct, seed=8)
+    assert report["lhs"] == direct["lhs"]
+    assert not holds(abs(report["rhs"] - direct["rhs"]), PASS_TOL, report["rhs"], direct["rhs"])
 
 
 def test_cross_terms_linear_always_exact():
@@ -206,8 +216,8 @@ def test_cross_terms_linear_always_exact():
             xs, random_fluctuation(rng, 5), momentum_fluct(5, 1.0, rng)
         )
         for linear in (generic, momentum):
-            assert linear.verdict == VERDICT_EXACT
-            assert linear.residual <= 1e-13
+            assert linear["verdict"] == VERDICT_EXACT
+            assert linear["residual"] <= 1e-13
 
 
 def test_cross_terms_momentum_class():
@@ -215,14 +225,14 @@ def test_cross_terms_momentum_class():
     rng = np.random.default_rng(10)
     momentum = momentum_fluct(6, 1.0, rng)
     *_, cubic = cross_terms(xs, random_fluctuation(rng, 6), momentum)
-    assert cubic.verdict == VERDICT_PASS
+    assert cubic["verdict"] == VERDICT_PASS
 
 
 def test_cross_terms_generic_recorded():
     xs = one_background(0.9, 1.0, 6)
     rng = np.random.default_rng(11)
     _, cubic, _, _ = cross_terms(xs, random_fluctuation(rng, 6), momentum_fluct(6, 1.0, rng))
-    assert cubic.verdict == VERDICT_RECORDED
+    assert cubic["verdict"] == VERDICT_RECORDED
 
 
 def test_cross_terms_dimension_mismatch():
@@ -259,8 +269,8 @@ def _stack_holds(rows):
     residuals, tols, scales = zip(*[(complex(r), t, _scale(s)) for r, t, s, _ in rows])
     count = len(rows)
     seeds, zeros, tols, scales = [None] * count, [0.0] * count, np.array(tols), np.array(scales)
-    reports = _gated("expansion", seeds, 4, residuals, zeros, tols, scales, VERDICT_EXACT)
-    return [r.verdict == VERDICT_EXACT for r in reports]
+    reports = _gated("expansion", 4, residuals, zeros, tols, scales, VERDICT_EXACT, seeds)
+    return (reports["verdict"] == VERDICT_EXACT).tolist()
 
 
 @pytest.mark.parametrize("residual,tol,scales,expected", VERDICT_ROWS)
@@ -335,8 +345,9 @@ def pairwise_cross_terms(xs, fluct, momentum):
     ]
 
 
-def _report_bits(*reports):
-    return _bits((r.lhs, r.rhs, r.residual, r.verdict) for r in reports)
+def _report_bits(reports):
+    """Each row's lhs, rhs, residual and verdict, read as Python scalars by ``tolist``."""
+    return _bits(row[3:] for row in reports.tolist())
 
 
 def _bits(rows):
@@ -370,12 +381,13 @@ def _expansion_draw(rng, dim, kind, real):
     return xs, _with_nan(fluct) if kind == "nan" else fluct
 
 
-def _assert_nan_stays_in_its_trial(kinds, reports, per_trial):
+def _assert_nan_stays_in_its_trial(kinds, reports):
     # the batch holds a NaN trial; every other trial's verdict is its own
     assert "nan" in kinds
-    for kind, trial_reports in zip(kinds, zip(*[iter(reports)] * per_trial)):
+    for kind, trial_reports in zip(kinds, reports.reshape(len(kinds), -1), strict=True):
         if kind != "nan":
-            assert all(math.isfinite(r.lhs) and r.verdict != VERDICT_VIOLATED for r in trial_reports)
+            rows = trial_reports[["lhs", "verdict"]].tolist()
+            assert all(math.isfinite(lhs) and verdict != VERDICT_VIOLATED for lhs, verdict in rows)
 
 
 # draws 0-174 are one trial each; from 175 on, one stacked batch of every
@@ -393,11 +405,11 @@ def test_expansion_matches_per_pair_oracle_bitwise(draw):
     xs = np.stack([x for x, _ in draws])
     seeds = list(range(draw, draw + len(kinds)))
     reports = check_expansion(xs, stacked(*[f for _, f in draws]), seeds)
-    assert [r.seed for r in reports] == seeds
+    assert reports["seed"].tolist() == seeds
     for t, (_, fluct) in enumerate(draws):
-        assert _report_bits(reports[t]) == _bits(pairwise_expansion(xs[t], fluct))
+        assert _report_bits(reports[t : t + 1]) == _bits(pairwise_expansion(xs[t], fluct))
     if len(kinds) > 1:
-        _assert_nan_stays_in_its_trial(kinds, reports, 1)
+        _assert_nan_stays_in_its_trial(kinds, reports)
 
 
 # draws 0-49 are one trial each; from 50 on, one stacked batch of five
@@ -423,13 +435,25 @@ def test_cross_terms_match_per_pair_oracle_bitwise(draw):
         bgs.append(one_background(theta, z2, n))
     reports = check_cross_terms(np.stack(bgs), *map(np.stack, classes))
     assert len(reports) == 4 * len(kinds)
+    # trial-major: each trial's generic linear and cubic rows, then its momentum ones
     for momentum, flucts in enumerate(classes):
-        class_reports = reports[2 * len(kinds) * momentum :][: 2 * len(kinds)]
+        class_reports = reports.reshape(len(kinds), 2, 2)[:, momentum]
         for t, (bg, fluct) in enumerate(zip(bgs, flucts)):
             expected = pairwise_cross_terms(bg, fluct, momentum)
-            assert _report_bits(*class_reports[2 * t : 2 * t + 2]) == _bits(expected)
+            assert _report_bits(class_reports[t]) == _bits(expected)
         if len(kinds) > 1:
-            _assert_nan_stays_in_its_trial(kinds, class_reports, 2)
+            _assert_nan_stays_in_its_trial(kinds, class_reports)
+
+
+@pytest.mark.parametrize(
+    "dtype,field,names",
+    [(RECORD, "identity", IDENTITIES), (RECORD, "verdict", VERDICTS), (MODES, "sector", SECTORS)],
+)
+def test_string_fields_hold_every_name_whole(dtype, field, names):
+    # numpy cuts a string longer than its field without a word
+    rows = np.empty(len(names), dtype)
+    rows[field] = names
+    assert rows[field].tolist() == list(names)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16])

@@ -187,6 +187,7 @@ def test_every_public_def_is_on_a_program_path():
         "transverse_interior_gap",
         "commutator",
     }
-    # the identity suite passes plain arrays; these wrappers are gone
-    gone = {"BraneBackground", "OffDiagonalFluctuation"}
+    # the identity suite passes plain arrays, and results reach the writer as
+    # structured arrays; these wrappers and records are gone
+    gone = {"BraneBackground", "OffDiagonalFluctuation", "ModeRecord", "IdentityReport"}
     assert not (moved | gone) & set(branekit.__all__)

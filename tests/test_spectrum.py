@@ -31,7 +31,15 @@ from branekit.spectrum import (
     TowerMatch,
 )
 from branekit.config import DEFAULT_TOLERANCES
-from helpers import InteriorProjector, bogoliubov, level_eigenvectors, route_residual_by_blocks
+from helpers import (
+    InteriorProjector,
+    analytic_records,
+    bogoliubov,
+    level_eigenvectors,
+    record_columns,
+    route_residual_by_blocks,
+    transverse_records,
+)
 
 PI_THIRD = math.pi / 3
 MATCH_TOL = DEFAULT_TOLERANCES["eigenvalue_match"]
@@ -261,26 +269,66 @@ def test_reduced_block_eigenvectors(n):
 
 def test_analytic_spectrum_structure():
     records = analytic_spectrum(3, PI_THIRD, 1.0, 1.0)
-    tachyon = [r for r in records if r.sector == SECTOR_TACHYON]
-    assert len(tachyon) == 1
-    assert tachyon[0].n == 0
-    assert tachyon[0].eigenvalue_units == -1.0
-    assert tachyon[0].eigenvalue_raw == pytest.approx(-2.0 * math.pi, abs=1e-13)
-    level3 = sorted(r.eigenvalue_units for r in records if r.n == 3)
+    (tachyon,) = records[records["sector"] == SECTOR_TACHYON]
+    assert tachyon["n"] == 0
+    assert tachyon["eigenvalue_units"] == -1.0
+    assert tachyon["eigenvalue_raw"] == pytest.approx(-2.0 * math.pi, abs=1e-13)
+    level3 = sorted(records["eigenvalue_units"][records["n"] == 3].tolist())
     assert level3 == [0.0, 5.0, 5.0]
 
 
 def test_analytic_eigenvector_is_null_vector():
     records = analytic_spectrum(5, PI_THIRD, 1.0, 1.0)
-    zero_mode = next(r for r in records if r.n == 5 and r.sector == SECTOR_ZERO)
+    (zero_mode,) = records[(records["n"] == 5) & (records["sector"] == SECTOR_ZERO)]
     block = reduced_block(5, PI_THIRD, 1.0, 1.0)
-    residual = np.max(np.abs(block @ level_eigenvectors(zero_mode.n)[0]))
+    residual = np.max(np.abs(block @ level_eigenvectors(int(zero_mode["n"]))[0]))
     assert residual <= 1e-12 * mass_scale(PI_THIRD, 1.0, 1.0) * 5
 
 
 def test_analytic_spectrum_rejects_negative_horizon():
     with pytest.raises(ValueError):
         analytic_spectrum(-1, PI_THIRD, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        transverse_spectrum(-1, PI_THIRD)
+
+
+#: The columns of a spectrum report's tower and transverse rows, in order.
+MODE_COLUMNS = ("sector", "n", "eigenvalue_units", "eigenvalue_raw", "multiplicity")
+
+
+def _typed_bits(values: list) -> list:
+    """Each Python scalar with its type, a float as its hex digits (keeps the sign of zero)."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def _assert_table_matches_records(table, records):
+    # the row order, each column's dtype kind, and every value's type and bits
+    assert table.dtype.names == MODE_COLUMNS
+    for column, expected in zip(MODE_COLUMNS, record_columns(records, MODE_COLUMNS)):
+        assert table[column].dtype.kind == expected.dtype.kind, column
+        assert _typed_bits(table[column].tolist()) == _typed_bits(expected.tolist()), column
+
+
+# n_max 0-299, so the edges 0, 1 and 2 are always drawn
+@pytest.mark.parametrize("n_max", range(300))
+def test_closed_form_tables_match_the_per_level_records_bitwise(n_max):
+    rng = np.random.default_rng(20261020 + n_max)
+    theta = float(rng.uniform(0.0, 1.5))
+    z2, R = 10.0 ** rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 3.0)
+    tower = analytic_spectrum(n_max, theta, z2, R)
+    _assert_table_matches_records(tower, analytic_records(n_max, theta, z2, R))
+    _assert_table_matches_records(transverse_spectrum(n_max, theta), transverse_records(n_max, theta))
+
+
+# a finite scale of 1.26e308, where the levels from 2 on overflow, and an infinite one
+@pytest.mark.parametrize("z2,R,infinite", [(1e300, 1e7, 8), (1e308, 10.0, 10)])
+def test_closed_form_tower_overflows_as_the_records_do(z2, R, infinite):
+    # past the float range a raw eigenvalue is inf, as the Python product gives, and a
+    # zero mode's stays 0, even under the errors that ``main`` raises on
+    with np.errstate(over="raise", invalid="raise"):
+        tower = analytic_spectrum(5, 0.0, z2, R)
+    _assert_table_matches_records(tower, analytic_records(5, 0.0, z2, R))
+    assert np.isinf(tower["eigenvalue_raw"]).sum() == infinite
 
 
 # ------------------------------------------------------------ mass operators
@@ -419,9 +467,9 @@ def test_fock_route_exactly_degenerate_zeros():
 @pytest.mark.parametrize("theta,z2,R", [(0.0, 1.0, 1.0), (PI_THIRD, 0.5, 2.0)])
 def test_tachyon_sector_only_at_level_zero(theta, z2, R):
     records = analytic_spectrum(10, theta, z2, R)
-    tachyons = [r for r in records if r.sector == SECTOR_TACHYON]
-    assert [(r.n, r.eigenvalue_units) for r in tachyons] == [(0, -1.0)]
-    assert all(r.eigenvalue_units >= 0.0 for r in records if r.sector != SECTOR_TACHYON)
+    tachyon = records["sector"] == SECTOR_TACHYON
+    assert records[tachyon][["n", "eigenvalue_units"]].tolist() == [(0, -1.0)]
+    assert (records["eigenvalue_units"][~tachyon] >= 0.0).all()
 
 
 @pytest.mark.parametrize("n_levels,margin", [(8, 2), (24, 4), (61, 7)])
@@ -588,11 +636,11 @@ def test_match_tower_without_tachyon():
 
 
 def test_transverse_values():
-    assert transverse_spectrum(0, 0.0)[0].eigenvalue_raw == pytest.approx(1.0)
+    assert transverse_spectrum(0, 0.0)[0]["eigenvalue_raw"] == pytest.approx(1.0)
     record = transverse_spectrum(2, PI_THIRD)[2]
-    assert record.eigenvalue_raw == pytest.approx(2.5)
-    assert record.eigenvalue_units == pytest.approx(5.0)
-    assert record.multiplicity == 6
+    assert record["eigenvalue_raw"] == pytest.approx(2.5)
+    assert record["eigenvalue_units"] == pytest.approx(5.0)
+    assert record["multiplicity"] == 6
 
 
 def test_transverse_matches_interior_eigensolve():
