@@ -32,6 +32,7 @@ from .condensation import (
 from .config import (
     FORMAT_DELIMITED,
     FORMAT_STRUCTURED,
+    TOLERANCES,
     Gate,
     RunConfig,
     build_config,
@@ -176,7 +177,7 @@ def _structured(report: Report, config: RunConfig) -> str:
     doc = {
         "report": report.kind,
         "params": {name: _plain(getattr(config, name)) for name in params},
-        "tolerances": {k: _plain(v) for k, v in sorted(config.tolerances.items())},
+        "tolerances": {k: _plain(v) for k, v in sorted(TOLERANCES.items())},
         **dict(report.fields),
         "passed": report.passed,
     }
@@ -205,14 +206,14 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
     op_levels = build_mass_operator_levels(*params)
 
     route_residual = route_equivalence_residual(op_qp, op_fock, config.margin_k)
-    modes = numeric_spectrum(op_levels, config.margin_k, config.tol("trust_mass"))
-    match_tol = config.tol("eigenvalue_match")
+    modes = numeric_spectrum(op_levels, config.margin_k, TOLERANCES["trust_mass"])
+    match_tol = TOLERANCES["eigenvalue_match"]
     match = match_tower(modes, tol_units=match_tol)
 
     trusted_negative = modes.units[modes.trusted & (modes.units < -match_tol)].tolist()
     tachyon_gap = abs(trusted_negative[0] + 1.0) if len(trusted_negative) == 1 else math.nan
     route, tower, tachyon, transverse = gates = (
-        Gate("route equivalence residual", route_residual, config.tol("route_equivalence")),
+        Gate("route equivalence residual", route_residual, TOLERANCES["route_equivalence"]),
         Gate("tower", len(match.unmatched), 0),
         Gate("tachyon line", tachyon_gap, match_tol),
         Gate("transverse field-3 gap", transverse_gap(op_levels, config.margin_k), match_tol),
@@ -329,7 +330,7 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
 def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
     pot = tachyon_potential(config.theta, config.z2, config.R)
     stationarity_scale = 2.0 * mass_scale(config.theta, config.z2, config.R) * pot.tmin
-    stationarity_tol = config.tol("stationarity") * max(1.0, stationarity_scale)
+    stationarity_tol = TOLERANCES["stationarity"] * max(1.0, stationarity_scale)
     # Python floats overflow to inf silently, and no verdict can rest on an infinite bound
     closed_forms = ("quad", pot.quad), ("tmin_analytic", pot.tmin), ("vmin", pot.vmin)
     for name, value in (*closed_forms, ("stationarity bound", stationarity_tol)):
@@ -338,7 +339,7 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
     tmin_numeric = numeric_minimum(config.theta, config.z2, config.R)
     stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
     # relative below tmin = 1, where an absolute bound could not see a miss
-    gap_tol = config.tol("minimizer") * min(1.0, pot.tmin)
+    gap_tol = TOLERANCES["minimizer"] * min(1.0, pot.tmin)
     gap, stationary = gates = (
         Gate("analytic/numeric minimizer disagreement", abs(tmin_numeric - pot.tmin), gap_tol),
         Gate("stationarity residual at the analytic minimum", stationarity, stationarity_tol),
@@ -365,10 +366,10 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
 
 def cmd_curve(config: RunConfig, args: argparse.Namespace) -> Report:
     curve = sample_curve(args.x0_min, args.x0_max, args.points, config.theta, config.z2)
-    gap, tol = asymmetry_gap(curve), config.tol
+    gap = asymmetry_gap(curve)
     gates = (
-        Gate("max hyperbola residual", curve.max_residual, tol("hyperbola")),
-        Gate("max closed-form/eigensolve gap", curve.max_eigensolve_gap, tol("block_eigensolve")),
+        Gate("max hyperbola residual", curve.max_residual, TOLERANCES["hyperbola"]),
+        Gate("max closed-form/eigensolve gap", curve.max_eigensolve_gap, TOLERANCES["block_eigensolve"]),
     )
     split = curve.x_d.size
     return Report(

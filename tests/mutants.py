@@ -75,14 +75,14 @@ MUTANTS = (
     Mutant(
         "hyperbola-10x",
         "src/branekit/cli.py",
-        'tol("hyperbola")',
-        '10 * tol("hyperbola")',
+        'TOLERANCES["hyperbola"]',
+        '10 * TOLERANCES["hyperbola"]',
     ),
     Mutant(
         "eigensolve-1e3x",
         "src/branekit/cli.py",
-        'tol("block_eigensolve")',
-        '1e3 * tol("block_eigensolve")',
+        'TOLERANCES["block_eigensolve"]',
+        '1e3 * TOLERANCES["block_eigensolve"]',
     ),
     # identities records that no honest input brings near their bounds
     Mutant(
@@ -209,8 +209,8 @@ MUTANTS = (
     Mutant(
         "route-bound-10x",
         "src/branekit/cli.py",
-        'config.tol("route_equivalence"))',
-        '10 * config.tol("route_equivalence"))',
+        'TOLERANCES["route_equivalence"])',
+        '10 * TOLERANCES["route_equivalence"])',
     ),
     Mutant(
         "tower-bound-1",
@@ -239,8 +239,8 @@ MUTANTS = (
     Mutant(
         "minimizer-absolute",
         "src/branekit/cli.py",
-        'config.tol("minimizer") * min(1.0, pot.tmin)',
-        'config.tol("minimizer")',
+        'TOLERANCES["minimizer"] * min(1.0, pot.tmin)',
+        'TOLERANCES["minimizer"]',
     ),
     Mutant(
         "stationarity-floor-0.1",

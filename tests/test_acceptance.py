@@ -31,13 +31,13 @@ from branekit import (
     sample_curve,
 )
 from branekit.cli import main
-from branekit.config import DEFAULT_TOLERANCES
+from branekit.config import TOLERANCES
 
 Z2 = 1.0
 R = 1.0
 N = 24
 MARGIN = 4
-TRUST = DEFAULT_TOLERANCES["trust_mass"]
+TRUST = TOLERANCES["trust_mass"]
 
 
 def report(label, ok, detail=""):

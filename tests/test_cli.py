@@ -18,9 +18,9 @@ from branekit.background import MAX_DENSE_LEVELS
 from branekit.cli import RECORDS, RENDERERS, Report, main
 from branekit.condensation import sample_curve
 from branekit.config import (
-    DEFAULT_TOLERANCES,
     FORMAT_DELIMITED,
     FORMAT_STRUCTURED,
+    TOLERANCES,
     Gate,
     RunConfig,
     build_config,
@@ -210,15 +210,15 @@ def test_config_file_and_override_precedence(tmp_path, capsys):
         "theta = 0.5\n"
         "N = 12\n"
         "seed = 7\n"
-        "tol_hyperbola = 1e-9\n"
+        "n_max = 5\n"
     )
     values = read_config_file(str(cfg))
     config = build_config(values, {"theta": 0.25})
     assert config.theta == 0.25  # flag beats file
     assert config.N == 12
     assert config.seed == 7
-    assert config.tol("hyperbola") == 1e-9
-    assert config.tol("route_equivalence") == DEFAULT_TOLERANCES["route_equivalence"]
+    assert config.n_max == 5
+    assert config.R == RunConfig.R  # neither sets it
 
     code, out, _ = run(capsys, "condense", "--config", str(cfg), "--theta", "0.25")
     assert code == 0
@@ -243,13 +243,13 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_every_named_tolerance_is_read(capsys, monkeypatch):
     asked = set()
-    original = RunConfig.tol
 
-    def recording_tol(self, name):
-        asked.add(name)
-        return original(self, name)
+    class Recording(dict):
+        def __getitem__(self, name):
+            asked.add(name)
+            return super().__getitem__(name)
 
-    monkeypatch.setattr(RunConfig, "tol", recording_tol)
+    monkeypatch.setattr(cli, "TOLERANCES", Recording(TOLERANCES))
     for argv in (
         ("spectrum", "--N", "8"),
         ("identities", "--N", "8"),
@@ -257,51 +257,36 @@ def test_every_named_tolerance_is_read(capsys, monkeypatch):
         ("curve", "--points", "11"),
     ):
         assert run(capsys, *argv)[0] == 0
-    assert asked == set(DEFAULT_TOLERANCES)
+    assert asked == set(TOLERANCES)
 
 
-def test_identity_tolerances_are_not_config_keys(tmp_path, capsys):
-    cfg = tmp_path / "identity.cfg"
-    cfg.write_text("tol_identity_pass = 1e-300\n")
-    code, out, err = run(capsys, "identities", "--config", str(cfg), "--N", "8")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "identity_pass" in err
-
-
+@pytest.mark.parametrize("line", [*(f"tol_{name} = 1e300" for name in TOLERANCES), "margin_k = 1"])
 @pytest.mark.parametrize(
-    "settings",
-    ["tol_minimizer = 1e-300\n", "tol_minimizer = 1e-27\ntheta = 0.7\nz2 = 1.3\nR = 0.6\n"],
-    ids=["defaults", "theta-0.7"],
+    "argv",
+    [
+        # a loose match bound would widen the tower windows over every eigenvalue: 670 GiB
+        ("spectrum", "--N", "100000"),
+        ("identities",),
+        ("condense",),
+        # exits 1 on its hyperbola residual of 5.185e-09 at the fixed bound
+        (
+            "curve",
+            "--theta=1.219333185924695",
+            "--z2=3714925.9308744012",
+            "--x0-min=-8.386834633971361",
+            "--x0-max=8.386834633971361",
+            "--points=656",
+        ),
+    ],
+    ids=["spectrum", "identities", "condense", "curve"],
 )
-def test_tolerance_below_float_spacing_terminates(tmp_path, settings):
-    # the golden-section bracket cannot shrink below the float spacing
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(settings)
-    src = str(Path(branekit.__file__).resolve().parent.parent)
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.pop("BRANEKIT_CONFIG", None)
-    done = subprocess.run(
-        [sys.executable, "-m", "branekit.cli", "condense", "--config", str(cfg)],
-        capture_output=True,
-        env=env,
-        timeout=30,
-    )
-    assert done.returncode in (0, 1)
-
-
-def test_config_rejects_zero_tolerance():
-    with pytest.raises(ValueError):
-        build_config({"tol_minimizer": "0"})
-
-
-def test_zero_tolerance_via_cli_is_invalid_input(tmp_path, capsys):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text("tol_minimizer = 0\n")
-    code, _, err = run(capsys, "condense", "--config", str(cfg))
-    assert code == 2
-    assert "error:" in err
+def test_gate_bound_is_no_config_key(tmp_path, capsys, argv, line):
+    # the gate bounds and the trust margin are fixed, so no config file can loosen a verdict
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(line + "\n")
+    key = line.partition(" =")[0]
+    error = f"error: unknown config key {key!r}\n"
+    assert run(capsys, *argv, "--config", str(cfg)) == (2, "", error)
 
 
 def test_config_rejects_bad_format():
@@ -338,26 +323,24 @@ def test_negative_seed_is_invalid_input_that_names_the_seed(capsys, command):
     assert run(capsys, command, "--seed", "-5") == (2, "", "error: seed must be >= 0, got -5\n")
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("command", ["spectrum", "identities", "condense", "curve"])
+def test_truncation_within_the_margin_is_invalid_input_that_names_n(capsys, command, n):
+    # every check leaves out the top margin_k = 4 levels, so N = 5 is the least with an interior
+    assert run(capsys, command, "--N", str(n)) == (2, "", f"error: N must be >= 5, got {n}\n")
+
+
 @pytest.mark.parametrize(
     "line,error",
     [
         ("N = 24.0", "config key 'N' must be int, got '24.0'"),
         ("theta = abc", "config key 'theta' must be float, got 'abc'"),
-        ("tol_hyperbola = 1e-10x", "config key 'tol_hyperbola' must be float, got '1e-10x'"),
     ],
 )
 def test_config_value_that_is_no_number_names_its_key(tmp_path, capsys, line, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     assert run(capsys, "condense", "--config", str(cfg)) == (2, "", f"error: {error}\n")
-
-
-def test_infinite_tolerance_is_invalid_input(tmp_path, capsys):
-    cfg = tmp_path / "inf.cfg"
-    cfg.write_text("tol_route_equivalence = inf\n")
-    code, _, err = run(capsys, "spectrum", "--config", str(cfg), "--N", "8")
-    assert code == 2
-    assert len(err.splitlines()) == 1 and "route_equivalence" in err
 
 
 @pytest.mark.parametrize(
@@ -741,24 +724,20 @@ def test_two_point_curve_passes(capsys):
     # a single grid step, from x0 = -3 across 0 to 3
     code, out, _ = run(capsys, "curve", "--points", "2", "--format", "structured")
     assert code == 0
-    assert json.loads(out)["max_eigensolve_gap"] <= DEFAULT_TOLERANCES["block_eigensolve"]
+    assert json.loads(out)["max_eigensolve_gap"] <= TOLERANCES["block_eigensolve"]
 
 
-def test_failing_eigensolve_gate_is_named(tmp_path, capsys):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("tol_block_eigensolve = 1e-300\n")
-    code, _, err = run(capsys, "curve", "--config", str(cfg))
+def test_failing_eigensolve_gate_is_named(capsys, monkeypatch):
+    monkeypatch.setitem(TOLERANCES, "block_eigensolve", 1e-300)
+    code, _, err = run(capsys, "curve")
     assert code == 1
     (line,) = [line for line in err.splitlines() if "eigensolve gap" in line]
     assert line.endswith("(FAIL at 1.0e-300)")
 
 
-def test_failing_stationarity_gate_is_named(tmp_path, capsys):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text("tol_stationarity = 1e-300\n")
-    code, _, err = run(
-        capsys, "condense", "--config", str(cfg), "--theta", "0.3", "--z2", "2.5", "--R", "3"
-    )
+def test_failing_stationarity_gate_is_named(capsys, monkeypatch):
+    monkeypatch.setitem(TOLERANCES, "stationarity", 1e-300)
+    code, _, err = run(capsys, "condense", "--theta", "0.3", "--z2", "2.5", "--R", "3")
     assert code == 1
     gap_line, stationarity_line, verdict = err.splitlines()
     assert gap_line.endswith("(pass at 1.0e-08)")
@@ -909,7 +888,7 @@ def oracle_structured(report: Report, config: RunConfig) -> str:
     doc = {
         "report": report.kind,
         "params": {name: _plain(getattr(config, name)) for name in params},
-        "tolerances": {k: _plain(v) for k, v in sorted(config.tolerances.items())},
+        "tolerances": {k: _plain(v) for k, v in sorted(TOLERANCES.items())},
     }
     for name, value in report.fields:
         if isinstance(value, slice):

@@ -30,7 +30,7 @@ from branekit.spectrum import (
     MassOperator,
     TowerMatch,
 )
-from branekit.config import DEFAULT_TOLERANCES
+from branekit.config import TOLERANCES
 from helpers import (
     InteriorProjector,
     analytic_records,
@@ -42,8 +42,8 @@ from helpers import (
 )
 
 PI_THIRD = math.pi / 3
-MATCH_TOL = DEFAULT_TOLERANCES["eigenvalue_match"]
-TRUST = DEFAULT_TOLERANCES["trust_mass"]
+MATCH_TOL = TOLERANCES["eigenvalue_match"]
+TRUST = TOLERANCES["trust_mass"]
 
 
 def default_params(n_levels=24, theta=PI_THIRD):
@@ -397,11 +397,14 @@ def test_route_equivalence_rejects_bad_margin(margin):
 
 
 def test_route_equivalence_accepts_zero_margin():
-    # margin 0 compares every level, the cutoff rows too, as the dense check does
+    # margin 0 compares every level, the cutoff rows too, as the dense check does; the
+    # per-block oracle uses no BLAS, while the dense products' last bits follow the BLAS kernel
     params = default_params(8)
     op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
     residual = route_equivalence_residual(op_qp, op_fock, margin=0)
-    assert residual == dense_route_equivalence_residual(op_qp, op_fock, 0)
+    assert repr(residual) == repr(route_residual_by_blocks(op_qp, op_fock, 0))
+    dense = dense_route_equivalence_residual(op_qp, op_fock, 0)
+    assert abs(residual - dense) <= 1e-15 * dense
 
 
 # ----------------------------------------------------------- numeric spectrum
