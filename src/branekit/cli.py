@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,7 +82,10 @@ class Report:
     index.  A float64 array is formatted once per bit pattern (-0.0 apart
     from 0.0), any other array once per value, so equal values must have
     equal texts there (an object array holds no floats, nor bools beside
-    ints).  A row is its columns' values alone, in either format.
+    ints), and no text may hold a NUL character.  A row is its columns'
+    values alone, in either format.  A report of ``TABLE_ROWS`` rows or more
+    is written as one byte table whose NUL bytes are dropped, a shorter one
+    a string per row; both write the same bytes.
     ``fields`` are the ordered summary entries of the structured document,
     where a ``slice`` stands for those rows written as records; those named
     in ``headers`` also head the delimited table as ``# name: value``.
@@ -137,19 +141,196 @@ def _json_floats(values: list[float]) -> list[str]:
     ]
 
 
-def _rows(report: Report, sep: str, prefixes, float_texts, text) -> list[str]:
-    """Each row's texts, each behind its column's prefix, joined by ``sep``."""
+class _Spelling(NamedTuple):
+    """How a format writes a column's values."""
+
+    floats: Callable[[list[float]], list[str]]  # a list of floats, one text each
+    text: Callable[[object], str]  # any other value
+    integral: str  # what follows the digits of an integral float in fixed notation
+
+
+_DELIMITED = _Spelling(lambda values: list(map("%.15g".__mod__, values)), _text, "")
+_STRUCTURED = _Spelling(_json_floats, lambda value: json.dumps(_plain(value)), ".0")
+
+#: Rows from which ``_rows`` writes a report as one byte table (``_table``):
+#: below it the table's fixed cost outweighs what it saves per row.  Both
+#: writers are faster per row for the 506 rows of ``identities`` and by the
+#: table for a 1025-row ``spectrum`` (curve reports gain from about 500 rows).
+TABLE_ROWS = 1024
+#: Rows of that table built, and distinct floats formatted, at a time: a long
+#: report's table is never whole, and each step's arrays stay in cache.
+CHUNK_ROWS = 2048
+
+
+def _rows(report: Report, joiner: str, sep: str, prefixes, spelling: _Spelling):
+    """A function of a row slice: the texts of those rows, as a list of runs.
+
+    A row is its columns' texts, each behind its column's prefix, joined by
+    ``sep``.  A run is one or more rows joined by ``joiner``, and the runs are
+    to be joined by it too.  Below ``TABLE_ROWS`` each row is a run.
+    """
+    if report.data[0].size >= TABLE_ROWS:
+        return _table(report, joiner, sep, prefixes, spelling)
     columns = []
     for prefix, values in zip(prefixes, report.data):
         if values.dtype == float:
             bits, index = np.unique(values.view(np.int64), return_inverse=True)
-            texts = list(map(prefix.__add__, float_texts(bits.view(float).tolist())))
+            texts = list(map(prefix.__add__, spelling.floats(bits.view(float).tolist())))
             columns.append(list(map(texts.__getitem__, index.tolist())))
         else:
             values = values.tolist()
-            memo = {v: prefix + text(v) for v in set(values)}
+            memo = {v: prefix + spelling.text(v) for v in set(values)}
             columns.append(list(map(memo.__getitem__, values)))
-    return list(map(sep.join, zip(*columns)))
+    return list(map(sep.join, zip(*columns))).__getitem__
+
+
+def _table(report: Report, joiner: str, sep: str, prefixes, spelling: _Spelling):
+    """``_rows`` as one ``uint8`` table, a row per report row, its NUL bytes dropped.
+
+    Each column is a matrix of its texts, one NUL-padded row per distinct value
+    (one matrix for all float columns), gathered back by row; the text before
+    each column is a constant block.  A run is ``CHUNK_ROWS`` rows of the
+    table, its first row without its joiner.
+    """
+    size = report.data[0].size
+    # the distinct bit patterns of all float columns, each formatted once
+    bits = [values.view(np.int64) for values in report.data if values.dtype == float]
+    distinct, index = np.unique(np.concatenate([*bits, np.empty(0, np.int64)]), return_inverse=True)
+    float_texts = _float_texts(distinct.view(float), spelling)
+    indexes = iter(index.reshape(-1, size))
+    blocks = []
+    for lead, prefix, values in zip([joiner] + [sep] * len(prefixes), prefixes, report.data):
+        if values.dtype == float:
+            texts, index = float_texts, next(indexes)
+        else:
+            distinct, index = _distinct(values)
+            texts = _byte_rows([spelling.text(v) for v in distinct])
+        blocks.append((np.frombuffer((lead + prefix).encode(), np.uint8), texts, index))
+    width = sum(head.size + texts.shape[1] for head, texts, _ in blocks)
+    skip = len(joiner.encode())
+
+    def runs(span: slice) -> list[str]:
+        start, stop, _ = span.indices(size)
+        out = []
+        for first in range(start, stop, CHUNK_ROWS):
+            last = min(first + CHUNK_ROWS, stop)
+            table = np.empty((last - first, width), np.uint8)
+            at = 0
+            for head, texts, index in blocks:
+                table[:, at : at + head.size] = head
+                at += head.size
+                table[:, at : at + texts.shape[1]] = texts.take(index[first:last], axis=0)
+                at += texts.shape[1]
+            table[0, :skip] = 0
+            flat = table.ravel()
+            out.append(str(flat[flat != 0], "utf-8"))
+        return out
+
+    return runs
+
+
+def _distinct(values: np.ndarray):
+    """A non-float column's distinct values, and each row's place among them."""
+    if values.dtype != object:
+        distinct, index = np.unique(values, return_inverse=True)
+        return distinct.tolist(), index
+    values = values.tolist()
+    places = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(places), np.fromiter(map(places.__getitem__, values), np.intp, len(values))
+
+
+def _byte_rows(texts: list[str]) -> np.ndarray:
+    """Each text in UTF-8 as one NUL-padded ``uint8`` row."""
+    rows = np.array([text.encode() for text in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+# The array form of "%.15g" in fixed notation.  For 1e-4 <= |v| < 1e15 with
+# decimal exponent e, |v| * 10**(14 - e) lies in [1e14, 1e15), and since
+# 10**k is exact for k <= 18 the float product is that number correctly
+# rounded.  Floats there are at most 1/8 apart, so each n + 0.5 is one, and
+# rounding is monotone: the product's remainder is above (below) a half
+# exactly when the exact one is, and a half only for a tie or a value that
+# rounds onto one.  The product therefore decides the correctly rounded
+# 15-digit integer wherever its remainder is not a half.
+
+_POW10 = (10 ** np.arange(19)).astype(float)
+#: The four digit bytes of each of 0 to 9999, as one ``uint32``.
+_QUADS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_QUADS = _QUADS.view(np.uint32).ravel()
+#: Bytes of a float's text: the longest repr ("-2.2250738585072014e-308") and
+#: the longest fixed-notation text (sign, "0.", 3 zeros, 15 digits), as 3 uint64s.
+_TEXT_WIDTH = 24
+#: Byte masks keeping the first 0 to 24 bytes of a text.
+_KEEP = (np.arange(_TEXT_WIDTH) < np.arange(_TEXT_WIDTH + 1)[:, None]).astype(np.uint8) * 255
+
+
+def _fixed(values: np.ndarray, integral: str) -> tuple[np.ndarray, np.ndarray]:
+    """The places of the ``values`` written here, and their ``%.15g`` texts as ``uint8`` rows.
+
+    A value is written here when 1e-4 <= |v| < 1e15, its 15-digit rounding
+    stays below 1e15 and its product's remainder is no half.  A text is
+    NUL-padded to ``_TEXT_WIDTH`` bytes, and an integral one ends with
+    ``integral`` ("" or ".0").  Values sorted by bit pattern write each
+    sign's texts of one exponent as one block.
+    """
+    magnitude = np.abs(values)
+    places = np.flatnonzero((magnitude >= 1e-4) & (magnitude < 1e15))
+    v = magnitude[places]
+    exponent = np.clip(np.floor(np.log10(v)), -4, 14).astype(np.intp)
+    # an exponent one off (log10 at a power of ten) puts the product out of
+    # range, rejected below, or onto 1e14 exactly, whose text is the same
+    product = v * _POW10[14 - exponent]
+    whole = np.floor(product)
+    remainder = product - whole
+    rounded = whole + (remainder > 0.5)
+    ok = (whole >= 1e14) & (rounded < 1e15) & (remainder != 0.5)
+    places, rounded, exponent = places[ok], rounded[ok], exponent[ok]
+
+    # four digits at a time: each quotient floors exactly, lying at least 1e-12
+    # below the next integer, beyond the division's rounding
+    quads = np.floor(rounded / _POW10[12::-4, None])
+    quads[1:] -= quads[:-1] * 1e4
+    digits = np.ascontiguousarray(_QUADS[quads.astype(np.intp)].T).view(np.uint8)
+    digits = digits[:, 1:]  # the first quad is below 1000
+    significant = 15 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    decimals = np.maximum(significant - exponent - 1, 0)
+    length = np.maximum(exponent, 0) + 2 + np.where(decimals > 0, decimals + 1, len(integral))
+
+    rows = np.full((places.size, _TEXT_WIDTH), ord("0"), np.uint8)
+    negative = values[places] < 0
+    rows[:, 0] = negative * ord("-")
+    group = exponent + 32 * negative
+    starts = np.flatnonzero(np.diff(group, prepend=group[:1] - 1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [places.size]):
+        e, block, d = exponent[start], rows[start:stop], digits[start:stop]
+        if e >= 0:  # d[:e + 1] "." d[e + 1:]
+            block[:, 1 : 2 + e] = d[:, : e + 1]
+            block[:, 2 + e] = ord(".")
+            block[:, 3 + e : 17] = d[:, e + 1 :]
+        else:  # "0." -e - 1 zeros, then d
+            block[:, 2] = ord(".")
+            block[:, 2 - e : 17 - e] = d
+    # trailing zeros cut, and "." too where no decimal is left ("0" follows it for ".0")
+    rows.view(np.uint64)[:] &= _KEEP[length].view(np.uint64)
+    return places, rows
+
+
+def _float_texts(values: np.ndarray, spelling: _Spelling) -> np.ndarray:
+    """Each float's text as ``spelling`` writes it, as one NUL-padded ``uint8`` row.
+
+    ``_fixed`` writes ``CHUNK_ROWS`` values at a time; those it does not
+    write are spelled one by one.
+    """
+    texts = np.zeros((values.size, _TEXT_WIDTH), np.uint8)
+    rest = np.ones(values.size, bool)
+    for start in range(0, values.size, CHUNK_ROWS):
+        places, rows = _fixed(values[start : start + CHUNK_ROWS], spelling.integral)
+        texts[start + places] = rows
+        rest[start + places] = False
+    others = _byte_rows(spelling.floats(values[rest].tolist()))
+    texts[rest, : others.shape[1]] = others
+    return texts
 
 
 def _delimited(report: Report, config: RunConfig) -> str:
@@ -159,8 +340,7 @@ def _delimited(report: Report, config: RunConfig) -> str:
         f"# columns: {','.join(report.columns)}",
     ]
     lines.extend(f"# {name}: {_text(fields[name])}" for name in report.headers)
-    g15 = "%.15g".__mod__
-    lines.extend(_rows(report, ",", [""] * len(report.columns), lambda v: map(g15, v), _text))
+    lines.extend(_rows(report, "\n", ",", [""] * len(report.columns), _DELIMITED)(RECORDS))
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +352,8 @@ def _structured(report: Report, config: RunConfig) -> str:
     """
     names = map(json.dumps, report.columns)
     prefixes = [f'{"," * bool(i)}\n      {name}: ' for i, name in enumerate(names)]
-    records = _rows(report, "", prefixes, _json_floats, lambda v: json.dumps(_plain(v)))
+    joiner = "\n    },\n    {"
+    records = _rows(report, joiner, "", prefixes, _STRUCTURED)
     params = ("theta", "z2", "R", "N", "margin_k", "n_max", "seed")
     doc = {
         "report": report.kind,
@@ -186,8 +367,10 @@ def _structured(report: Report, config: RunConfig) -> str:
         parts += (",\n  " if parts else "{\n  ", json.dumps(key), ": ")
         if not isinstance(value, slice):
             parts.append(_json(value))
-        elif records[value]:
-            parts += ("[\n    {", "\n    },\n    {".join(records[value]), "\n    }\n  ]")
+        elif runs := records(value):
+            body = [joiner] * (2 * len(runs) - 1)
+            body[::2] = runs
+            parts += ("[\n    {", *body, "\n    }\n  ]")
         else:
             parts.append("[]")
     return "".join(parts + ["\n}\n"])

@@ -1,4 +1,4 @@
-"""Mutant catalogue of the verdict code, run on demand.
+"""Mutant catalogue of the verdict code and the array float formatter, run on demand.
 
 pytest does not collect this file (its name does not match ``test_*.py``).
 Each mutant replaces one expression in one file under ``src``.  For each,
@@ -260,6 +260,25 @@ MUTANTS = (
         "src/branekit/identities.py",
         "tol * np.maximum(1.0, scales)",
         "tol * np.fmax(1.0, scales)",
+    ),
+    # the array form of "%.15g" that writes the rows of long reports
+    Mutant(
+        "fixed-exponent-15",
+        "src/branekit/cli.py",
+        "(rounded < 1e15)",
+        "(rounded <= 1e15)",
+    ),
+    Mutant(
+        "fixed-ties-kept",
+        "src/branekit/cli.py",
+        " & (remainder != 0.5)",
+        "",
+    ),
+    Mutant(
+        "fixed-trailing-zero-kept",
+        "src/branekit/cli.py",
+        "decimals + 1, len(integral)",
+        "decimals + 2, len(integral)",
     ),
 )
 

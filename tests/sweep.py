@@ -7,8 +7,9 @@ interpreter per tree (this checkout's ``src``, then REF's), with no
 ``BRANEKIT_CONFIG`` set.  The argvs are drawn as ``tests/test_cli.py``
 ``drawn_argv`` draws them, cycling over the four commands and alternating
 the two formats, followed by fixed edge inputs: ``--N 5`` for every
-command, the float-resolution inputs of ROADMAP item 7 and the overflow
-edges of ``test_identities_overflow_edges``.  Three of those, ``identities``
+command, the float-resolution inputs of ROADMAP item 7, ``curve
+--points=10001`` and a curve of ``TABLE_ROWS`` rows, and the overflow edges
+of ``test_identities_overflow_edges``.  Three of those, ``identities``
 at ``--z2 2.40623170837532e+101 --seed 1446883356``,
 ``--z2 4.823772925276159e+152 --seed 276323619`` and
 ``--z2 1.0943502451445657e+307 --seed 165636438``, name a numpy operation
@@ -46,6 +47,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
+from branekit.cli import TABLE_ROWS  # noqa: E402
 from test_cli import drawn_argv  # noqa: E402
 
 COMMANDS = ("spectrum", "identities", "condense", "curve")
@@ -53,7 +55,9 @@ FORMATS = ("delimited", "structured")
 N200 = ["--theta", "0.3", "--z2", "2.5", "--R", "0.7"]
 
 #: Inputs at the edges: every command at N = 5, the inputs whose verdicts sit
-#: at the float resolution, and the overflow edges of the identity suite.
+#: at the float resolution, the benchmark's dense curve and a curve of exactly
+#: ``TABLE_ROWS`` rows (the first written as one byte table), and the overflow
+#: edges of the identity suite.
 EDGES = [
     *([command, "--N", "5"] for command in COMMANDS),
     ["condense", "--z2", "3e16", "--theta", "0.5"],
@@ -81,6 +85,8 @@ EDGES = [
         "--theta=0.6610166144543554",
         "--z2=5.897863746906419e-05",
     ],
+    ["curve", "--points=10001"],
+    ["curve", f"--points={TABLE_ROWS // 4}"],
     ["identities", "--z2", "1e80"],
     ["identities", "--z2", "3.723149543575863e+49"],
     ["identities", "--z2", "3.7231495435758633e+49"],

@@ -979,7 +979,8 @@ def test_writers_match_the_oracle_on_a_dense_curve(capsys, monkeypatch):
     writers_match_on([argv], capsys, monkeypatch)
 
 
-def test_writers_match_the_oracle_on_edge_values():
+def edge_report(tiles: int = 1) -> Report:
+    """Floats, ints, bools, strings and mixed objects at their edges, repeated ``tiles`` times."""
     floats = [
         -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 1e15, -1234567890123456.7,
         9999999999999998.0, 5e-324, -3.0, 2.9999999999999996, 1e16, 1e-5, 1e-4,
@@ -987,17 +988,18 @@ def test_writers_match_the_oracle_on_edge_values():
     ]
     n = len(floats)
     labels = ['say "hi"', "caf\u00e9 \u2013 \\", "plain"]
-    report = Report(
+    columns = (
+        np.array(floats),
+        np.array([abs(x) if math.isfinite(x) else 1.5 for x in floats]),
+        np.arange(n) - 3,
+        np.arange(n) % 2 == 0,
+        np.array([labels[i % 3] for i in range(n)]),
+        np.array([[None, 1, "1", -7][i % 4] for i in range(n)], dtype=object),
+    )
+    return Report(
         kind="edge \u00e9",
         columns=("value", "finite", "level", "flag", "label", "seed"),
-        data=(
-            np.array(floats),
-            np.array([abs(x) if math.isfinite(x) else 1.5 for x in floats]),
-            np.arange(n) - 3,
-            np.arange(n) % 2 == 0,
-            np.array([labels[i % 3] for i in range(n)]),
-            np.array([[None, 1, "1", -7][i % 4] for i in range(n)], dtype=object),
-        ),
+        data=tuple(np.tile(column, tiles) for column in columns),
         fields=(
             ("scale", -0.0),
             ("worst", math.nan),
@@ -1011,10 +1013,77 @@ def test_writers_match_the_oracle_on_edge_values():
         notes=(),
         headers=("scale", "worst", "count", "name"),
     )
-    config = build_config(None, {"theta": 0.0, "z2": 1e-300, "R": 1e300})
+
+
+EDGE_CONFIG = {"theta": 0.0, "z2": 1e-300, "R": 1e300}
+
+
+def test_writers_match_the_oracle_on_edge_values():
+    report, config = edge_report(), build_config(None, EDGE_CONFIG)
+    assert report.data[0].size < cli.TABLE_ROWS
     assert_writers_match(report, config, "edge values")
     empty = dataclasses.replace(report, data=tuple(c[:0] for c in report.data), headers=())
     assert_writers_match(empty, config, "no rows")
+
+
+@pytest.mark.parametrize("chunk_rows", [cli.CHUNK_ROWS, 7])
+def test_table_writers_match_the_oracle_on_edge_values(chunk_rows, monkeypatch):
+    # the edge report tiled past TABLE_ROWS, in runs of the default size and of 7
+    # rows, so that runs end inside each record slice and inside the tiles
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    report = edge_report(cli.TABLE_ROWS // 20 + 1)
+    assert cli.TABLE_ROWS <= report.data[0].size < cli.TABLE_ROWS + 20
+    assert_writers_match(report, build_config(None, EDGE_CONFIG), "tiled edge values")
+
+
+def drawn_floats() -> np.ndarray:
+    """Over a million floats: random bit patterns, most of them where the table
+    path writes fixed notation, short decimals at exponents -6 to 16, the
+    neighbours of each power of ten, and exact 15-digit ties."""
+    rng = np.random.default_rng(28)
+    signs = rng.choice([-1.0, 1.0], 10**6)
+    info = np.iinfo(np.int64)
+    bits = rng.integers(info.min, info.max, 10**5, np.int64, True).view(float)
+    window = np.array([9e-5, 2e15]).view(np.int64)
+    fixed = rng.integers(*window, 45 * 10**4).view(float) * signs[: 45 * 10**4]
+    # 1 to 6 significant digits, the nearest float to digits * 10**shift
+    digits = rng.integers(1, 10**6, 45 * 10**4)
+    shift = rng.integers(-6, 17, digits.size) - np.floor(np.log10(digits)).astype(int)
+    scale = 10.0 ** np.abs(shift)
+    short = np.where(shift < 0, digits / scale, digits * scale) * signs[-digits.size :]
+    # 200 floats either side of each power of ten from 1e-6 to 1e16, and their negations
+    powers = (10.0 ** np.arange(-6, 17)).view(np.int64)
+    near = (powers[:, None] + np.arange(-200, 201)).ravel().view(float)
+    # (2j + 1) / 2**(k + 1) at exponent 14 - k: exactly halfway between two 15-digit texts
+    k = np.arange(11).repeat(1000)
+    low = 10.0 ** (14 - k) * 2.0**k
+    odd = 2 * np.floor(low + rng.random(k.size) * 8 * low) + 1
+    ties = odd / 2.0 ** (k + 1)
+    return np.concatenate((bits, fixed, short, near, -near, ties, -ties, [123456789012345.5]))
+
+
+def test_table_writers_spell_drawn_floats_as_the_oracle():
+    values = drawn_floats()
+    assert values.size >= 10**6
+    report = Report(
+        kind="drawn",
+        columns=("value",),
+        data=(values,),
+        fields=(("records", RECORDS),),
+        gates=(),
+        notes=(),
+    )
+    config = build_config(None, {})
+    # the oracle's ``_text`` of each float, and its ``_plain`` as json writes it
+    # (the pure-Python encoder that indent=2 uses writes floats as this one does)
+    texts = list(map("{:.15g}".format, values.tolist()))
+    plain = json.dumps(list(map(float, texts)))[1:-1].split(", ")
+    delimited = RENDERERS[FORMAT_DELIMITED](report, config)
+    assert delimited.split("\n")[2:-1] == texts
+    structured = RENDERERS[FORMAT_STRUCTURED](report, config)
+    records = structured.partition('"records": [\n    {\n      "value": ')[2]
+    joiner = '\n    },\n    {\n      "value": '
+    assert records.partition("\n    }\n  ]")[0].split(joiner) == plain
 
 
 #: Floats whose 15-digit texts repr may spell differently: subnormals, the
