@@ -1,10 +1,11 @@
 """Quadratic fluctuation operator, its three assemblies, and the mode spectrum.
 
 The off-diagonal fluctuation between the branes has a 3N x 3N Hermitian mass
-operator made of nine N x N field blocks.  Each block is a product of two of
-the ladder-like operators a, a^dag, Q, P and A, which are tridiagonal with a
-zero diagonal, so it has entries only on the diagonals at offsets -2, 0 and 2.
-A :class:`MassOperator` stores just those diagonals, 27 numbers per level.
+operator whose N x N field blocks M11, M12, M21, M22 and M33 are the only
+nonzero ones: field 3 couples to neither of fields 1 and 2.  Each is a product
+of two of the ladder-like operators a, a^dag, Q, P and A, which are tridiagonal
+with a zero diagonal, so it has entries only on the diagonals at offsets -2, 0
+and 2.  A :class:`MassOperator` stores just those, 15 numbers per level.
 It is assembled three ways:
 
 * ``build_mass_operator_qp`` writes it in the unrotated fields from the
@@ -86,8 +87,9 @@ class MassOperator:
     """Hermitian 3N x 3N fluctuation operator with its natural energy^2 unit.
 
     ``matrix`` is band storage, not a dense matrix: an array of shape
-    (3, 3, 3, N) whose entry [a, b, k, i] is entry (i, i + OFFSETS[k]) of
-    the field block M_ab.  Positions past the edge of a block hold zero.
+    (5, 3, N) whose entry [j, k, i] is entry (i, i + OFFSETS[k]) of the j-th
+    of M11, M12, M21, M22, M33; the first four reshape to the 2x2 grid of
+    fields 1 and 2 as a view.  Positions past the edge of a block hold zero.
     """
 
     matrix: np.ndarray
@@ -125,13 +127,6 @@ def _product(x: tuple, y: tuple) -> np.ndarray:
     return out
 
 
-def _field_blocks(b11, b12, b21, b22, b33) -> np.ndarray:
-    """Band storage of [[b11, b12, 0], [b21, b22, 0], [0, 0, b33]]."""
-    band = np.zeros((3, 3) + b11.shape, dtype=complex)
-    band[0, 0], band[0, 1], band[1, 0], band[1, 1], band[2, 2] = b11, b12, b21, b22, b33
-    return band
-
-
 def build_mass_operator_qp(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
     """Mass operator in the unrotated fields, from the relative coordinates.
 
@@ -155,7 +150,7 @@ def build_mass_operator_qp(theta: float, z2: float, R: float, n_levels: int) -> 
     b12 = -cos_t * (_product(p, q) - 1j * sigma * _EYE)
     b21 = -cos_t * (_product(q, p) + 1j * sigma * _EYE)
     b33 = cos_t**2 * pp + qq
-    return MassOperator(R * _field_blocks(b11, b12, b21, qq, b33), scale)
+    return MassOperator(R * np.stack([b11, b12, b21, qq, b33]), scale)
 
 
 def _rotated_blocks(c_minus: float, c_plus: float, n_levels: int, scale: float) -> np.ndarray:
@@ -164,13 +159,8 @@ def _rotated_blocks(c_minus: float, c_plus: float, n_levels: int, scale: float) 
     mode = (c_minus * root, c_plus * root)
     mode_dag = (mode[1].conj(), mode[0].conj())
     number = _product(mode_dag, mode)
-    return scale * _field_blocks(
-        number - _EYE,
-        _product(mode_dag, mode_dag),
-        _product(mode, mode),
-        number + 2.0 * _EYE,
-        2.0 * number + _EYE,
-    )
+    b12, b21 = _product(mode_dag, mode_dag), _product(mode, mode)
+    return scale * np.stack([number - _EYE, b12, b21, number + 2.0 * _EYE, 2.0 * number + _EYE])
 
 
 def build_mass_operator_fock(theta: float, z2: float, R: float, n_levels: int) -> MassOperator:
@@ -197,12 +187,13 @@ def route_equivalence_residual(
     """Interior max-residual of the field rotation, relative to the scale.
 
     Conjugates the unrotated-field operator by (U x interior projector) and
-    compares against the rotated-field operator on the same interior.  Each
-    slot of the result reads only its own slot of the nine field blocks, so
-    the bands are read in place on the interior levels, a field row a at a
-    time: X_ad = sum_c U[a,c] M_cd, then sum_d X_ad conj(U[b,d]), the grouping
-    of the dense product (U x P) M (U x P)^dag, which keeps the residual
-    identical to it.  The slots whose column leaves the interior are zeroed.
+    compares against the rotated-field operator on the same interior.  U is
+    diag(U2, 1), so field 3 is compared as it is.  Each slot of the result
+    reads only its own slot of the stored blocks, so the bands are read in
+    place on the interior levels, a field row a at a time: X_ad = sum_c
+    U2[a,c] M_cd, then sum_d X_ad conj(U2[b,d]), the grouping of the dense
+    product (U x P) M (U x P)^dag, which keeps the residual identical to it.
+    The slots whose column leaves the interior are zeroed.
     """
     n = op_fock.matrix.shape[-1]
     if op_qp.matrix.shape[-1] != n:
@@ -211,14 +202,18 @@ def route_equivalence_residual(
         raise ValueError(f"margin must satisfy 0 <= margin < {n}, got {margin}")
     k = n - margin
     m, f = op_qp.matrix[..., :k], op_fock.matrix[..., :k]
-    u = rotation_u()
+    m2, f2 = m[:4].reshape(2, 2, 3, k), f[:4].reshape(2, 2, 3, k)
+    u = rotation_u()[:2, :2]
     u_dag = u.conj().T[:, :, None, None]
     row_residuals = []
     for a in range(3):
-        row = u[a, 0] * m[0] + u[a, 1] * m[1] + u[a, 2] * m[2]
-        row = row[0] * u_dag[0] + row[1] * u_dag[1] + row[2] * u_dag[2] - f[a]
+        if a < 2:
+            row = u[a, 0] * m2[0] + u[a, 1] * m2[1]
+            row = row[0] * u_dag[0] + row[1] * u_dag[1] - f2[a]
+        else:
+            row = m[4] - f[4]  # field 3, which U leaves as it is
         # columns below 0 (offset -2) and from k on (offset +2)
-        row[:, 0, :2] = row[:, 2, max(0, k - 2) :] = 0.0
+        row[..., 0, :2] = row[..., 2, max(0, k - 2) :] = 0.0
         row_residuals.append(np.max(np.abs(row)))
     # np.max, unlike the builtin, keeps a NaN residual
     return float(np.max(row_residuals) / op_fock.scale)
@@ -271,7 +266,7 @@ def transverse_gap(op: MassOperator, margin: int) -> float:
     on the levels n < N - margin.  A NaN entry gives a NaN gap.
     """
     levels = np.arange(op.matrix.shape[-1] - margin)
-    units = op.matrix[2, 2, 1, : levels.size].real / op.scale
+    units = op.matrix[4, 1, : levels.size].real / op.scale
     return float(np.max(np.abs(units - (2.0 * levels + 1.0))))
 
 
@@ -296,8 +291,8 @@ def numeric_spectrum(op: MassOperator, margin: int, mass_threshold: float) -> np
     eigensolver failure raises numpy's ``LinAlgError``, a ``ValueError`` too.
     """
     band, n = op.matrix, op.matrix.shape[-1]
-    diagonals = band[[0, 1, 2], [0, 1, 2], 1]
-    upper, lower = band[0, 1, 0, 2:], band[1, 0, 2, :-2]
+    diagonals = band[[0, 3, 4], 1]
+    upper, lower = band[1, 0, 2:], band[2, 2, :-2]
     herm = np.max(np.abs(np.append(diagonals - diagonals.conj(), upper - lower.conj())))
     if not herm <= 1e-10 * op.scale:
         raise ValueError(f"mass operator is not Hermitian (residual {herm:g})")
@@ -316,6 +311,7 @@ def numeric_spectrum(op: MassOperator, margin: int, mass_threshold: float) -> np
     blocks = np.stack([diagonals[0, 2:], upper, lower, diagonals[1, :-2]], axis=1)
     pair_values, vecs = np.linalg.eigh(blocks.reshape(-1, 2, 2))
     pair_masses = np.abs(vecs[:, 0]) ** 2 * top[2:, None] + np.abs(vecs[:, 1]) ** 2 * top[:-2, None]
+    del blocks, vecs  # freed before the result is built
 
     values = np.concatenate([single_values, pair_values.ravel()])
     if not np.isfinite(values).all():

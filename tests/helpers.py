@@ -195,12 +195,25 @@ def random_hermitian_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+#: The field blocks (a, b) a mass operator's band stores, in its order.
+FIELD_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+
+
+def field_grid(band: np.ndarray) -> np.ndarray:
+    """The band storage of all nine field blocks M_ab, as [a, b, k, i], zero where none is stored."""
+    grid = np.zeros((3, 3) + band.shape[1:], dtype=band.dtype)
+    for (a, b), block in zip(FIELD_BLOCKS, band, strict=True):
+        grid[a, b] = block
+    return grid
+
+
 def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
     """The route check one field block (a, b) at a time, each sum a Python ``sum``.
 
     X_ad = sum_c U[a,c] M_cd, then sum_d X_ad conj(U[b,d]) on the masked
-    band diagonals, with the largest of the nine block maxima relative to the
-    scale: the form ``route_equivalence_residual`` had before it went row-wise.
+    band diagonals of all nine field blocks, with the full 3x3 rotation, and
+    the largest of the nine block maxima relative to the scale: the form
+    ``route_equivalence_residual`` had before it went row-wise.
     """
     n = op_fock.matrix.shape[-1]
     if op_qp.matrix.shape[-1] != n:
@@ -209,8 +222,8 @@ def route_residual_by_blocks(op_qp, op_fock, margin: int) -> float:
     levels = np.arange(n)
     columns = levels + np.array(OFFSETS)[:, None]
     interior = (levels < k) & (columns >= 0) & (columns < k)
-    m = np.where(interior, op_qp.matrix, 0.0)
-    f = np.where(interior, op_fock.matrix, 0.0)
+    m = np.where(interior, field_grid(op_qp.matrix), 0.0)
+    f = np.where(interior, field_grid(op_fock.matrix), 0.0)
     u = rotation_u()
     x = [[sum(u[a, c] * m[c, d] for c in range(3)) for d in range(3)] for a in range(3)]
     block_residuals = [

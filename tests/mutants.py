@@ -187,6 +187,12 @@ MUTANTS = (
         "float(max(row_residuals) / op_fock.scale)",
     ),
     Mutant(
+        "route-field-3-dropped",
+        "src/branekit/spectrum.py",
+        "for a in range(3):",
+        "for a in range(2):",
+    ),
+    Mutant(
         "transverse-line-shift",
         "src/branekit/spectrum.py",
         "units - (2.0 * levels + 1.0)",

@@ -569,7 +569,7 @@ def test_route_nan_in_one_field_row_fails_closed(capsys, monkeypatch):
 
     def nan_row(*args):
         op = build(*args)
-        op.matrix[2, 2, 1, 3] = math.nan
+        op.matrix[4, 1, 3] = math.nan
         return op
 
     monkeypatch.setattr(cli, "build_mass_operator_qp", nan_row)
@@ -584,7 +584,7 @@ def test_route_nan_in_one_rotated_row_fails_closed(capsys, monkeypatch):
 
     def nan_row(*args):
         op = build(*args)
-        op.matrix[2, 2, 1, 3] = math.nan
+        op.matrix[4, 1, 3] = math.nan
         return op
 
     monkeypatch.setattr(cli, "build_mass_operator_fock", nan_row)
@@ -599,7 +599,7 @@ def _perturb_field_3(monkeypatch, offset):
 
     def perturbed(*args):
         op = build(*args)
-        op.matrix[2, 2, 1, 5] += offset * op.scale
+        op.matrix[4, 1, 5] += offset * op.scale
         return op
 
     monkeypatch.setattr(cli, "build_mass_operator_levels", perturbed)

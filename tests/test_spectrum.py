@@ -32,9 +32,11 @@ from branekit.spectrum import (
 )
 from branekit.config import TOLERANCES
 from helpers import (
+    FIELD_BLOCKS,
     InteriorProjector,
     analytic_records,
     bogoliubov,
+    field_grid,
     level_eigenvectors,
     record_columns,
     route_residual_by_blocks,
@@ -56,13 +58,14 @@ def default_params(n_levels=24, theta=PI_THIRD):
 def to_dense(op):
     """The 3N x 3N matrix held in an operator's band storage."""
     n = op.matrix.shape[-1]
+    grid = field_grid(op.matrix)
     matrix = np.zeros((3 * n, 3 * n), dtype=complex)
     levels = np.arange(n)
     for k, offset in enumerate(OFFSETS):
         i = levels[(levels + offset >= 0) & (levels + offset < n)]
         for a in range(3):
             for b in range(3):
-                matrix[a * n + i, b * n + i + offset] = op.matrix[a, b, k, i]
+                matrix[a * n + i, b * n + i + offset] = grid[a, b, k, i]
     return matrix
 
 
@@ -146,8 +149,9 @@ def test_band_assembly_matches_dense_builder(assembly):
 @pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
 def test_band_storage_is_linear_in_n(assembly):
     op = ASSEMBLIES[assembly][0](PI_THIRD, 1.0, 1.0, MAX_BAND_LEVELS)
-    assert op.matrix.shape == (3, 3, len(OFFSETS), MAX_BAND_LEVELS)
-    assert op.matrix.nbytes / MAX_BAND_LEVELS <= 1024
+    # the five stored field blocks, three diagonals each: 15 complex entries per level
+    assert op.matrix.shape == (len(FIELD_BLOCKS), len(OFFSETS), MAX_BAND_LEVELS)
+    assert op.matrix.nbytes / MAX_BAND_LEVELS == 15 * 16
 
 
 @pytest.mark.parametrize("assembly", sorted(ASSEMBLIES))
@@ -502,14 +506,14 @@ def test_not_hermitian_exactly_when_the_dense_scan_exceeds_the_bound():
         bound = 1e-10 * op.scale
         if draw < 2:
             half = bound / 2 if draw == 0 else float(np.nextafter(bound / 2, math.inf))
-            matrix[2, 2, 1, int(rng.integers(n_levels))] += 1j * half
+            matrix[4, 1, int(rng.integers(n_levels))] += 1j * half
         for _ in range(int(rng.integers(1, 4))):
             delta = bound * 10.0 ** rng.uniform(-1.5, 0.5) * np.exp(2j * math.pi * rng.random())
             field = int(rng.integers(3))
             entry = [
-                (field, field, 1, int(rng.integers(n_levels))),
-                (0, 1, 0, int(rng.integers(2, n_levels))),
-                (1, 0, 2, int(rng.integers(n_levels - 2))),
+                (FIELD_BLOCKS.index((field, field)), 1, int(rng.integers(n_levels))),
+                (1, 0, int(rng.integers(2, n_levels))),
+                (2, 2, int(rng.integers(n_levels - 2))),
             ][int(rng.integers(3))]
             matrix[entry] += delta
         broken = MassOperator(matrix, op.scale)
@@ -529,7 +533,7 @@ def test_not_hermitian_exactly_when_the_dense_scan_exceeds_the_bound():
 def test_numeric_spectrum_rejects_non_hermitian():
     op = build_mass_operator_levels(*default_params(8))
     upper = np.zeros_like(op.matrix)
-    upper[:, :, 2] = 1e-3
+    upper[:, 2] = 1e-3
     broken = MassOperator(matrix=op.matrix + upper, scale=op.scale)
     with pytest.raises(ValueError):
         numeric_spectrum(broken, 2, TRUST)
@@ -574,17 +578,17 @@ def with_entries(op, entries, value):
     return MassOperator(matrix, op.scale)
 
 
-#: A Hermitian coupling of field 3 to field 1 that no level block holds.
-OFF_BLOCK_PAIR = ((0, 2, 1, 3), (2, 0, 1, 3))
+#: A Hermitian coupling of field 3 at level 3 to level 5 that no level block holds.
+OFF_LEVEL_PAIR = ((4, 2, 3), (4, 0, 5))
 #: The slots of the field 1 to field 2 coupling bands past the block edge.
-PAST_EDGE = [(0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 2, -2), (1, 0, 2, -1)]
+PAST_EDGE = [(1, 0, 0), (1, 0, 1), (2, 2, -2), (2, 2, -1)]
 
 
 def test_numeric_spectrum_rejects_couplings_outside_level_blocks():
     op = build_mass_operator_levels(*default_params(8))
     for value in (0.5, math.nan):
         with pytest.raises(ValueError, match="outside its level blocks"):
-            numeric_spectrum(with_entries(op, OFF_BLOCK_PAIR, value), 2, TRUST)
+            numeric_spectrum(with_entries(op, OFF_LEVEL_PAIR, value), 2, TRUST)
 
 
 @pytest.mark.parametrize("entry", PAST_EDGE)
@@ -595,7 +599,7 @@ def test_numeric_spectrum_rejects_past_edge_couplings(entry):
             numeric_spectrum(with_entries(op, [entry], value), 2, TRUST)
 
 
-@pytest.mark.parametrize("entries", [OFF_BLOCK_PAIR, *([entry] for entry in PAST_EDGE)])
+@pytest.mark.parametrize("entries", [OFF_LEVEL_PAIR, *([entry] for entry in PAST_EDGE)])
 def test_numeric_spectrum_accepts_negative_zero_outside_level_blocks(entries):
     # a signed zero is zero: the solve is the clean one, bit for bit
     op = build_mass_operator_levels(*default_params(8))
@@ -673,15 +677,15 @@ def test_transverse_gap_matches_dense_eigensolve(n_levels, theta):
 def test_transverse_gap_reads_the_solved_field_3_singles():
     # field block 3 holds the last N of numeric_spectrum's 1x1 blocks, read the same way
     op = build_mass_operator_levels(*default_params(24))
-    op.matrix[2, 2, 1, 5] += 1e-3 * op.scale
-    units = op.matrix[2, 2, 1].real / op.scale
+    op.matrix[4, 1, 5] += 1e-3 * op.scale
+    units = op.matrix[4, 1].real / op.scale
     assert transverse_gap(op, 2) == pytest.approx(1e-3, rel=1e-9)
     assert set(units.tolist()) <= set(numeric_spectrum(op, 2, TRUST).units.tolist())
 
 
 def test_transverse_gap_keeps_nan():
     op = build_mass_operator_levels(*default_params(24))
-    op.matrix[2, 2, 1, 3] = math.nan
+    op.matrix[4, 1, 3] = math.nan
     assert math.isnan(transverse_gap(op, 2))
 
 
@@ -737,7 +741,7 @@ def gathered_numeric_spectrum(op, margin, mass_threshold=TRUST):
     cluster, returned as any mixture; it trusts as many of its lowest-mass
     members as the Gram form of its top mass has interior directions.
     """
-    band, n = op.matrix, op.matrix.shape[-1]
+    band, n = field_grid(op.matrix), op.matrix.shape[-1]
     top = (np.arange(3 * n) % n >= n - margin).astype(float)
     # indices (field * n + level): field 1 at level m couples to field 2 at
     # level m - 2; field 1 at levels 0 and 1, field 2 at the top two levels
@@ -780,8 +784,8 @@ def test_block_slices_match_gathered_oracle_bitwise():
         if rng.random() < 0.3:
             matrix = op.matrix.copy()
             noise = 1e-12 * op.scale * rng.standard_normal((4, n_levels))
-            matrix[[0, 1, 2], [0, 1, 2], 1] += 1j * noise[:3]
-            matrix[0, 1, 0, 2:] += noise[3, 2:]
+            matrix[[0, 3, 4], 1] += 1j * noise[:3]
+            matrix[1, 0, 2:] += noise[3, 2:]
             op = MassOperator(matrix, op.scale)
         margin = int(rng.integers(1, n_levels))
         threshold = float(rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-12, 0)]))
@@ -860,7 +864,8 @@ def test_route_residual_equals_dense_oracle(theta, z2, R, n_levels, margin):
 
 def test_row_wise_route_check_matches_per_block_oracle_bitwise():
     # N log-uniform in 4-3000, z2 and R across 10^+-300 and 10^+-15, any margin;
-    # the last draws overflow the scale, or put a NaN in one field row alone
+    # the last draws overflow the scale, or put a NaN in one field row alone:
+    # in M12 (field row 1), M22 (field row 2) or field 3's band
     rng = np.random.default_rng(20030414)
     draws = [
         (
@@ -876,14 +881,14 @@ def test_row_wise_route_check_matches_per_block_oracle_bitwise():
         for i, params in enumerate(draws):
             op_qp, op_fock = build_mass_operator_qp(*params), build_mass_operator_fock(*params)
             if i >= len(draws) - 3:
-                op_qp.matrix[i % 3, 1, 1, 0] = math.nan
+                op_qp.matrix[(1, 3, 4)[i % 3], 1, 0] = math.nan
             margin = int(rng.integers(1, params[3]))
             residual = route_equivalence_residual(op_qp, op_fock, margin)
             assert repr(residual) == repr(route_residual_by_blocks(op_qp, op_fock, margin)), params
             assert math.isnan(residual) or i < len(draws) - 5, params
 
     # the boundary slots: a NaN in every slot whose column leaves the interior,
-    # in all nine field blocks of both bands, is ignored; one in the last
+    # in all five field blocks of both bands, is ignored; one in the last
     # interior slot at offset +2 (level k - 3) is not
     params = (0.7, 1.9, 0.4, 12)
     n = params[3]
@@ -896,13 +901,13 @@ def test_row_wise_route_check_matches_per_block_oracle_bitwise():
         assert repr(clean) == repr(route_residual_by_blocks(op_qp, op_fock, margin))
         excluded = ~((levels < k) & (columns >= 0) & (columns < k))
         for j, i in zip(*np.nonzero(excluded)):
-            slots = [(a, b, j, i) for a in range(3) for b in range(3)]
+            slots = [(block, j, i) for block in range(len(FIELD_BLOCKS))]
             qp, fock = (with_entries(op, slots, math.nan) for op in (op_qp, op_fock))
             residual = route_equivalence_residual(qp, fock, margin)
             assert repr(residual) == repr(route_residual_by_blocks(qp, fock, margin))
             assert repr(residual) == repr(clean), (margin, j, i)
-        for a, b in (np.ndindex(3, 3) if k >= 3 else ()):
-            qp = with_entries(op_qp, [(a, b, 2, k - 3)], math.nan)
+        for block in range(len(FIELD_BLOCKS) if k >= 3 else 0):
+            qp = with_entries(op_qp, [(block, 2, k - 3)], math.nan)
             residual = route_equivalence_residual(qp, op_fock, margin)
             assert repr(residual) == repr(route_residual_by_blocks(qp, op_fock, margin)) == "nan"
 
@@ -963,7 +968,7 @@ def test_match_tower_equals_brute_force(tol):
 def test_numeric_spectrum_rejects_nan_operator():
     op = build_mass_operator_levels(*default_params(8))
     matrix = op.matrix.copy()
-    matrix[0, 0, 1, 3] = math.nan
+    matrix[0, 1, 3] = math.nan
     broken = MassOperator(matrix, op.scale)
     with pytest.raises(ValueError, match="not Hermitian"):
         numeric_spectrum(broken, 2, TRUST)
@@ -973,9 +978,9 @@ def test_numeric_spectrum_rejects_non_finite_eigenvalue():
     # a finite Hermitian level block whose eigenvalue overflows to inf:
     # field 1 at level 2 and field 2 at level 0
     n = 4
-    matrix = np.zeros((3, 3, len(OFFSETS), n), dtype=complex)
-    matrix[[0, 1, 2], [0, 1, 2], 1] = np.arange(3.0 * n).reshape(3, n)
-    matrix[0, 0, 1, 2] = matrix[1, 1, 1, 0] = matrix[0, 1, 0, 2] = matrix[1, 0, 2, 0] = 1e308
+    matrix = np.zeros((len(FIELD_BLOCKS), len(OFFSETS), n), dtype=complex)
+    matrix[[0, 3, 4], 1] = np.arange(3.0 * n).reshape(3, n)
+    matrix[0, 1, 2] = matrix[3, 1, 0] = matrix[1, 0, 2] = matrix[2, 2, 0] = 1e308
     op = MassOperator(matrix=matrix, scale=1.0)
     with pytest.raises(ValueError, match="non-finite eigenvalue"):
         numeric_spectrum(op, 1, TRUST)
