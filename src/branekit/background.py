@@ -8,9 +8,8 @@ import numpy as np
 
 from .oscillator import validate_angle, validate_levels
 
-#: Largest truncation of the dense 2N x 2N background.  ``identities`` builds
-#: its trial backgrounds at 4-8 levels and the relative momentum P alone at
-#: N // 4, which this bound caps too, so ``identities`` accepts N <= 4003.
+#: Largest truncation of the dense 2N x 2N background, a bound on the callers of
+#: ``build_background``; ``identities`` builds its trial backgrounds at 4-8 levels.
 MAX_DENSE_LEVELS = 1000
 
 

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .background import MAX_DENSE_LEVELS, build_background
+from .background import build_background
 from .condensation import (
     ASYMPTOTES,
     BRANCHES,
@@ -52,7 +52,7 @@ from .identities import (
     random_fluctuation,
     random_hermitian,
 )
-from .oscillator import make_qp, validate_levels
+from .oscillator import make_qp
 from .spectrum import (
     analytic_spectrum,
     build_mass_operator_fock,
@@ -468,14 +468,12 @@ def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> np.nda
 
 
 def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
-    # checked and built first, so a bad size or an overflowing P fails before any trial runs
-    n_levels = max(config.N // 4, 4)
-    validate_levels("dense background", n_levels, MAX_DENSE_LEVELS)
-    _, p = make_qp(n_levels, config.z2)
+    # built first, so an overflowing P fails before any trial runs
+    dim = 5
+    _, p = make_qp(dim, config.z2)
     reports = [_trial_reports(config).ravel()]
 
     rng = np.random.default_rng(config.seed)
-    dim = 5
     # equal, rank-one real, momentum-polynomial and generic blocks, drawn in that order
     direct = [
         random_complex(rng, 1, dim, dim)[[0, 0, 0]],
@@ -607,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta", type=float, help="intersection angle, radians")
     common.add_argument("--z2", type=float, help="flux density z^2, length^2")
     common.add_argument("--R", type=float, help="tension scale, energy")
-    common.add_argument("--N", type=int, help="Fock truncation per block")
+    common.add_argument("--N", type=int, help="Fock truncation per block (spectrum)")
     common.add_argument("--seed", type=int, help="seed for randomized checks")
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument(

@@ -14,7 +14,6 @@ import pytest
 
 import branekit
 from branekit import cli
-from branekit.background import MAX_DENSE_LEVELS
 from branekit.cli import RECORDS, RENDERERS, Report, main
 from branekit.condensation import sample_curve
 from branekit.config import (
@@ -377,9 +376,9 @@ OVERFLOW = r"error: FloatingPointError: overflow encountered in \w+\n"
         # the first overflow in the trials, and the last z2 before and the
         # first past the quartic checks' trace overflow at the defaults
         ("1e80", 2, "error: FloatingPointError: overflow encountered in matmul\n"),
-        ("3.723149543575863e+49", 0, ""),
+        ("5.041515201135325e+49", 0, ""),
         (
-            "3.7231495435758633e+49",
+            "5.041515201135326e+49",
             2,
             "error: FloatingPointError: overflow encountered in scalar multiply\n",
         ),
@@ -433,24 +432,41 @@ def test_every_mutant_anchor_occurs_once_in_its_file():
     assert {name: count for name, count in counts.items() if count != 1} == {}
 
 
+def identities_traced(capsys, *argv):
+    """Exit code, stdout and ``tracemalloc`` peak of one ``identities`` call."""
+    tracemalloc.start()
+    try:
+        code = main(["identities", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().out, peak
+
+
 def test_identities_peak_memory_stays_small(capsys):
     # the trials run about seven to an expansion stack and ten to a cross-term
-    # stack: about 1.85 MB at the defaults.  At N // 4 = 200 levels only the
-    # n x n momentum P, its powers and its quartic check are formed: about
-    # 12 n^2 complex entries, where a (3, 2n, 2n) background would hold 12 n^2
-    # on its own.  The first call of a process also builds the parser and runs
-    # lazy imports, about 0.95 MB more, so one untraced call comes first
+    # stack: about 1.85 MB at the defaults.  The first call of a process also
+    # builds the parser and runs lazy imports, about 0.95 MB more, so one
+    # untraced call comes first
     assert main(["identities"]) == 0
-    sizes = ((["identities"], 3_000_000), (["identities", "--N", "803"], 16 * 200**2 * 16))
-    for argv, bound in sizes:
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        assert peak < bound, argv
+    code, _, peak = identities_traced(capsys)
+    assert code == 0 and peak < 3_000_000
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "structured"])
+def test_identities_report_is_the_same_at_every_n(capsys, fmt):
+    # N sizes no identities input: past the dense bound (4004) and the band
+    # bound (10^6) the body is the default one, and only the structured
+    # params echo N.  One untraced call builds the parser first; the sizes
+    # ascend, so a P sized by N fails at 4004 before it could reach 10^6
+    assert main(["identities"]) == 0
+    capsys.readouterr()
+    default = None
+    for argv in ([], ["--N", "5"], ["--N", "40"], ["--N", "4004"], ["--N", "1000000"]):
+        code, out, peak = identities_traced(capsys, "--format", fmt, *argv)
+        body = re.sub(r'\n    "N": \d+,\n', "\n", out)
+        default = default or body
+        assert (code, peak < 3_000_000, body == default) == (0, True, True), argv
 
 
 def test_underflowing_mass_scale_is_invalid_input(capsys):
@@ -527,8 +543,6 @@ def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     "command,n_levels,site,bound",
     [
         ("spectrum", MAX_BAND_LEVELS + 1, "mass operator", MAX_BAND_LEVELS),
-        # identities builds its relative momentum P at N // 4 levels, under the dense bound
-        ("identities", 4 * (MAX_DENSE_LEVELS + 1), "dense background", MAX_DENSE_LEVELS),
     ],
 )
 def test_size_past_the_bound_is_invalid_input(capsys, command, n_levels, site, bound):
