@@ -458,7 +458,7 @@ def test_identities_report_is_the_same_at_every_n(capsys, fmt):
     # N sizes no identities input: past the dense bound (4004) and the band
     # bound (10^6) the body is the default one, and only the structured
     # params echo N.  One untraced call builds the parser first; the sizes
-    # ascend, so a P sized by N fails at 4004 before it could reach 10^6
+    # ascend, so a P sized by N fails by 4004, before 10^6 could allocate it
     assert main(["identities"]) == 0
     capsys.readouterr()
     default = None
