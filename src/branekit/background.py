@@ -6,11 +6,7 @@ import math
 
 import numpy as np
 
-from .oscillator import validate_angle, validate_levels
-
-#: Largest truncation of the dense 2N x 2N background, a bound on the callers of
-#: ``build_background``; ``identities`` builds its trial backgrounds at 4-8 levels.
-MAX_DENSE_LEVELS = 1000
+from .oscillator import validate_angle
 
 
 def build_background(thetas: list[float], q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -23,7 +19,8 @@ def build_background(thetas: list[float], q: np.ndarray, p: np.ndarray) -> np.nd
     for angle in thetas:
         validate_angle(angle)
     n = q.shape[-1]
-    validate_levels("dense background", n, MAX_DENSE_LEVELS)
+    if n < 4:
+        raise ValueError(f"truncation size must be >= 4, got {n}")
     # math's sin and cos: numpy's vector ones can differ in the last bit
     sin_t, cos_t = np.array([[math.sin(a), math.cos(a)] for a in thetas]).T[..., None, None]
     xs = np.zeros((len(thetas), 3, 2 * n, 2 * n), dtype=complex)

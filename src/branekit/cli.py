@@ -41,6 +41,7 @@ from .config import (
     read_config_file,
 )
 from .identities import (
+    PASS_TOL,
     RECORD,
     VERDICT_VIOLATED,
     check_cross_terms,
@@ -491,7 +492,7 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
         f"{len(table)} identity evaluations: "
         + ", ".join(f"{k}={v}" for k, v in zip(*np.unique(table["verdict"], return_counts=True))),
         "quartic closed forms are recorded against the block-trace oracle; a form "
-        "holds where its residual is within 1e-10 of max(1, |lhs|, |rhs|)",
+        f"holds where its residual is within {PASS_TOL:g} of max(1, |lhs|, |rhs|)",
     )
     if not violated.ok:
         notes += (f"FAIL: {violated.value} exact/pass identities violated",)

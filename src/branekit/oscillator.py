@@ -41,14 +41,6 @@ def validate_params(theta: float, z2: float, R: float | None = None) -> None:
         validate_positive("tension scale R", R)
 
 
-def validate_levels(what: str, n_levels: int, bound: int) -> None:
-    """Reject a truncation size below 4, or above the ``bound`` of the ``what`` it sizes."""
-    if n_levels < 4:
-        raise ValueError(f"truncation size must be >= 4, got {n_levels}")
-    if n_levels > bound:
-        raise ValueError(f"{what} truncation size {n_levels} exceeds its bound {bound}")
-
-
 def ladder_entries(dim: int) -> np.ndarray:
     """The nonzero entries sqrt(m), m = 1..dim-1, of the annihilation operator."""
     return np.sqrt(np.arange(1, dim, dtype=float))

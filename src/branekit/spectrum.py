@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import bogoliubov_coefficients, ladder_entries
-from .oscillator import validate_levels, validate_params
+from .oscillator import bogoliubov_coefficients, ladder_entries, validate_params
 
 SECTOR_TACHYON = "offdiag-tachyon"
 SECTOR_ZERO = "offdiag-zero"
@@ -104,7 +103,12 @@ def mass_scale(theta: float, z2: float, R: float) -> float:
 def _checked_scale(theta: float, z2: float, R: float, n_levels: int) -> float:
     """The mass scale, once every builder's checks pass, before it allocates."""
     validate_params(theta, z2, R)
-    validate_levels("mass operator", n_levels, MAX_BAND_LEVELS)
+    if n_levels < 4:
+        raise ValueError(f"truncation size must be >= 4, got {n_levels}")
+    if n_levels > MAX_BAND_LEVELS:
+        raise ValueError(
+            f"mass operator truncation size {n_levels} exceeds its bound {MAX_BAND_LEVELS}"
+        )
     scale = mass_scale(theta, z2, R)
     if scale == 0.0:
         raise ValueError(f"mass scale 4*pi*z2*R*cos(theta) underflows to 0 (z2={z2!r}, R={R!r})")

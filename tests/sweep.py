@@ -9,8 +9,10 @@ interpreter per tree (this checkout's ``src``, then REF's), with no
 the two formats, followed by fixed edge inputs: ``--N 5`` for every
 command, the float-resolution inputs of ROADMAP item 7, ``curve
 --points=10001`` and a curve of ``TABLE_ROWS`` rows, ``identities --N 4004``
-(N sizes nothing in ``identities``, so it runs as the defaults do), and the
-overflow edges of ``test_identities_overflow_edges``.  Three of those,
+(N sizes nothing in ``identities``, so it runs as the defaults do), the
+former ``identities_n40`` golden argv ``identities --N 40 --theta 0.3
+--z2 2.5 --R 0.7``, and the overflow edges of
+``test_identities_overflow_edges``.  Three of those,
 ``identities`` at ``--z2 2.40623170837532e+101 --seed 1446883356``,
 ``--z2 4.823772925276159e+152 --seed 276323619`` and
 ``--z2 1.0943502451445657e+307 --seed 165636438``, name a numpy operation
@@ -58,7 +60,8 @@ N200 = ["--theta", "0.3", "--z2", "2.5", "--R", "0.7"]
 #: Inputs at the edges: every command at N = 5, the inputs whose verdicts sit
 #: at the float resolution, the benchmark's dense curve and a curve of exactly
 #: ``TABLE_ROWS`` rows (the first written as one byte table), an ``identities``
-#: N that no size bound limits, and the overflow edges of the identity suite.
+#: N that no size bound limits, the former ``identities_n40`` golden argv and
+#: the overflow edges of the identity suite.
 EDGES = [
     *([command, "--N", "5"] for command in COMMANDS),
     ["condense", "--z2", "3e16", "--theta", "0.5"],
@@ -90,6 +93,7 @@ EDGES = [
     ["curve", f"--points={TABLE_ROWS // 4}"],
     ["identities", "--z2", "1e80"],
     ["identities", "--N", "4004"],
+    ["identities", "--N", "40", *N200],
     ["identities", "--z2", "5.041515201135325e+49"],
     ["identities", "--z2", "5.041515201135326e+49"],
     ["identities", "--z2", "2.40623170837532e+101", "--seed", "1446883356"],

@@ -50,10 +50,6 @@ GOLDEN_RUNS = {
     ),
     "identities_default": (0, ["identities"]),
     "identities_seed42": (0, ["identities", "--seed", "42"]),
-    "identities_n40": (
-        0,
-        ["identities", "--N", "40", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"],
-    ),
     "condense_default": (0, ["condense"]),
     "curve_default": (0, ["curve"]),
 }
@@ -443,22 +439,13 @@ def identities_traced(capsys, *argv):
     return code, capsys.readouterr().out, peak
 
 
-def test_identities_peak_memory_stays_small(capsys):
-    # the trials run about seven to an expansion stack and ten to a cross-term
-    # stack: about 1.85 MB at the defaults.  The first call of a process also
-    # builds the parser and runs lazy imports, about 0.95 MB more, so one
-    # untraced call comes first
-    assert main(["identities"]) == 0
-    code, _, peak = identities_traced(capsys)
-    assert code == 0 and peak < 3_000_000
-
-
 @pytest.mark.parametrize("fmt", ["delimited", "structured"])
 def test_identities_report_is_the_same_at_every_n(capsys, fmt):
-    # N sizes no identities input: past the dense bound (4004) and the band
-    # bound (10^6) the body is the default one, and only the structured
-    # params echo N.  One untraced call builds the parser first; the sizes
-    # ascend, so a P sized by N fails by 4004, before 10^6 could allocate it
+    # N sizes no identities input: the body is the default one at every N,
+    # and only the structured params echo N.  4004 is where a P of N // 4
+    # levels would first pass 1000 levels; 10^6 is past the band bound.  The
+    # trials run about 1.85 MB at the defaults; one untraced call first
+    # builds the parser and runs lazy imports
     assert main(["identities"]) == 0
     capsys.readouterr()
     default = None
@@ -539,17 +526,14 @@ def test_unallocatable_size_is_invalid_input(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "MemoryError" in err
 
 
-@pytest.mark.parametrize(
-    "command,n_levels,site,bound",
-    [
-        ("spectrum", MAX_BAND_LEVELS + 1, "mass operator", MAX_BAND_LEVELS),
-    ],
-)
-def test_size_past_the_bound_is_invalid_input(capsys, command, n_levels, site, bound):
-    code, out, err = run(capsys, command, "--N", str(n_levels))
+def test_size_past_the_bound_is_invalid_input(capsys):
+    code, out, err = run(capsys, "spectrum", "--N", str(MAX_BAND_LEVELS + 1))
     assert code == 2
     assert out == ""
-    assert err == f"error: {site} truncation size {bound + 1} exceeds its bound {bound}\n"
+    assert err == (
+        f"error: mass operator truncation size {MAX_BAND_LEVELS + 1} "
+        f"exceeds its bound {MAX_BAND_LEVELS}\n"
+    )
 
 
 def test_n_max_past_the_band_bound_is_invalid_input(tmp_path, capsys, monkeypatch):
@@ -788,6 +772,47 @@ def test_report_matches_golden(name, fmt, suffix, capsys):
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{suffix}").read_bytes()
     assert err.encode("utf-8") == (GOLDEN / f"{name}.err").read_bytes()
+
+
+#: What ``identities --N 40 --theta 0.3 --z2 2.5 --R 0.7`` changes in the
+#: ``identities_default`` report: the params it echoes and the values of the
+#: momentum-polynomial ``quartic-direct`` record (line 505 of the csv), the
+#: one record that z2 scales.  Each old text occurs once in its golden.
+N40_SWAPS = {
+    "csv": (
+        ("# theta=1.0471975511966 z2=1 R=1\n", "# theta=0.3 z2=2.5 R=0.7\n"),
+        (
+            ",-12226529487.4385,-12226529487.4385,4.86511059941952e-08,",
+            ",-2796175647140.3,-2796175647140.3,2.90374762080795e-06,",
+        ),
+    ),
+    "json": (
+        (
+            '"theta": 1.0471975511966,\n    "z2": 1.0,\n    "R": 1.0,\n    "N": 24,\n',
+            '"theta": 0.3,\n    "z2": 2.5,\n    "R": 0.7,\n    "N": 40,\n',
+        ),
+        (
+            '"lhs": -12226529487.4385,\n      "rhs": -12226529487.4385,\n'
+            '      "residual": 4.86511059941952e-08,\n',
+            '"lhs": -2796175647140.3,\n      "rhs": -2796175647140.3,\n'
+            '      "residual": 2.90374762080795e-06,\n',
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt,suffix", [("delimited", "csv"), ("structured", "json")])
+def test_identities_at_other_params_moves_only_the_momentum_record(fmt, suffix, capsys):
+    # theta, R and N move no row; the stderr notes are the default ones
+    expected = (GOLDEN / f"identities_default.{suffix}").read_text()
+    for old, new in N40_SWAPS[suffix]:
+        assert expected.count(old) == 1, old
+        expected = expected.replace(old, new)
+    argv = ["identities", "--N", "40", "--theta", "0.3", "--z2", "2.5", "--R", "0.7"]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out.encode("utf-8") == expected.encode("utf-8")
+    assert err.encode("utf-8") == (GOLDEN / "identities_default.err").read_bytes()
 
 
 # ------------------------------------------------------------ cached parser
