@@ -33,7 +33,6 @@ from .identities import (
     check_quartic_ttilde,
     momentum_polynomial_fluctuation,
     random_fluctuation,
-    random_hermitian,
 )
 from .oscillator import (
     DEFAULT_ANGLE_GUARD,

@@ -48,10 +48,10 @@ from .identities import (
     check_expansion,
     check_quartic_t,
     check_quartic_ttilde,
+    expansion_draws,
     momentum_polynomial_fluctuation,
     random_complex,
     random_fluctuation,
-    random_hermitian,
 )
 from .oscillator import make_qp
 from .spectrum import (
@@ -435,27 +435,27 @@ def cmd_spectrum(config: RunConfig, args: argparse.Namespace) -> Report:
 # -------------------------------------------------------------- identities
 
 
-#: Trials per identities run.  Expansion sizes repeat every 7 trials and background
-#: sizes every 5; one stack per size would peak at 3.2 MB, so the stacks are twice as far apart.
+#: Trials per identities run.  Expansion sizes repeat every 7 trials and background sizes
+#: every 5.  The run, one expansion stack per size, peaks at about 1.25 MB; one cross-term
+#: stack per size would peak at about 2.2 MB, so those stacks are twice as far apart.
 N_TRIALS = 100
 
 
 def _trial_reports(config: RunConfig, trials: range = range(N_TRIALS)) -> np.ndarray:
     """The ``trials``' records, one row of five per trial: the expansion, then the cross terms.
 
-    The trials 14 apart share their expansion size and run as one stack, then
+    The trials 7 apart share their expansion size and run as one stack, then
     those 10 apart their background, with its P and its powers built once; each
     stack fills its rows of the table.  Each trial draws from its own generator,
     the expansion first, so the stacks may run in any order.
     """
     rngs = {t: np.random.default_rng(config.seed + t) for t in trials}
     table = np.empty((len(trials), 5), RECORD)
-    for k in range(min(14, len(trials))):
-        stack = trials[k::14]
+    for k in range(min(7, len(trials))):
+        stack = trials[k::7]
         dim = 2 + stack[0] % 7
-        xs = np.stack([random_hermitian(rngs[t], 2 * dim) for t in stack])
-        ts = np.stack([random_fluctuation(rngs[t], dim) for t in stack])
-        table[k::14, 0] = check_expansion(xs, ts, [config.seed + t for t in stack])
+        xs, ts = expansion_draws([rngs[t] for t in stack], dim)
+        table[k::7, 0] = check_expansion(xs, ts, [config.seed + t for t in stack])
     for k in range(min(10, len(trials))):
         stack = trials[k::10]
         bg_dim = 4 + stack[0] % 5

@@ -39,23 +39,19 @@ RECORD = np.dtype(
 )
 
 
-#: The pairs (i, j), i != j, in the per-pair loop's order.  For each pair: where
-#: (j, i) is, where its pair with i < j is, and the sign that turns a commutator
-#: within one stack at that pair into its own, as [x_j, x_i] = -[x_i, x_j].
-_I, _J, _SWAP, _SYM = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1], [2, 4, 0, 5, 1, 3], [0, 1, 0, 2, 1, 2]
+#: The pairs (i, j), i != j, in the per-pair loop's order, which each sum over them keeps;
+#: the pairs i < j, whose commutators serve (j, i) too; and the sign that turns each pair's
+#: commutator i < j into its own, as [x_j, x_i] = -[x_i, x_j].
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_UPPER = ((0, 1), (0, 2), (1, 2))
 _SIGN = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
 
 
-def _upper(x: np.ndarray) -> np.ndarray:
-    """[x_i, x_j], i < j, of a (..., 3, n, n) stack, from one product x_i x_j per pair i != j."""
-    p = x[..., _I, :, :] @ x[..., _J, :, :]
-    return p[..., [0, 1, 3], :, :] - p[..., [2, 4, 5], :, :]
-
-
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x_i, y_j] for the pairs i != j of two (..., 3, n, n) stacks."""
-    xi, yj = x[..., _I, :, :], y[..., _J, :, :]
-    return xi @ yj - yj @ xi
+def _commutator(x: np.ndarray, y: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """[x, y] of two (..., n, n) stacks; of Hermitian ones as P - P^dag from one product P = x y."""
+    p = x @ y
+    p -= p.conj().swapaxes(-1, -2) if hermitian else y @ x
+    return p
 
 
 def _traces(x: np.ndarray) -> np.ndarray:
@@ -107,13 +103,18 @@ def random_complex(rng: np.random.Generator, count: int, *shape: int) -> np.ndar
     return g[:, 0] + 1j * g[:, 1]
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = random_complex(rng, 3, n, n)
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
-
-
 def random_fluctuation(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_complex(rng, 3, n, n)
+
+
+def expansion_draws(rngs: list[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each generator's backgrounds X_i, the Hermitian parts of 2n x 2n ``random_complex`` draws,
+    then its blocks T_i, n x n, from one draw; stacked as (T, 3, 2n, 2n) and (T, 3, n, n)."""
+    g = np.stack([rng.standard_normal(30 * n * n) for rng in rngs])
+    xs = g[:, : 24 * n * n].reshape(-1, 3, 2, 2 * n, 2 * n)
+    ts = g[:, 24 * n * n :].reshape(-1, 3, 2, n, n)
+    xs, ts = (x[:, :, 0] + 1j * x[:, :, 1] for x in (xs, ts))
+    return (xs + xs.conj().swapaxes(-1, -2)) / 2.0, ts
 
 
 def momentum_polynomial_fluctuation(p: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -140,16 +141,24 @@ def check_expansion(xs: np.ndarray, ts: np.ndarray, seeds: list[int | None]) -> 
         raise ValueError(f"background/fluctuation shape mismatch: {xs.shape} vs {a.shape}")
     if len(seeds) != len(ts):
         raise ValueError(f"{len(seeds)} seeds for {len(ts)} trials")
-    k, nn, full, l = _upper(xs), _upper(a), _upper(xs + a), _cross(xs, a)
-    lhs = _sum(_traces(full @ full)[..., _SYM])
-    rhs = _sum(
-        _traces(k @ k)[..., _SYM]
-        + 4.0 * _SIGN * _traces(k[..., _SYM, :, :] @ l)
-        + 2.0 * _traces(k @ nn)[..., _SYM]
-        + 2.0 * _traces(l @ (l - l[..., _SWAP, :, :]))  # [A_i, X_j] is -[X_j, A_i]
-        + 4.0 * _SIGN * _traces(l @ nn[..., _SYM, :, :])
-        + _traces(nn @ nn)[..., _SYM]
-    )
+    xa = xs + a
+    terms = np.empty((7, len(ts), 6), complex)  # the lhs, then the rhs's terms; trial, pair
+    for i, j in _UPPER:
+        k, nn, full = (_commutator(x[:, i], x[:, j]) for x in (xs, a, xa))
+        l = _commutator(xs[:, i], a[:, j]), _commutator(xs[:, j], a[:, i])
+        shared = _traces(full @ full), _traces(k @ k), 2.0 * _traces(k @ nn), _traces(nn @ nn)
+        for s, own, other in (_PAIRS.index((i, j)), *l), (_PAIRS.index((j, i)), *l[::-1]):
+            terms[:, :, s] = (
+                shared[0],
+                shared[1],
+                4.0 * _SIGN[s] * _traces(k @ own),
+                shared[2],
+                2.0 * _traces(own @ (own - other)),  # [A_i, X_j] is -[X_j, A_i]
+                4.0 * _SIGN[s] * _traces(own @ nn),
+                shared[3],
+            )
+    lhs = _sum(terms[0])
+    rhs = _sum(terms[1] + terms[2] + terms[3] + terms[4] + terms[5] + terms[6])
     scales = np.maximum([abs(v) for v in lhs], [abs(v) for v in rhs])
     return _gated(EXPANSION, ts.shape[-1], lhs, rhs, PASS_TOL, scales, VERDICT_EXACT, seeds)
 
@@ -214,26 +223,38 @@ def check_cross_terms(xs: np.ndarray, generic: np.ndarray, momentum: np.ndarray)
     ``momentum`` blocks, built from the relative momentum; for the ``generic``
     ones it is recorded without a claim.  Both are (T, 3, N, N) stacks on the
     backgrounds xs.  Returns four ``RECORD``s per trial, in trial order: the
-    generic blocks' linear and cubic terms, then the momentum blocks'.
+    generic blocks' linear and cubic terms, then the momentum blocks'.  Each
+    commutator is P - P^dag of one product P, so a background that is not
+    exactly Hermitian (a NaN entry included) is a ``ValueError``.
     """
-    blocks = []
     for ts in (generic, momentum):
-        blocks.append(block_matrices(ts))
-        if xs.ndim != 4 or xs.shape != blocks[-1].shape:
+        validate_blocks(ts)
+        if xs.ndim != 4 or xs.shape != (*ts.shape[:-2], 2 * ts.shape[-1], 2 * ts.shape[-1]):
             raise ValueError(f"fluctuation blocks {ts.shape} do not match background {xs.shape}")
-    kx = _upper(xs)
-    kx_max, n, dim = _max_abs(kx)[..., _SYM], generic.shape[-1], xs.shape[-1]
-    rows = np.empty((len(xs), 2, 2), RECORD)  # trial, generic or momentum, linear or cubic
-    for row, a, asserted in zip(rows.transpose(1, 0, 2), blocks, (False, True)):
-        la, nn = _cross(xs, a), _upper(a)
-        linear = _sum(_SIGN * _traces(kx[..., _SYM, :, :] @ la))
-        cubic = _sum(_SIGN * _traces(la @ nn[..., _SYM, :, :]))
-        la_max, zeros = _max_abs(la), [0.0] * len(linear)
-        lin_scales = (kx_max * la_max).max(axis=-1) * dim
-        row[:, 0] = _gated(CROSS_LINEAR, n, linear, zeros, EXACT_TOL, lin_scales, VERDICT_EXACT)
-        if asserted:
-            cub_scales = (la_max * _max_abs(nn)[..., _SYM]).max(axis=-1) * dim
-            row[:, 1] = _gated(CROSS_CUBIC, n, cubic, zeros, PASS_TOL, cub_scales, VERDICT_PASS)
-        else:
-            row[:, 1] = _rows(CROSS_CUBIC, n, cubic, zeros, VERDICT_RECORDED)
-    return rows.ravel()
+    if not np.array_equal(xs, xs.conj().swapaxes(-1, -2)):
+        raise ValueError("background is not exactly Hermitian")
+    # generic or momentum, trial, ...: each operand is Hermitian, so each commutator is P - P^dag
+    a = block_matrices(np.stack((generic, momentum)))
+    n, dim, count = generic.shape[-1], xs.shape[-1], len(xs)
+    # linear or cubic, class, trial, pair: each term, and its commutators' max |entry| product
+    terms, scales = np.empty((2, 2, count, 6), complex), np.empty((2, 2, count, 6))
+    for i, j in _UPPER:
+        kx = _commutator(xs[:, i], xs[:, j], hermitian=True)
+        nn = _commutator(a[:, :, i], a[:, :, j], hermitian=True)
+        kx_max, nn_max = _max_abs(kx), _max_abs(nn)
+        for p, q in (i, j), (j, i):
+            s, la = _PAIRS.index((p, q)), _commutator(xs[:, p], a[:, :, q], hermitian=True)
+            # np.trace, as np.einsum returns inf where np.errstate(over="raise") should raise
+            terms[..., s] = _SIGN[s] * _traces(kx @ la), _SIGN[s] * _traces(la @ nn)
+            la_max = _max_abs(la)
+            scales[..., s] = kx_max * la_max, la_max * nn_max
+    # both classes at once, the generic trials, then the momentum ones
+    (linear, cubic), zeros = (_sum(t.reshape(-1, 6)) for t in terms), [0.0] * 2 * count
+    lin_scales, cub_scales = scales.reshape(2, 2 * count, 6).max(axis=-1) * dim
+    rows = np.empty((2, 2 * count), RECORD)  # linear or cubic, class and trial
+    rows[0] = _gated(CROSS_LINEAR, n, linear, zeros, EXACT_TOL, lin_scales, VERDICT_EXACT)
+    rows[1, :count] = _rows(CROSS_CUBIC, n, cubic[:count], zeros[:count], VERDICT_RECORDED)
+    rows[1, count:] = _gated(
+        CROSS_CUBIC, n, cubic[count:], zeros[count:], PASS_TOL, cub_scales[count:], VERDICT_PASS
+    )
+    return rows.reshape(2, 2, count).transpose(2, 1, 0).ravel()

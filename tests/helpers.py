@@ -19,6 +19,7 @@ import numpy as np
 
 from branekit.background import block_matrices, build_background
 from branekit.condensation import _scaled_potential
+from branekit.identities import random_complex
 from branekit.oscillator import (
     bogoliubov_coefficients,
     make_ladder,
@@ -188,6 +189,12 @@ def level_eigenvectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def random_complex_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """One n x n matrix: a standard-normal draw for its real part, then one for its imaginary part."""
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Three n x n Hermitian matrices from one draw, the Hermitian parts of ``random_complex``."""
+    g = random_complex(rng, 3, n, n)
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
 
 
 def random_hermitian_matrix(rng: np.random.Generator, n: int) -> np.ndarray:

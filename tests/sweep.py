@@ -17,11 +17,16 @@ former ``identities_n40`` golden argv ``identities --N 40 --theta 0.3
 ``--z2 4.823772925276159e+152 --seed 276323619`` and
 ``--z2 1.0943502451445657e+307 --seed 165636438``, name a numpy operation
 in their error line that depends on the order the trials run in, so any
-change to that order shows up here.  ``condense --z2 1e-320`` exits 1: at a
-subnormal z2 the numeric minimizer misses tmin by far more than its relative
-bound (``--z2 1e-315`` and ``5e-324`` pass).  Every drawn ``spectrum``
-argv also sets ``n_max``, the last tower level it lists, drawn from 0 to
-2000, through a ``--config`` file, since no flag sets it; three more
+change to that order shows up here.  With expansion stacks of 14 trials
+and two products per cross-term commutator, the second named
+``subtract``; with one expansion stack per size and ``P - P^dag``
+commutators it names ``matmul``.  The first and third, and ``identities
+--z2 1e80`` (``matmul``), name the same operation under both.
+``condense --z2 1e-320`` exits 1: at a subnormal z2 the numeric minimizer
+misses tmin by far more than its relative bound (``--z2 1e-315`` and
+``5e-324`` pass).  Every drawn ``spectrum`` argv also sets ``n_max``, the
+last tower level it lists, drawn from 0 to 2000, through a ``--config``
+file, since no flag sets it; three more
 ``spectrum`` edges set ``n_max = 0``, ``N = n_max = 100000``, and
 ``n_max = 100000`` at a scale where the tower's raw eigenvalues overflow to
 inf.  From the repository root:

@@ -26,12 +26,12 @@ from branekit import (
     numeric_spectrum,
     potential_derivative,
     random_fluctuation,
-    random_hermitian,
     route_equivalence_residual,
     sample_curve,
 )
 from branekit.cli import main
 from branekit.config import TOLERANCES
+from helpers import random_hermitian
 
 Z2 = 1.0
 R = 1.0

@@ -444,7 +444,7 @@ def test_identities_report_is_the_same_at_every_n(capsys, fmt):
     # N sizes no identities input: the body is the default one at every N,
     # and only the structured params echo N.  4004 is where a P of N // 4
     # levels would first pass 1000 levels; 10^6 is past the band bound.  The
-    # trials run about 1.85 MB at the defaults; one untraced call first
+    # trials run about 1.25 MB at the defaults; one untraced call first
     # builds the parser and runs lazy imports
     assert main(["identities"]) == 0
     capsys.readouterr()

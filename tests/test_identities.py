@@ -13,7 +13,6 @@ from branekit import (
     momentum_polynomial_fluctuation,
     random_fluctuation,
     make_qp,
-    random_hermitian,
     rotation_u,
 )
 from branekit.config import Gate
@@ -29,6 +28,7 @@ from branekit.identities import (
     VERDICTS,
     _gated,
     _quartic_traces,
+    expansion_draws,
     random_complex,
 )
 from branekit.spectrum import MODES, SECTORS
@@ -37,6 +37,7 @@ from helpers import (
     dense_quartic_block_trace,
     one_background,
     random_complex_matrix,
+    random_hermitian,
     random_hermitian_matrix,
 )
 
@@ -243,6 +244,19 @@ def test_cross_terms_dimension_mismatch():
     for generic, momentum in ((wrong, right), (right, wrong)):
         with pytest.raises(ValueError, match="do not match background"):
             cross_terms(xs, generic, momentum)
+
+
+def test_cross_terms_reject_a_background_one_ulp_from_hermitian():
+    # each commutator is formed as P - P^dag, which is [X_i, A_j] only for Hermitian X_i
+    xs = one_background(0.9, 1.0, 6)
+    rng = np.random.default_rng(14)
+    generic, momentum = random_fluctuation(rng, 6), momentum_fluct(6, 1.0, rng)
+    cross_terms(xs, generic, momentum)
+    entry = xs[0, 0, 1]
+    assert entry.imag != 0.0
+    xs[0, 0, 1] = complex(entry.real, np.nextafter(entry.imag, math.inf))
+    with pytest.raises(ValueError, match="not exactly Hermitian"):
+        cross_terms(xs, generic, momentum)
 
 
 #: residual, tolerance, the sides the bound scales with, and whether the residual holds
@@ -467,6 +481,12 @@ def test_one_draw_per_stack_matches_the_per_matrix_draws_bitwise(n):
             random_complex(one, 3, 4),
             [per_matrix.standard_normal(4) + 1j * per_matrix.standard_normal(4) for _ in range(3)],
         ),
+    ]
+    # an expansion trial's one draw: its background, then its blocks
+    xs, ts = expansion_draws([one], n)
+    pairs += [
+        (xs[0], [random_hermitian_matrix(per_matrix, 2 * n) for _ in range(3)]),
+        (ts[0], [random_complex_matrix(per_matrix, n) for _ in range(3)]),
     ]
     for got, expected in pairs:
         expected = np.stack(expected)
