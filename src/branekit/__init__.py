@@ -13,17 +13,14 @@ from types import ModuleType as _ModuleType
 from .background import block_matrices, build_background
 from .condensation import (
     RecombinationCurve,
-    TachyonPotential,
     analytic_minimum,
     asymmetry_gap,
-    condensate_amplitude,
     condensed_blocks,
     hyperbola_residual,
     numeric_minimum,
     potential_derivative,
     recombined_eigenvalues,
     sample_curve,
-    tachyon_potential,
 )
 from .config import RunConfig, build_config, read_config_file
 from .identities import (

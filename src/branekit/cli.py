@@ -24,11 +24,11 @@ from .background import build_background
 from .condensation import (
     ASYMPTOTES,
     BRANCHES,
+    analytic_minimum,
     asymmetry_gap,
     numeric_minimum,
     potential_derivative,
     sample_curve,
-    tachyon_potential,
 )
 from .config import (
     FORMAT_DELIMITED,
@@ -153,10 +153,10 @@ class _Spelling(NamedTuple):
 _DELIMITED = _Spelling(lambda values: list(map("%.15g".__mod__, values)), _text, "")
 _STRUCTURED = _Spelling(_json_floats, lambda value: json.dumps(_plain(value)), ".0")
 
-#: Rows from which ``_rows`` writes a report as one byte table (``_table``):
-#: below it the table's fixed cost outweighs what it saves per row.  Both
-#: writers are faster per row for the 506 rows of ``identities`` and by the
-#: table for a 1025-row ``spectrum`` (curve reports gain from about 500 rows).
+#: Rows from which ``_rows`` writes a report as one byte table (``_table``).
+#: Where the table starts to pay depends on the report (README): a ``curve``
+#: report gains from about 130 rows, a ``spectrum`` one from 200-800, and the
+#: 506 rows of ``identities`` are faster written row by row.
 TABLE_ROWS = 1024
 #: Rows of that table built, and distinct floats formatted, at a time: a long
 #: report's table is never whole, and each step's arrays stay in cache.
@@ -510,25 +510,26 @@ def cmd_identities(config: RunConfig, args: argparse.Namespace) -> Report:
 
 
 def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
-    pot = tachyon_potential(config.theta, config.z2, config.R)
-    stationarity_scale = 2.0 * mass_scale(config.theta, config.z2, config.R) * pot.tmin
+    tmin, vmin = analytic_minimum(config.theta, config.z2, config.R)
+    scale = mass_scale(config.theta, config.z2, config.R)
+    stationarity_scale = 2.0 * scale * tmin
     stationarity_tol = TOLERANCES["stationarity"] * max(1.0, stationarity_scale)
     # Python floats overflow to inf silently, and no verdict can rest on an infinite bound
-    closed_forms = ("quad", pot.quad), ("tmin_analytic", pot.tmin), ("vmin", pot.vmin)
+    closed_forms = ("quad", -scale), ("tmin_analytic", tmin), ("vmin", vmin)
     for name, value in (*closed_forms, ("stationarity bound", stationarity_tol)):
         if not math.isfinite(value):
             raise OverflowError(f"{name} overflows to {value!r}")
     tmin_numeric = numeric_minimum(config.theta, config.z2, config.R)
-    stationarity = abs(potential_derivative(pot.tmin, config.theta, config.z2, config.R))
+    stationarity = abs(potential_derivative(tmin, config.theta, config.z2, config.R))
     # relative below tmin = 1, where an absolute bound could not see a miss
-    gap_tol = TOLERANCES["minimizer"] * min(1.0, pot.tmin)
+    gap_tol = TOLERANCES["minimizer"] * min(1.0, tmin)
     gap, stationary = gates = (
-        Gate("analytic/numeric minimizer disagreement", abs(tmin_numeric - pot.tmin), gap_tol),
+        Gate("analytic/numeric minimizer disagreement", abs(tmin_numeric - tmin), gap_tol),
         Gate("stationarity residual at the analytic minimum", stationarity, stationarity_tol),
     )
     failed = [gate.name for gate in gates if not gate.ok]
     columns = ("quad", "quart", "tmin_analytic", "tmin_numeric", "vmin", "stationarity_residual")
-    values = (pot.quad, pot.quart, pot.tmin, tmin_numeric, pot.vmin, stationarity)
+    values = (-scale, config.R, tmin, tmin_numeric, vmin, stationarity)
     return Report(
         kind="condense",
         columns=columns,
@@ -536,8 +537,8 @@ def cmd_condense(config: RunConfig, args: argparse.Namespace) -> Report:
         fields=tuple(zip(columns, values)),
         gates=gates,
         notes=(
-            f"tmin analytic = {pot.tmin:.6g}, numeric = {tmin_numeric:.6g}, gap {gap}",
-            f"vmin = {pot.vmin:.6g}, stationarity residual {stationary}",
+            f"tmin analytic = {tmin:.6g}, numeric = {tmin_numeric:.6g}, gap {gap}",
+            f"vmin = {vmin:.6g}, stationarity residual {stationary}",
             f"FAIL: {'; '.join(failed)}" if failed else "pass",
         ),
     )

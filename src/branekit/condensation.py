@@ -34,21 +34,6 @@ def potential_derivative(t: float, theta: float, z2: float, R: float) -> float:
     return -2.0 * mass_scale(theta, z2, R) * t + 4.0 * (R * t**3)
 
 
-@dataclass(frozen=True)
-class TachyonPotential:
-    """Quadratic/quartic coefficients and the analytic minimum."""
-
-    quad: float
-    quart: float
-    tmin: float
-    vmin: float
-
-
-def tachyon_potential(theta: float, z2: float, R: float) -> TachyonPotential:
-    tmin, vmin = analytic_minimum(theta, z2, R)
-    return TachyonPotential(quad=-mass_scale(theta, z2, R), quart=R, tmin=tmin, vmin=vmin)
-
-
 def analytic_minimum(theta: float, z2: float, R: float) -> tuple[float, float]:
     """Closed-form minimizer sqrt(2*pi*z2*cos(theta)) and the value there."""
     validate_params(theta, z2, R)
@@ -98,21 +83,14 @@ def numeric_minimum(theta: float, z2: float, R: float) -> float:
     return (coarse - slope / curvature) * math.sqrt(2.0 * math.pi * z2)
 
 
-def condensate_amplitude(theta: float, z2: float) -> float:
-    """Off-diagonal magnitude sqrt(pi*z2*cos(theta)) of the condensed blocks."""
-    validate_params(theta, z2)
-    return math.sqrt(math.pi * z2 * math.cos(theta))
-
-
 def condensed_blocks(
-    x0: float | np.ndarray, theta: float, z2: float
+    x0: float | np.ndarray, theta: float, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Post-condensation 2x2 blocks (m1, m2) at x0, stacked as x0.shape + (2, 2).
 
-    m1 is real symmetric, m2 Hermitian with purely imaginary off-diagonal;
-    both off-diagonal magnitudes square to pi*z2*cos(theta).
+    m1 is real symmetric, m2 Hermitian with purely imaginary off-diagonal,
+    both off-diagonal magnitudes the condensate t; nothing is validated.
     """
-    t = condensate_amplitude(theta, z2)
     x_diag = np.multiply(x0, math.sin(theta))
     y_diag = np.multiply(x0, math.cos(theta))
     m1 = np.empty(x_diag.shape + (2, 2), dtype=complex)
@@ -125,7 +103,7 @@ def condensed_blocks(
 
 
 def recombined_eigenvalues(
-    x0: float | np.ndarray, theta: float, z2: float
+    x0: float | np.ndarray, theta: float, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """x_d = x0 sin(theta) -/+ t and y_d = -/+ sqrt(x0^2 cos^2(theta) + t^2).
 
@@ -134,24 +112,22 @@ def recombined_eigenvalues(
     the negative y_d root; only this matched pairing turns the hyperbola
     relation into an identity.  Squares use ``np.float_power`` (libm ``pow``,
     as the scalar ``x**2``): numpy's ``x**2`` is ``x*x``, which can differ in
-    the last bit.
+    the last bit.  t is the condensate; nothing is validated.
     """
-    t = condensate_amplitude(theta, z2)
     base = np.multiply(x0, math.sin(theta))
     y = np.sqrt(np.float_power(x0, 2.0) * math.cos(theta) ** 2 + t**2)
     return np.add.outer(base, (-t, t)), np.multiply.outer(y, (-1.0, 1.0))
 
 
-def hyperbola_residual(x_d: np.ndarray, y_d: np.ndarray, theta: float, z2: float) -> np.ndarray:
+def hyperbola_residual(x_d: np.ndarray, y_d: np.ndarray, theta: float, t: float) -> np.ndarray:
     """Gap in the recombination relation, elementwise, branches on the last axis.
 
     (x_d + t)^2 = tan^2(theta) (y_d^2 - t^2) on the minus branch, with the
     sign of the shift flipped on the plus branch: the shift (t, -t) applies
     along the last axis, in BRANCHES order.  Both sides reduce to
     x0^2 sin^2(theta) when the branches are paired as constructed, so a
-    mismatched pairing shows up as a nonzero residual.
+    mismatched pairing shows up as a nonzero residual.  Nothing is validated.
     """
-    t = condensate_amplitude(theta, z2)
     lhs = np.float_power(np.add(x_d, (t, -t)), 2.0)
     rhs = math.tan(theta) ** 2 * (np.float_power(y_d, 2.0) - t**2)
     return np.abs(lhs - rhs)
@@ -190,7 +166,8 @@ def sample_curve(
     route is one stacked 2x2 eigensolve per block kind, and its ascending
     eigenvalues are read as the (minus, plus) branches: the closed-form
     branches never cross, since x_+ - x_- = 2t and y_+ - y_- >= 2t with
-    t > 0.  The worst gap between the two routes is reported.
+    t > 0, the condensate sqrt(pi*z2*cos(theta)), formed once after the one
+    check of theta and z2.  The worst gap between the two routes is reported.
     """
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
@@ -198,10 +175,12 @@ def sample_curve(
         raise ValueError(f"grid bounds must be finite, got [{x0_min!r}, {x0_max!r}]")
     if not x0_min < x0_max:
         raise ValueError(f"degenerate grid [{x0_min!r}, {x0_max!r}]")
+    validate_params(theta, z2)
+    t = math.sqrt(math.pi * z2 * math.cos(theta))
     grid = np.linspace(x0_min, x0_max, n_points)
-    x_d, y_d = recombined_eigenvalues(grid, theta, z2)
-    residual = hyperbola_residual(x_d, y_d, theta, z2)
-    x_vals, y_vals = map(np.linalg.eigvalsh, condensed_blocks(grid, theta, z2))
+    x_d, y_d = recombined_eigenvalues(grid, theta, t)
+    residual = hyperbola_residual(x_d, y_d, theta, t)
+    x_vals, y_vals = map(np.linalg.eigvalsh, condensed_blocks(grid, theta, t))
     return RecombinationCurve(
         grid=grid,
         x_d=x_d,

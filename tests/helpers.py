@@ -3,13 +3,13 @@
 The interior projector masks the top levels of a truncation, where the
 cutoff corrupts the ladder algebra; the interior residual and the background
 commutator check state the canonical relations on the levels it keeps.  The
-Bogoliubov mode is the dense Fock oracle's mode; the potential and the
-eigenvectors are the closed forms the tests check the program's routes
-against.  Each validates its inputs as the program does.  The per-matrix
-draws are the oracle of the identity suite's one-call draws, and the
-per-block route check that of the row-wise one, the dense nine-commutator
-trace that of the quartic checks' block trace, and the per-level record loops
-that of the closed-form tables.
+Bogoliubov mode is the dense Fock oracle's mode; the potential, the
+condensate and the eigenvectors are the closed forms the tests check the
+program's routes against.  Each validates its inputs as the program does.
+The per-matrix draws are the oracle of the identity suite's one-call draws,
+and the per-block route check that of the row-wise one, the dense
+nine-commutator trace that of the quartic checks' block trace, and the
+per-level record loops that of the closed-form tables.
 """
 
 import math
@@ -155,6 +155,12 @@ def max_interior_residual(op: np.ndarray, reference: complex | np.ndarray, margi
     proj = InteriorProjector(dim, margin)
     ref = reference if isinstance(reference, np.ndarray) else reference * np.eye(dim)
     return float(np.max(np.abs(proj.apply(op - ref))))
+
+
+def condensate(theta: float, z2: float) -> float:
+    """Off-diagonal magnitude sqrt(pi*z2*cos(theta)) of the condensed blocks."""
+    validate_params(theta, z2)
+    return math.sqrt(math.pi * z2 * math.cos(theta))
 
 
 def potential_value(t: float, theta: float, z2: float, R: float) -> float:

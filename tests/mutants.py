@@ -239,13 +239,13 @@ MUTANTS = (
     Mutant(
         "minimizer-max",
         "src/branekit/cli.py",
-        "min(1.0, pot.tmin)",
-        "max(1.0, pot.tmin)",
+        "min(1.0, tmin)",
+        "max(1.0, tmin)",
     ),
     Mutant(
         "minimizer-absolute",
         "src/branekit/cli.py",
-        'TOLERANCES["minimizer"] * min(1.0, pot.tmin)',
+        'TOLERANCES["minimizer"] * min(1.0, tmin)',
         'TOLERANCES["minimizer"]',
     ),
     Mutant(
@@ -259,6 +259,31 @@ MUTANTS = (
         "src/branekit/cli.py",
         "max(1.0, stationarity_scale)",
         "min(1.0, stationarity_scale)",
+    ),
+    # the condensate, the curve's closed forms and blocks, and the numeric minimizer
+    Mutant(
+        "hyperbola-shift-swapped",
+        "src/branekit/condensation.py",
+        "np.add(x_d, (t, -t))",
+        "np.add(x_d, (-t, t))",
+    ),
+    Mutant(
+        "minimizer-newton-dropped",
+        "src/branekit/condensation.py",
+        "(coarse - slope / curvature)",
+        "coarse",
+    ),
+    Mutant(
+        "condensate-2x-flux",
+        "src/branekit/condensation.py",
+        "math.sqrt(math.pi * z2 * math.cos(theta))",
+        "math.sqrt(2.0 * math.pi * z2 * math.cos(theta))",
+    ),
+    Mutant(
+        "block-m1-offdiagonal-2x",
+        "src/branekit/condensation.py",
+        "m1[..., 0, 1] = m1[..., 1, 0] = t",
+        "m1[..., 0, 1] = m1[..., 1, 0] = 2 * t",
     ),
     # the check that makes P - P^dag the cross terms' commutator
     Mutant(

@@ -18,7 +18,6 @@ from branekit import (
     build_mass_operator_qp,
     check_cross_terms,
     check_expansion,
-    condensate_amplitude,
     make_qp,
     match_tower,
     momentum_polynomial_fluctuation,
@@ -31,7 +30,7 @@ from branekit import (
 )
 from branekit.cli import main
 from branekit.config import TOLERANCES
-from helpers import random_hermitian
+from helpers import condensate, random_hermitian
 
 Z2 = 1.0
 R = 1.0
@@ -178,7 +177,7 @@ def test_criterion_07_recombination_eigenvalues():
 def test_criterion_08_hyperbola_identity():
     curve = sample_curve(-3.0, 3.0, 101, math.pi / 3, Z2)
     sin2 = math.sin(math.pi / 3) ** 2
-    t = condensate_amplitude(math.pi / 3, Z2)
+    t = condensate(math.pi / 3, Z2)
     side_gap = 0.0
     for x0, (x_minus, x_plus) in zip(curve.grid.tolist(), curve.x_d.tolist()):
         for lhs in ((x_minus + t) ** 2, (x_plus - t) ** 2):

@@ -6,17 +6,16 @@ import pytest
 from branekit import (
     analytic_minimum,
     asymmetry_gap,
-    condensate_amplitude,
     condensed_blocks,
     hyperbola_residual,
+    mass_scale,
     numeric_minimum,
     potential_derivative,
     recombined_eigenvalues,
     sample_curve,
-    tachyon_potential,
 )
 from branekit.condensation import ASYMPTOTES, BRANCHES
-from helpers import potential_value
+from helpers import condensate, potential_value
 
 PI_THIRD = math.pi / 3
 
@@ -67,15 +66,14 @@ def test_minimizer_independent_of_overall_tension():
 
 
 def test_stationarity_at_analytic_minimum():
-    pot = tachyon_potential(PI_THIRD, 1.0, 1.0)
-    scale = 8.0 * math.pi * math.cos(PI_THIRD) * pot.tmin
-    assert abs(potential_derivative(pot.tmin, PI_THIRD, 1.0, 1.0)) <= 1e-12 * scale
-    assert pot.quad == pytest.approx(-2.0 * math.pi, abs=1e-13)
-    assert pot.quart == 1.0
+    tmin, _ = analytic_minimum(PI_THIRD, 1.0, 1.0)
+    scale = 8.0 * math.pi * math.cos(PI_THIRD) * tmin
+    assert abs(potential_derivative(tmin, PI_THIRD, 1.0, 1.0)) <= 1e-12 * scale
+    assert mass_scale(PI_THIRD, 1.0, 1.0) == pytest.approx(2.0 * math.pi, abs=1e-13)
 
 
 def test_condensed_blocks_structure():
-    m1, m2 = condensed_blocks(0.0, PI_THIRD, 1.0)
+    m1, m2 = condensed_blocks(0.0, PI_THIRD, condensate(PI_THIRD, 1.0))
     t = math.sqrt(math.pi / 2.0)
     assert m1[0, 1] == pytest.approx(t, abs=1e-14)
     np.testing.assert_array_equal(m1.imag, np.zeros((2, 2)))
@@ -88,14 +86,14 @@ def test_condensed_blocks_structure():
 
 
 def test_condensate_vanishes_with_flux():
-    m1, m2 = condensed_blocks(1.0, PI_THIRD, 1e-14)
+    m1, m2 = condensed_blocks(1.0, PI_THIRD, condensate(PI_THIRD, 1e-14))
     assert abs(m1[0, 1]) <= 1e-6
     assert abs(m2[0, 1]) <= 1e-6
 
 
 def test_recombined_eigenvalues_frozen_point():
-    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
     t = math.sqrt(math.pi / 2.0)
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, t)
     assert x_d[..., 0] == pytest.approx(math.sqrt(3.0) / 2.0 - t, abs=1e-14)
     assert x_d[..., 1] == pytest.approx(math.sqrt(3.0) / 2.0 + t, abs=1e-14)
     y = math.sqrt(0.25 + math.pi / 2.0)
@@ -107,14 +105,14 @@ def test_recombined_eigenvalues_frozen_point():
 
 
 def test_recombined_branes_separate_at_origin():
-    x_d, y_d = recombined_eigenvalues(0.0, PI_THIRD, 1.0)
-    t = condensate_amplitude(PI_THIRD, 1.0)
+    t = condensate(PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(0.0, PI_THIRD, t)
     assert x_d[..., 0] == pytest.approx(-t) and x_d[..., 1] == pytest.approx(t)
     assert y_d[..., 0] == pytest.approx(-t) and y_d[..., 1] == pytest.approx(t)
 
 
 def test_tiny_flux_recovers_intersecting_lines():
-    x_d, y_d = recombined_eigenvalues(2.0, PI_THIRD, 1e-16)
+    x_d, y_d = recombined_eigenvalues(2.0, PI_THIRD, condensate(PI_THIRD, 1e-16))
     assert x_d[..., 0] == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
     assert x_d[..., 1] == pytest.approx(2.0 * math.sin(PI_THIRD), abs=1e-7)
     assert y_d[..., 1] == pytest.approx(2.0 * math.cos(PI_THIRD), abs=1e-7)
@@ -122,8 +120,9 @@ def test_tiny_flux_recovers_intersecting_lines():
 
 @pytest.mark.parametrize("x0", [-2.0, -0.5, 0.0, 0.7, 3.0])
 def test_eigensolve_agrees_with_closed_forms(x0):
-    closed_x, closed_y = recombined_eigenvalues(x0, PI_THIRD, 1.0)
-    m1, m2 = condensed_blocks(x0, PI_THIRD, 1.0)
+    t = condensate(PI_THIRD, 1.0)
+    closed_x, closed_y = recombined_eigenvalues(x0, PI_THIRD, t)
+    m1, m2 = condensed_blocks(x0, PI_THIRD, t)
     x_vals = np.linalg.eigh(m1).eigenvalues
     y_vals = np.linalg.eigh(m2).eigenvalues
     np.testing.assert_allclose(sorted(closed_x), x_vals, atol=1e-12)
@@ -139,7 +138,7 @@ def test_eigenvalues_only_solve_matches_eigh_bitwise():
         x0_max = 10.0 ** rng.uniform(-3.0, 4.0)
         x0_min = -x0_max if rng.random() < 0.5 else x0_max - 10.0 ** rng.uniform(-3.0, 4.0)
         curve = sample_curve(x0_min, x0_max, int(rng.integers(2, 202)), theta, z2)
-        m1, m2 = condensed_blocks(curve.grid, theta, z2)
+        m1, m2 = condensed_blocks(curve.grid, theta, condensate(theta, z2))
         x_vals, y_vals = (np.linalg.eigh(m).eigenvalues for m in (m1, m2))
         for m, vals in ((m1, x_vals), (m2, y_vals)):
             assert np.array_equal(np.linalg.eigvalsh(m).view(np.int64), vals.view(np.int64))
@@ -148,19 +147,20 @@ def test_eigenvalues_only_solve_matches_eigh_bitwise():
 
 
 def test_hyperbola_identity_both_sides():
-    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
-    t = condensate_amplitude(PI_THIRD, 1.0)
+    t = condensate(PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, t)
     lhs = (x_d[..., 0] + t) ** 2
     assert lhs == pytest.approx(0.75, abs=1e-13)  # x0^2 sin^2 theta
-    residual = hyperbola_residual(x_d, y_d, PI_THIRD, 1.0)
+    residual = hyperbola_residual(x_d, y_d, PI_THIRD, t)
     assert residual[..., 0] <= 1e-12
     assert residual[..., 1] <= 1e-12
 
 
 def test_hyperbola_mismatched_branch_flags():
-    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, 1.0)
+    t = condensate(PI_THIRD, 1.0)
+    x_d, y_d = recombined_eigenvalues(1.0, PI_THIRD, t)
     # swapped x_d columns: the minus branch's x_d under the plus shift
-    residual = hyperbola_residual(x_d[..., ::-1], y_d, PI_THIRD, 1.0)
+    residual = hyperbola_residual(x_d[..., ::-1], y_d, PI_THIRD, t)
     assert residual[..., 1] > 0.1
 
 
@@ -177,6 +177,10 @@ def test_sample_curve_guards():
         sample_curve(-3.0, 3.0, 1, PI_THIRD, 1.0)
     with pytest.raises(ValueError):
         sample_curve(3.0, -3.0, 11, PI_THIRD, 1.0)
+    # the curve's only angle check: the closed forms and blocks it calls check nothing
+    for theta in (-0.1, math.pi / 2):
+        with pytest.raises(ValueError, match="intersection angle"):
+            sample_curve(-3.0, 3.0, 11, theta, 1.0)
 
 
 def test_tiny_flux_curve_coincides_with_asymptotes():
@@ -190,11 +194,11 @@ def test_tiny_flux_curve_coincides_with_asymptotes():
 
 def test_large_x0_asymptotics():
     # constant x_d offset from the same-parameter asymptote point, slope -> tan(theta)
-    t = condensate_amplitude(PI_THIRD, 1.0)
-    big_x, big_y = recombined_eigenvalues(1e3, PI_THIRD, 1.0)
+    t = condensate(PI_THIRD, 1.0)
+    big_x, big_y = recombined_eigenvalues(1e3, PI_THIRD, t)
     assert big_x[..., 0] - 1e3 * math.sin(PI_THIRD) == pytest.approx(-t, abs=1e-12)
     assert big_x[..., 1] - 1e3 * math.sin(PI_THIRD) == pytest.approx(t, abs=1e-12)
-    step_x, step_y = recombined_eigenvalues(1e3 + 1e-3, PI_THIRD, 1.0)
+    step_x, step_y = recombined_eigenvalues(1e3 + 1e-3, PI_THIRD, t)
     slope = (step_x[..., 0] - big_x[..., 0]) / (step_y[..., 0] - big_y[..., 0])
     assert abs(slope) == pytest.approx(math.tan(PI_THIRD), rel=1e-5)
 
@@ -202,7 +206,7 @@ def test_large_x0_asymptotics():
 def test_asymmetry_gap_value():
     curve = sample_curve(-3.0, 3.0, 41, PI_THIRD, 1.0)
     gap = asymmetry_gap(curve)
-    assert gap == pytest.approx(2.0 * condensate_amplitude(PI_THIRD, 1.0), rel=1e-10)
+    assert gap == pytest.approx(2.0 * condensate(PI_THIRD, 1.0), rel=1e-10)
     assert gap > 0.1
 
 
@@ -230,14 +234,11 @@ def test_sample_curve_keeps_nan_in_maxima(monkeypatch):
 
 
 WITH_R = {
-    "tachyon_potential": lambda z2, R: tachyon_potential(0.5, z2, R),
     "analytic_minimum": lambda z2, R: analytic_minimum(0.5, z2, R),
     "numeric_minimum": lambda z2, R: numeric_minimum(0.5, z2, R),
     "potential_value": lambda z2, R: potential_value(1.0, 0.5, z2, R),
 }
 FLUX_ONLY = {
-    "condensate_amplitude": lambda z2: condensate_amplitude(0.5, z2),
-    "recombined_eigenvalues": lambda z2: recombined_eigenvalues(1.0, 0.5, z2),
     "sample_curve": lambda z2: sample_curve(-1.0, 1.0, 3, 0.5, z2),
 }
 
@@ -280,7 +281,7 @@ def scalar_curve(x0_min, x0_max, n_points, theta, z2):
     as the (minus, plus) branches.  Returns the rows, both maxima and the
     asymmetry gap, the latter from a double loop over points and branches.
     """
-    t = math.sqrt(math.pi * z2 * math.cos(theta))
+    t = condensate(theta, z2)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     points, asymptotes, gaps = [], [], []
     for x0 in np.linspace(x0_min, x0_max, n_points).tolist():
